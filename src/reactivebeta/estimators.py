@@ -117,19 +117,43 @@ def quantile_objective(x, y, lam: float, theta: float,
     return float(out) if np.ndim(out) == 0 else out
 
 
+def _weighted_sums(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    # row by row rather than through BLAS, whose blocking would make a
+    # path's sums depend on the other paths solved with it
+    return np.einsum("ij,j->i", a, w)
+
+
+def _quantile_pick(values: np.ndarray, mass: np.ndarray, target, last) -> np.ndarray:
+    """Per row, the column of the first value in sorted order at which the
+    cumulative mass reaches ``target``, capped at sorted position ``last``."""
+    order = np.argsort(values, axis=1)
+    cum = np.take_along_axis(mass, order, axis=1)
+    np.cumsum(cum, axis=1, out=cum)
+    pick = np.minimum((cum < np.reshape(target, (-1, 1))).sum(axis=1), last)
+    return order[np.arange(order.shape[0]), pick]
+
+
 def quantile_beta_batch(x: np.ndarray, y: np.ndarray, theta: float,
-                        lam: float = DEFAULT_LOOKBACK,
-                        max_iter: int = 80, polish_points: int = 6):
+                        lam: float = DEFAULT_LOOKBACK):
     """Weighted quantile regression line fit along the last axis.
 
-    Minimizes the exponentially weighted pinball loss with an intercept.
-    Solved by iteratively reweighted least squares on a smoothed loss
-    whose smoothing parameter is annealed towards zero, then polished by
-    an exact vertex search: an optimal line passes through two data
-    points, so the best line through pairs of the ``polish_points``
-    smallest-residual observations is taken whenever it improves the
-    objective. Returns ``(alpha, beta)`` arrays; paths with a degenerate
-    regressor yield NaN.
+    Minimizes the exponentially weighted pinball loss with an intercept
+    exactly, by the two-parameter vertex descent of Barrodale & Roberts
+    (1973) and Koenker & Bassett (1978); an optimal line passes through
+    two observations. The line is held through an anchor observation
+    ``i``, starting from the one at the ``theta`` weighted quantile of the
+    least-squares residuals. Its best slope about ``i`` is a weighted
+    quantile of the slopes ``(y_j - y_i) / (x_j - x_i)`` with masses
+    ``w_j |x_j - x_i|``, taken at ``theta`` for observations right of
+    ``i`` and at ``1 - theta`` for those left of it. The line then pivots:
+    the other observation it passes through becomes the anchor. A path
+    stops when its objective no longer strictly falls (relative 1e-15);
+    then rotating the line about either of its two observations does not
+    descend, which certifies it optimal. Each path's result is bit for
+    bit the same whichever block it is solved in.
+
+    Returns ``(alpha, beta)`` arrays; paths with a degenerate regressor
+    yield NaN.
     """
     if not 0.0 < theta < 1.0:
         raise ValueError(f"theta must lie in (0, 1), got {theta}")
@@ -139,78 +163,51 @@ def quantile_beta_batch(x: np.ndarray, y: np.ndarray, theta: float,
         raise ValueError("x and y must have identical shapes")
     n, T = x.shape
     w = exp_weights(T, lam)
+    alpha, beta = np.full(n, np.nan), np.full(n, np.nan)
 
-    # start from the weighted least-squares line
-    mx, my = x @ w, y @ w
-    dx, dy = x - mx[:, None], y - my[:, None]
-    var = (dx * dx) @ w
-    degenerate = var <= 1e-30 * np.maximum((x * x) @ w, 1e-300)
-    var_safe = np.where(degenerate, 1.0, var)
-    beta = ((dx * dy) @ w) / var_safe
-    alpha = my - beta * mx
+    mx = _weighted_sums(x, w)
+    dx = x - mx[:, None]
+    var = np.einsum("ij,ij,j->i", dx, dx, w)
+    live = np.flatnonzero(var > 1e-30 * np.maximum(np.einsum("ij,ij,j->i", x, x, w), 1e-300))
+    if live.size < n:
+        x, y, dx = x[live], y[live], dx[live]
+    b_cur = np.einsum("ij,ij,j->i", dx, y, w) / var[live]
+    a_cur = _weighted_sums(y, w) - b_cur * mx[live]
+    r = y - a_cur[:, None] - b_cur[:, None] * x
+    anchor = _quantile_pick(r, np.broadcast_to(w, r.shape), theta, T - 1)
+    obj = np.full(live.size, np.inf)
 
-    scale = np.sqrt(np.maximum((dy * dy) @ w, 1e-30))
-    half = 0.5 - theta
-    sum_w = 1.0  # weights are normalized
-    sum_wx = mx
+    while live.size:
+        rows = np.arange(live.size)
+        xa, ya = x[rows, anchor], y[rows, anchor]
+        np.subtract(x, xa[:, None], out=dx)
+        np.subtract(y, ya[:, None], out=r)
+        tie = dx == 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r /= dx
+        r[tie] = np.nan  # ties in x carry no mass and sort last
+        # the slope quantile must reach sum(m) / 2 + (theta - 1/2) sum(w dx)
+        lean = (theta - 0.5) * _weighted_sums(dx, w)
+        np.abs(dx, out=dx)
+        dx *= w
+        nxt = _quantile_pick(r, dx, 0.5 * dx.sum(axis=1) + lean, T - 1 - tie.sum(axis=1))
+        b_new = r[rows, nxt]
+        a_new = ya - b_new * xa
 
-    for stage in range(8):
-        delta = scale * 10.0 ** (-2.0 - 1.5 * stage)
-        for _ in range(max_iter):
-            r = y - alpha[:, None] - beta[:, None] * x
-            m = w / (2.0 * np.sqrt(r * r + delta[:, None] ** 2))
-            sm = m.sum(axis=1)
-            smx = (m * x).sum(axis=1)
-            smxx = (m * x * x).sum(axis=1)
-            smy = (m * y).sum(axis=1)
-            smxy = (m * x * y).sum(axis=1)
-            b0 = smy - half * sum_w
-            b1 = smxy - half * sum_wx
-            det = sm * smxx - smx * smx
-            det = np.where(det <= 0.0, np.nan, det)
-            alpha_new = (b0 * smxx - b1 * smx) / det
-            beta_new = (sm * b1 - smx * b0) / det
-            step = np.maximum(np.abs(alpha_new - alpha), np.abs(beta_new - beta))
-            ok = np.isfinite(alpha_new) & np.isfinite(beta_new)
-            alpha = np.where(ok, alpha_new, alpha)
-            beta = np.where(ok, beta_new, beta)
-            settled = ~ok | (step <= 1e-13 * np.maximum(scale, 1.0))
-            if settled.all():
-                break
+        # pinball loss theta r^+ + (1 - theta) r^- as |r| / 2 + (theta - 1/2) r
+        np.multiply(x, b_new[:, None], out=r)
+        np.subtract(y, r, out=r)
+        r -= a_new[:, None]
+        obj_new = (theta - 0.5) * _weighted_sums(r, w)
+        obj_new += 0.5 * _weighted_sums(np.abs(r, out=r), w)
 
-    # vertex polish: evaluate every line through pairs of the points with
-    # the smallest current residuals and keep the best
-    m = min(polish_points, T)
-    if m >= 2:
-        r = np.abs(y - alpha[:, None] - beta[:, None] * x)
-        near = np.argpartition(r, m - 1, axis=1)[:, :m]
-        px = np.take_along_axis(x, near, axis=1)
-        py = np.take_along_axis(y, near, axis=1)
-        ii, jj = np.triu_indices(m, k=1)
-        dx_p = px[:, jj] - px[:, ii]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            cand_beta = (py[:, jj] - py[:, ii]) / dx_p
-        cand_alpha = py[:, ii] - cand_beta * px[:, ii]
-        valid_pair = dx_p != 0.0
-
-        def _objective(a, b):
-            res = y - a[:, None] - b[:, None] * x
-            return _pinball(res, theta) @ w
-
-        best_obj = _objective(np.where(np.isfinite(alpha), alpha, 0.0),
-                              np.where(np.isfinite(beta), beta, 0.0))
-        best_obj = np.where(np.isfinite(alpha) & np.isfinite(beta), best_obj, np.inf)
-        for k in range(ii.size):
-            a_k, b_k = cand_alpha[:, k], cand_beta[:, k]
-            ok = valid_pair[:, k] & np.isfinite(a_k) & np.isfinite(b_k)
-            obj_k = _objective(np.where(ok, a_k, 0.0), np.where(ok, b_k, 0.0))
-            take = ok & (obj_k < best_obj)
-            alpha = np.where(take, a_k, alpha)
-            beta = np.where(take, b_k, beta)
-            best_obj = np.where(take, obj_k, best_obj)
-
-    alpha = np.where(degenerate, np.nan, alpha)
-    beta = np.where(degenerate, np.nan, beta)
+        better = obj_new < obj * (1.0 - 1e-15)
+        done = ~better
+        alpha[live[done]], beta[live[done]] = a_cur[done], b_cur[done]
+        if done.any():
+            keep = int(better.sum())
+            live, x, y, dx, r = live[better], x[better], y[better], dx[:keep], r[:keep]
+        a_cur, b_cur, obj, anchor = a_new[better], b_new[better], obj_new[better], nxt[better]
     return alpha, beta
 
 
