@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import io
 import sys
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
@@ -69,6 +70,13 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _csv_field(value) -> str:
+    """``value`` as ``csv.writer`` writes it inside a row."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([value, ""])
+    return buf.getvalue()[:-3]
+
+
 def _cmd_estimate(args) -> int:
     params = _load_params(args.config)
     if args.burn_in is not None:
@@ -79,17 +87,16 @@ def _cmd_estimate(args) -> int:
     out = _out_dir(args)
     dest = out / "betas.csv"
     start = max(1, params.burn_in)
+    # csv.writer's bytes, one write per day: each date and ticker is
+    # quoted once, the numbers go through one row template
+    tickers = [_csv_field(ticker) for ticker in universe.tickers]
+    columns = (panels.re_beta, panels.ols_beta, panels.re_sigma, panels.ols_sigma)
     with dest.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", "ticker", "reactive_beta", "ols_beta",
-                         "reactive_sigma", "ols_sigma"])
+        fh.write("date,ticker,reactive_beta,ols_beta,reactive_sigma,ols_sigma\r\n")
         for t in range(start, universe.n_days):
-            for j, ticker in enumerate(universe.tickers):
-                writer.writerow([
-                    universe.dates[t], ticker,
-                    f"{panels.re_beta[t, j]:.8g}", f"{panels.ols_beta[t, j]:.8g}",
-                    f"{panels.re_sigma[t, j]:.8g}", f"{panels.ols_sigma[t, j]:.8g}",
-                ])
+            rows = zip([_csv_field(universe.dates[t])] * len(tickers), tickers,
+                       *(c[t].tolist() for c in columns))
+            fh.write("".join(["%s,%s,%.8g,%.8g,%.8g,%.8g\r\n" % row for row in rows]))
     inputs = [p for p in (args.prices, args.caps, args.sectors) if p]
     rio.write_manifest(out / "manifest.json", "estimate",
                        {"params": params.__dict__, "burn_in": params.burn_in},

@@ -84,6 +84,12 @@ def ols_beta(problem: WeightedRegressionProblem, intercept: bool = True) -> floa
     return float(w @ (x * y)) / var
 
 
+def _weighted_sums(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    # row by row rather than through BLAS, whose blocking would make a
+    # path's sums depend on the other paths solved with it
+    return np.einsum("...j,j->...", a, w)
+
+
 def ols_beta_batch(x: np.ndarray, y: np.ndarray, lam: float = DEFAULT_LOOKBACK,
                    intercept: bool = True) -> np.ndarray:
     """Weighted least-squares slopes along the last axis."""
@@ -91,11 +97,11 @@ def ols_beta_batch(x: np.ndarray, y: np.ndarray, lam: float = DEFAULT_LOOKBACK,
     y = np.asarray(y, dtype=float)
     w = exp_weights(x.shape[-1], lam)
     if intercept:
-        x = x - (x @ w)[..., None]
-        y = y - (y @ w)[..., None]
-    var = (x * x) @ w
+        x = x - _weighted_sums(x, w)[..., None]
+        y = y - _weighted_sums(y, w)[..., None]
+    var = _weighted_sums(x * x, w)
     with np.errstate(invalid="ignore", divide="ignore"):
-        beta = ((x * y) @ w) / var
+        beta = _weighted_sums(x * y, w) / var
     return np.where(var > 0.0, beta, np.nan)
 
 
@@ -113,14 +119,8 @@ def quantile_objective(x, y, lam: float, theta: float,
     y = np.asarray(y, dtype=float)
     w = exp_weights(x.shape[-1], lam)
     r = y - np.asarray(alpha)[..., None] - np.asarray(beta)[..., None] * x
-    out = _pinball(r, theta) @ w
+    out = _weighted_sums(_pinball(r, theta), w)
     return float(out) if np.ndim(out) == 0 else out
-
-
-def _weighted_sums(a: np.ndarray, w: np.ndarray) -> np.ndarray:
-    # row by row rather than through BLAS, whose blocking would make a
-    # path's sums depend on the other paths solved with it
-    return np.einsum("ij,j->i", a, w)
 
 
 def _quantile_pick(values: np.ndarray, mass: np.ndarray, target, last) -> np.ndarray:

@@ -32,6 +32,7 @@ __all__ = [
     "auto_supersectors",
     "compute_panels",
     "indicator",
+    "build_factors",
     "build_factor",
     "backtest",
     "synthetic_universe",
@@ -47,6 +48,10 @@ STRATEGY_QUANTILE = {"low_vol": 0.30, "reversal": 0.15,
 INDICATOR_WINDOW = {"low_vol": 0, "reversal": 21, "momentum": 504, "size": 0}
 
 N_SUPERSECTORS = 6
+
+#: position days whose factors ``backtest`` builds in one pass; bounds the
+#: (days x stocks) work arrays
+_BLOCK_DAYS = 64
 
 
 @dataclass(frozen=True)
@@ -183,10 +188,10 @@ def compute_panels(universe: Universe,
                           re_beta=re_beta, re_sigma=re_sigma)
 
 
-def indicator(strategy: str, universe: Universe, t: int,
-              panels: UniversePanels,
+def indicator(strategy: str, universe: Universe, t, panels: UniversePanels,
               low_vol_long_high_beta: bool = True) -> np.ndarray:
-    """Ranking values at day ``t``; higher values go into the long leg.
+    """Ranking values at day ``t`` (a day or an array of days, giving one
+    row per day); higher values go into the long leg.
 
     Low volatility ranks on the plain least-squares beta (selection always
     uses the standard estimate, whatever hedges the factor); reversal
@@ -203,11 +208,10 @@ def indicator(strategy: str, universe: Universe, t: int,
         if universe.caps is None:
             raise ValueError("size strategy requires capitalization data")
         return universe.caps[t].copy()
-    window = INDICATOR_WINDOW[strategy]
-    if t - window < 0:
-        return np.full(universe.n_stocks, np.nan)
+    past = np.asarray(t) - INDICATOR_WINDOW[strategy]
     with np.errstate(invalid="ignore"):
-        growth = universe.prices[t] / universe.prices[t - window] - 1.0
+        growth = universe.prices[t] / universe.prices[np.maximum(past, 0)] - 1.0
+    growth[past < 0] = np.nan
     return -growth if strategy == "reversal" else growth
 
 
@@ -231,87 +235,123 @@ class FactorWeights:
         return float(np.abs(self.weights).sum())
 
 
+def _quantile(strategy: str, p: Optional[float]) -> float:
+    """The selection quantile: ``p``, or the strategy's default if None."""
+    p = STRATEGY_QUANTILE[strategy] if p is None else p
+    if not 0.0 < p <= 0.5:
+        raise ValueError("quantile p must lie in (0, 0.5]")
+    return p
+
+
+def build_factors(universe: Universe, days, strategy: str,
+                  panels: UniversePanels, beta_source: str = "ols",
+                  p: Optional[float] = None,
+                  low_vol_long_high_beta: bool = True):
+    """Beta-neutral weights for position dates ``days + 1``, each from data
+    available through its day in ``days``, all days in one pass.
+
+    Per day and supersector: rank by indicator (ties broken by ticker),
+    select the top and bottom ``round(p * N)`` stocks (at least one, never
+    overlapping), weight them inversely to volatility capped at the
+    sector mean, then scale whichever leg carries the larger aggregate
+    beta so the sector satisfies exact neutrality; the non-reduced leg's
+    multiplier is pinned at ``1 / (2k)`` for leg size ``k``, which keeps
+    the sector gross exposure at one. Sector weights are averaged over
+    the sectors with eligible stocks.
+
+    Returns ``(weights, mu_plus, mu_minus, skipped)``: weights ``(D, n)``;
+    leg multipliers ``(D, m)`` with one column per label of
+    ``np.unique(universe.supersector)``, NaN for a sector without a pair
+    of eligible stocks; and ``skipped`` ``(D,)``, true where some sector's
+    neutrality is unsolvable or no sector is usable. Skipped days carry
+    zero weights and NaN multipliers.
+    """
+    if beta_source not in ("ols", "reactive"):
+        raise ValueError("beta_source must be 'ols' or 'reactive'")
+    p = _quantile(strategy, p)
+    days = np.asarray(days)
+    ind = indicator(strategy, universe, days, panels, low_vol_long_high_beta)
+    beta = (panels.ols_beta if beta_source == "ols" else panels.re_beta)[days]
+    sigma = (panels.ols_sigma if beta_source == "ols" else panels.re_sigma)[days]
+    D, n = ind.shape
+    labels, sector = np.unique(universe.supersector, return_inverse=True)
+    m = labels.size
+
+    eligible = np.isfinite(ind) & np.isfinite(beta) & np.isfinite(sigma) \
+        & (sigma > 0.0) & np.isfinite(universe.prices[days])
+    # per row: eligible stocks first, grouped by sector, each sector by
+    # falling indicator with ties broken by ticker
+    order = np.lexsort((np.broadcast_to(np.arange(n), (D, n)), -ind,
+                        np.broadcast_to(sector, (D, n)), ~eligible), axis=-1)
+    ok = np.take_along_axis(eligible, order, axis=1)
+    cell = np.arange(D)[:, None] * m + sector[order]   # (day, sector) code per slot
+    size = D * m
+    N = np.bincount(cell[ok], minlength=size)
+    k = np.minimum(np.maximum(np.rint(p * N), 1.0), N // 2)
+    used = k >= 1
+
+    first = np.cumsum(N.reshape(D, m), axis=1) - N.reshape(D, m)
+    rank = np.arange(n) - first.ravel()[cell]
+    sig = np.take_along_axis(sigma, order, axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        sigma_mean = np.bincount(cell[ok], sig[ok], minlength=size) / N
+        base = np.where(ok, np.minimum(1.0, sigma_mean[cell] / sig), 0.0)
+    long_leg = ok & (rank < k[cell])
+    short_leg = ok & (rank >= N[cell] - k[cell])
+    exposure = np.take_along_axis(beta, order, axis=1) * base
+    b_plus = np.bincount(cell[long_leg], exposure[long_leg], minlength=size)
+    b_minus = np.bincount(cell[short_leg], exposure[short_leg], minlength=size)
+
+    unsolvable = used & ((b_plus <= 0.0) | (b_minus <= 0.0))
+    n_used = used.reshape(D, m).sum(axis=1)
+    skipped = unsolvable.reshape(D, m).any(axis=1) | (n_used == 0)
+
+    long_heavy = b_plus >= b_minus
+    with np.errstate(invalid="ignore", divide="ignore"):
+        cap = 1.0 / (2.0 * k)
+        mu_p = np.where(long_heavy, cap * b_minus / b_plus, cap).reshape(D, m)
+        mu_m = np.where(long_heavy, cap, cap * b_plus / b_minus).reshape(D, m)
+    dropped = ~used.reshape(D, m) | skipped[:, None]
+    mu_p[dropped] = np.nan
+    mu_m[dropped] = np.nan
+
+    legs = np.where(long_leg, mu_p.ravel()[cell],
+                    np.where(short_leg, -mu_m.ravel()[cell], 0.0))
+    weights = np.zeros((D, n))
+    np.put_along_axis(weights, order, np.where(skipped[:, None], 0.0, legs * base), axis=1)
+    weights /= np.maximum(n_used, 1)[:, None]
+    return weights, mu_p, mu_m, skipped
+
+
+def _factor_weights(universe: Universe, t: int, weights, mu_plus, mu_minus,
+                    p: float) -> FactorWeights:
+    """One day's row of ``build_factors`` as a FactorWeights."""
+    labels = np.unique(universe.supersector)
+    used = np.isfinite(mu_plus)
+    date = universe.dates[t + 1] if t + 1 < universe.n_days else universe.dates[-1]
+    return FactorWeights(
+        date=date, tickers=universe.tickers, weights=weights,
+        mu_plus={int(s): float(v) for s, v in zip(labels[used], mu_plus[used])},
+        mu_minus={int(s): float(v) for s, v in zip(labels[used], mu_minus[used])},
+        p=p)
+
+
 def build_factor(universe: Universe, t: int, strategy: str,
                  panels: UniversePanels, beta_source: str = "ols",
                  p: Optional[float] = None,
                  low_vol_long_high_beta: bool = True) -> Optional[FactorWeights]:
     """Construct beta-neutral weights for position date ``t + 1`` from
-    data available through day ``t``.
-
-    Per supersector: rank by indicator (ties broken by ticker), select the
-    top and bottom ``round(p * N)`` stocks (at least one, never
-    overlapping), weight them inversely to volatility capped at the
-    sector mean, then scale whichever leg carries the larger aggregate
-    beta so the sector satisfies exact neutrality; the non-reduced leg's
-    multiplier is pinned at ``1 / (2k)`` for leg size ``k``, which keeps
-    the sector gross exposure at one. Returns None (factor skipped) when
-    any sector's neutrality is unsolvable.
+    data available through day ``t``: ``build_factors`` for the single
+    day ``t``. ``mu_plus``/``mu_minus`` map each used supersector to its
+    leg multiplier. Returns None (factor skipped) when any sector's
+    neutrality is unsolvable.
     """
-    if beta_source not in ("ols", "reactive"):
-        raise ValueError("beta_source must be 'ols' or 'reactive'")
-    p = STRATEGY_QUANTILE[strategy] if p is None else p
-    if not 0.0 < p <= 0.5:
-        raise ValueError("quantile p must lie in (0, 0.5]")
-
-    ind = indicator(strategy, universe, t, panels, low_vol_long_high_beta)
-    beta = panels.ols_beta[t] if beta_source == "ols" else panels.re_beta[t]
-    sigma = panels.ols_sigma[t] if beta_source == "ols" else panels.re_sigma[t]
-
-    n = universe.n_stocks
-    weights = np.zeros(n)
-    mu_plus: dict = {}
-    mu_minus: dict = {}
-    tick_order = np.arange(n)
-    sectors_used = 0
-
-    for sector in np.unique(universe.supersector):
-        members = np.flatnonzero(universe.supersector == sector)
-        ok = np.isfinite(ind[members]) & np.isfinite(beta[members]) \
-            & np.isfinite(sigma[members]) & (sigma[members] > 0.0) \
-            & np.isfinite(universe.prices[t, members])
-        eligible = members[ok]
-        N = eligible.size
-        k = int(np.rint(p * N))
-        k = max(k, 1)
-        k = min(k, N // 2)
-        if k < 1:
-            continue
-
-        order = eligible[np.lexsort((tick_order[eligible], -ind[eligible]))]
-        long_leg = order[:k]
-        short_leg = order[-k:]
-
-        sig = sigma[order]
-        sigma_mean = float(sig.mean())
-        base = np.minimum(1.0, sigma_mean / sigma[order])
-        base_map = dict(zip(order, base))
-
-        b_plus = float(sum(beta[i] * base_map[i] for i in long_leg))
-        b_minus = float(sum(beta[i] * base_map[i] for i in short_leg))
-        if b_plus <= 0.0 or b_minus <= 0.0:
-            return None
-
-        cap = 1.0 / (2.0 * k)
-        if b_plus >= b_minus:
-            mu_m = cap
-            mu_p = cap * b_minus / b_plus
-        else:
-            mu_p = cap
-            mu_m = cap * b_plus / b_minus
-        mu_plus[int(sector)] = mu_p
-        mu_minus[int(sector)] = mu_m
-        for i in long_leg:
-            weights[i] = mu_p * base_map[i]
-        for i in short_leg:
-            weights[i] = -mu_m * base_map[i]
-        sectors_used += 1
-
-    if sectors_used == 0:
+    p = _quantile(strategy, p)
+    weights, mu_p, mu_m, skipped = build_factors(
+        universe, [t], strategy, panels, beta_source, p, low_vol_long_high_beta)
+    if skipped[0]:
         return None
-    weights /= sectors_used
-    date = universe.dates[t + 1] if t + 1 < universe.n_days else universe.dates[-1]
-    return FactorWeights(date=date, tickers=universe.tickers, weights=weights,
-                         mu_plus=mu_plus, mu_minus=mu_minus, p=p)
+    return _factor_weights(universe, t, weights[0], mu_p[0], mu_m[0], p)
 
 
 @dataclass(frozen=True)
@@ -333,7 +373,8 @@ def backtest(universe: Universe, strategy: str, beta_source: str = "ols",
              low_vol_long_high_beta: bool = True) -> BacktestResult:
     """Daily-rebalanced backtest of one strategy under one beta source.
 
-    Position weights for day ``d`` are built from data through ``d - 1``;
+    Position weights for day ``d`` are built from data through ``d - 1``,
+    by ``build_factors`` over blocks of up to ``_BLOCK_DAYS`` days;
     the factor return on day ``d`` is the weighted sum of that day's
     stock returns (missing returns contribute zero, matching the frozen
     price). The report quotes the hedge bias (full-sample correlation
@@ -348,29 +389,33 @@ def backtest(universe: Universe, strategy: str, beta_source: str = "ols",
     if T - 1 - start <= 91:
         raise ValueError("universe too short for this strategy's warm-up")
 
-    rets, dates, kept = [], [], []
+    p = _quantile(strategy, p)
+    rets, traded, kept = [], [], []
     skipped = 0
-    for d in range(start + 1, T):
-        fw = build_factor(universe, d - 1, strategy, panels, beta_source, p,
-                          low_vol_long_high_beta)
-        if fw is None:
-            skipped += 1
-            continue
-        day_ret = np.where(np.isfinite(panels.returns[d]), panels.returns[d], 0.0)
-        rets.append(float(fw.weights @ day_ret))
-        dates.append(universe.dates[d])
-        if keep_weights:
-            kept.append(fw)
+    for lo in range(start, T - 1, _BLOCK_DAYS):
+        days = np.arange(lo, min(lo + _BLOCK_DAYS, T - 1))
+        weights, mu_p, mu_m, skip = build_factors(
+            universe, days, strategy, panels, beta_source, p, low_vol_long_high_beta)
+        skipped += int(skip.sum())
+        day_ret = panels.returns[days + 1]
+        day_ret = np.where(np.isfinite(day_ret), day_ret, 0.0)
+        for i in np.flatnonzero(~skip):
+            rets.append(float(weights[i] @ day_ret[i]))
+            traded.append(days[i] + 1)
+            if keep_weights:
+                kept.append(_factor_weights(universe, days[i], weights[i],
+                                            mu_p[i], mu_m[i], p))
 
     if len(rets) < 92:
         raise ValueError("not enough tradable days after warm-up")
     rets_arr = np.asarray(rets)
-    date_pos = {d: i for i, d in enumerate(universe.dates)}
-    idx = np.array([panels.index_returns[date_pos[d]] for d in dates])
+    traded = np.asarray(traded, dtype=int)
+    dates = universe.dates[traded]
+    idx = panels.index_returns[traded]
     report = strategy_bias_corstd(rets_arr, idx)
     return BacktestResult(
         strategy=strategy, beta_source=beta_source,
-        dates=np.asarray(dates), returns=Series(rets_arr, f"{strategy}-{beta_source}"),
+        dates=dates, returns=Series(rets_arr, f"{strategy}-{beta_source}"),
         report=report, skipped_days=skipped,
         weights=kept if keep_weights else None,
     )

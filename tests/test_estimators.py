@@ -88,6 +88,19 @@ class TestOls:
         for k in range(5):
             assert batch[k] == pytest.approx(ols_beta(WeightedRegressionProblem(x[k], y[k], 0.02)))
 
+    @pytest.mark.parametrize("T", [33, 250, 1000])
+    def test_batch_rows_bitwise_independent(self, T):
+        # a path's slope (and pinball objective) must not depend on the
+        # other paths in its block, as it would through BLAS blocking
+        rng = np.random.default_rng(T)
+        x = rng.standard_normal((37, T))
+        y = 0.8 * x + rng.standard_normal((37, T))
+        batch = ols_beta_batch(x, y, 0.02)
+        obj = quantile_objective(x, y, 0.02, 0.5, 0.1, batch)
+        for k in range(37):
+            assert ols_beta_batch(x[k:k + 1], y[k:k + 1], 0.02)[0] == batch[k]
+            assert quantile_objective(x[k], y[k], 0.02, 0.5, 0.1, batch[k]) == obj[k]
+
 
 class TestQuantileRegression:
     def test_exact_line_any_theta(self):

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import numpy as np
@@ -5,7 +7,8 @@ import pytest
 
 from reactivebeta.cli import main
 from reactivebeta.io import IngestError, ingest_prices, sha256_file, write_weights
-from reactivebeta.strategies import FactorWeights
+from reactivebeta.params import ReactiveParams
+from reactivebeta.strategies import FactorWeights, compute_panels
 
 
 PRICES_CSV = """date,IDX,AAA,BBB,CCC
@@ -123,6 +126,38 @@ class TestCli:
         manifest = json.loads((out / "manifest.json").read_text())
         assert str(price_file) in manifest["inputs"]
         assert manifest["inputs"][str(price_file)] == sha256_file(price_file)
+
+    def test_estimate_bytes_match_csv_writer(self, tmp_path):
+        # a ticker that needs quoting and a stock frozen for a stretch of
+        # days; the file must be exactly what csv.writer writes row by row
+        rng = np.random.default_rng(12)
+        T = 40
+        panel = 100.0 * np.cumprod(1.0 + 0.01 * rng.standard_normal((T, 4)), axis=0)
+        dates = np.busday_offset("2020-01-01", np.arange(T), roll="forward").astype(str)
+        rows = [",".join([d] + ["" if (j == 3 and 10 <= t < 20) else f"{v:.10g}"
+                                for j, v in enumerate(r)])
+                for t, (d, r) in enumerate(zip(dates, panel))]
+        prices = tmp_path / "prices.csv"
+        prices.write_text('date,IDX,"A,B","Q""X",CCC\n' + "\n".join(rows) + "\n")
+        out = tmp_path / "est"
+        assert main(["estimate", "--prices", str(prices), "--burn-in", "1",
+                     "--out", str(out)]) == 0
+
+        uni = ingest_prices(prices)
+        assert uni.tickers == ("A,B", 'Q"X', "CCC")
+        panels = compute_panels(uni, ReactiveParams().replace(burn_in=1))
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(["date", "ticker", "reactive_beta", "ols_beta",
+                         "reactive_sigma", "ols_sigma"])
+        for t in range(1, T):
+            for j, ticker in enumerate(uni.tickers):
+                writer.writerow([uni.dates[t], ticker,
+                                 f"{panels.re_beta[t, j]:.8g}", f"{panels.ols_beta[t, j]:.8g}",
+                                 f"{panels.re_sigma[t, j]:.8g}", f"{panels.ols_sigma[t, j]:.8g}"])
+        written = (out / "betas.csv").read_bytes()
+        assert b"nan" in written
+        assert written == expected.getvalue().encode()
 
     def test_simulate_report_schema(self, tmp_path):
         out = tmp_path / "sim"

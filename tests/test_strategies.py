@@ -3,6 +3,9 @@ import pytest
 
 from reactivebeta.params import ReactiveParams
 from reactivebeta.strategies import (
+    INDICATOR_WINDOW,
+    STRATEGIES,
+    STRATEGY_QUANTILE,
     Universe,
     auto_supersectors,
     backtest,
@@ -13,6 +16,55 @@ from reactivebeta.strategies import (
 )
 
 PARAMS = ReactiveParams()
+
+
+def reference_factor(universe, t, strategy, panels, beta_source="ols", p=None,
+                     low_vol_long_high_beta=True):
+    """One day's factor, one supersector at a time: the loop the batch
+    construction replaced. Returns None or (weights, mu_plus, mu_minus)."""
+    p = STRATEGY_QUANTILE[strategy] if p is None else p
+    ind = indicator(strategy, universe, t, panels, low_vol_long_high_beta)
+    beta = panels.ols_beta[t] if beta_source == "ols" else panels.re_beta[t]
+    sigma = panels.ols_sigma[t] if beta_source == "ols" else panels.re_sigma[t]
+
+    n = universe.n_stocks
+    weights = np.zeros(n)
+    mu_plus, mu_minus = {}, {}
+    tick_order = np.arange(n)
+    sectors_used = 0
+    for sector in np.unique(universe.supersector):
+        members = np.flatnonzero(universe.supersector == sector)
+        ok = np.isfinite(ind[members]) & np.isfinite(beta[members]) \
+            & np.isfinite(sigma[members]) & (sigma[members] > 0.0) \
+            & np.isfinite(universe.prices[t, members])
+        eligible = members[ok]
+        N = eligible.size
+        k = min(max(int(np.rint(p * N)), 1), N // 2)
+        if k < 1:
+            continue
+        order = eligible[np.lexsort((tick_order[eligible], -ind[eligible]))]
+        long_leg, short_leg = order[:k], order[-k:]
+        base = np.minimum(1.0, float(sigma[order].mean()) / sigma[order])
+        base_map = dict(zip(order, base))
+        b_plus = float(sum(beta[i] * base_map[i] for i in long_leg))
+        b_minus = float(sum(beta[i] * base_map[i] for i in short_leg))
+        if b_plus <= 0.0 or b_minus <= 0.0:
+            return None
+        cap = 1.0 / (2.0 * k)
+        if b_plus >= b_minus:
+            mu_p, mu_m = cap * b_minus / b_plus, cap
+        else:
+            mu_p, mu_m = cap, cap * b_plus / b_minus
+        mu_plus[int(sector)] = mu_p
+        mu_minus[int(sector)] = mu_m
+        for i in long_leg:
+            weights[i] = mu_p * base_map[i]
+        for i in short_leg:
+            weights[i] = -mu_m * base_map[i]
+        sectors_used += 1
+    if sectors_used == 0:
+        return None
+    return weights / sectors_used, mu_plus, mu_minus
 
 
 def _flat_universe(n_stocks=8, T=30, price=100.0):
@@ -144,6 +196,53 @@ class TestBuildFactor:
         panels = _panels_with(uni, ols_beta=np.array([1.0, 1.0, -0.5, -0.5]),
                               ols_sigma=np.full(4, 0.02))
         assert build_factor(uni, 10, "size", panels, "ols", p=0.5) is None
+
+
+class TestBatchAgainstReference:
+    @pytest.fixture(scope="class")
+    def blanked(self):
+        """A universe with runs of missing prices and caps, and one day on
+        which every stock of sector 0 carries a negative beta."""
+        uni = synthetic_universe(n_stocks=48, T=720, seed=11)
+        rng = np.random.default_rng(11)
+        prices, caps = uni.prices.copy(), uni.caps.copy()
+        for t, j in zip(rng.integers(1, 700, 60), rng.integers(0, 48, 60)):
+            prices[t:t + 15, j] = np.nan
+            caps[t:t + 15, j] = np.nan
+        uni = Universe(dates=uni.dates, tickers=uni.tickers, prices=prices,
+                       index_prices=uni.index_prices, supersector=uni.supersector,
+                       caps=caps)
+        panels = compute_panels(uni, PARAMS)
+        sector0 = uni.supersector == 0
+        panels.ols_beta[650, sector0] = -1.0
+        panels.re_beta[650, sector0] = -1.0
+        return uni, panels
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("source", ["ols", "reactive"])
+    def test_every_backtest_day_matches_reference(self, blanked, strategy, source):
+        uni, panels = blanked
+        result = backtest(uni, strategy, source, PARAMS, panels=panels,
+                          keep_weights=True)
+        built = dict(zip(result.dates, result.weights))
+        start = max(PARAMS.burn_in, INDICATOR_WINDOW[strategy] + 1, 90)
+        skipped = 0
+        for t in range(start, uni.n_days - 1):
+            ref = reference_factor(uni, t, strategy, panels, source)
+            fw = built.get(uni.dates[t + 1])
+            if ref is None:
+                assert fw is None, t
+                skipped += 1
+                continue
+            weights, mu_plus, mu_minus = ref
+            assert fw.mu_plus.keys() == mu_plus.keys()
+            assert fw.mu_minus.keys() == mu_minus.keys()
+            assert np.max(np.abs(fw.weights - weights)) <= 1e-15
+            for s in mu_plus:
+                assert abs(fw.mu_plus[s] - mu_plus[s]) <= 1e-15
+                assert abs(fw.mu_minus[s] - mu_minus[s]) <= 1e-15
+        assert uni.dates[651] not in built
+        assert result.skipped_days == skipped >= 1
 
 
 class TestNoLookAhead:
