@@ -253,6 +253,9 @@ ASYMMETRIC_DCC_COEFFS = {"a_rho": 0.0020, "b_rho": 0.9512, "gamma_rho": 0.0040}
 
 _SIGMA_FLOOR_FRACTION = 1e-12
 _RHO_CLAMP = 0.999
+#: days the (A)DCC filter advances per vectorised block; its workspace
+#: holds about ten arrays of (block days, parameter points, paths)
+_BLOCK_DAYS = 8
 
 
 @dataclass(frozen=True)
@@ -379,6 +382,130 @@ def dcc_step(state: DccState, r_stock, r_index,
     )
 
 
+def _dcc_filter(sigma_stock, sigma_index, rho_bar,
+                r_stock: np.ndarray, r_index: np.ndarray,
+                garch_coeffs: dict, dcc_coeffs: dict,
+                lam: float, negative_shocks: bool = True, rows=None):
+    """Run the (A)DCC filter of :func:`dcc_step` over every parameter
+    point and path at once; return the weighted quasi log-likelihood of
+    :func:`_dcc_loglik` and the conditional beta after the last day, both
+    shaped like the parameters broadcast against the paths. ``rows``
+    selects the paths of the ``(n, T)`` return arrays (all when None).
+
+    Since ``var_t * xi_t**2 == r_t**2``, the variance recursion is linear:
+    ``var_t = U * A_t + B_t`` with ``U`` the unconditional variance, ``A_t``
+    a scalar sequence and ``B_t`` a filter of the returns alone. As
+    ``var_t >= (1 - a - b - gamma/2) * U``, the variance floor of
+    :func:`dcc_step` never binds once that factor exceeds the floor
+    fraction, which is checked here. The three normalized terms are AR(1)
+    filters with the constant coefficient ``b_rho``, driven by the
+    shocks. So only those filters (and ``B``) step day by day; the rest
+    runs vectorised over blocks of ``_BLOCK_DAYS`` days in a workspace
+    reused from block to block. Day t adds
+    ``-w_t/2 * (log(var_s var_i (1 - rho**2))
+    + (xi_s**2 - 2 rho xi_s xi_i + xi_i**2) / (1 - rho**2))``.
+    """
+    a, b, g = garch_coeffs["a"], garch_coeffs["b"], garch_coeffs["gamma"]
+    omega = 1.0 - a - b - g / 2.0
+    if omega <= _SIGMA_FLOOR_FRACTION:
+        raise ValueError("the variance filter needs 1 - a - b - gamma/2 "
+                         f"above {_SIGMA_FLOOR_FRACTION}, got {omega}")
+    ar, br, gr = dcc_coeffs["a_rho"], dcc_coeffs["b_rho"], dcc_coeffs["gamma_rho"]
+    n, T = r_stock.shape
+    if rows is None:
+        rows = slice(None)
+    else:
+        n = rows.size
+    sig_s = np.asarray(sigma_stock, dtype=float)
+    sig_i = np.asarray(sigma_index, dtype=float)
+    rho0 = np.asarray(rho_bar, dtype=float)
+    shape = np.broadcast_shapes(sig_s.shape, sig_i.shape, rho0.shape, (n,))
+    points = (-1, shape[-1])   # (parameter points, paths)
+    uncond = np.stack([np.broadcast_to(sig_s * sig_s, shape).reshape(points),
+                       np.broadcast_to(sig_i * sig_i, shape).reshape(points)])
+    rho0 = np.broadcast_to(rho0, shape).reshape(points)
+    base_q = 1.0 - ar - br - gr / 2.0
+    base_qc = (1.0 - ar - br - gr / 4.0) * rho0
+    powers = b ** np.arange(T + 1.0)
+    A = powers + omega * (1.0 - powers) / (1.0 - b)
+    weight = -0.5 * (1.0 - lam) ** np.arange(T - 1.0, -1.0, -1.0)
+    shock = np.less if negative_shocks else np.greater
+
+    L = min(_BLOCK_DAYS, T)
+    C, p = uncond.shape[1:]
+    B = np.zeros((L + 1, 2, n))          # B_t of the block's days, then the carry
+    step_b = np.empty((2, n))
+    V = np.empty((2, L, C, p))           # variances, then squared shocks
+    P = np.empty((L, C, p))
+    X = np.empty((L, C, p))              # 2 xi_s xi_i
+    rho = np.empty((L, C, p))
+    one_m = np.empty((L, C, p))
+    Q = np.empty((L + 1, 3, C, p))       # q of the block's days, then the carry
+    Q[0, :2] = 1.0
+    Q[0, 2] = rho0
+    step_q = np.empty((3, C, p))
+    total = np.zeros((C, p))
+    for t0 in range(0, T, L):
+        m = min(L, T - t0)
+        days = slice(t0, t0 + m)
+        # B over the block's days: it needs the returns only
+        r = np.stack([r_stock[rows, days].T, r_index[rows, days].T])
+        r2 = r * r
+        h = shock(r, 0.0)
+        x = 2.0 * r[0] * r[1]
+        np.multiply(np.where(h, a + g, a), r2, out=B[1:m + 1].transpose(1, 0, 2))
+        for k in range(1, m + 1):
+            np.multiply(B[k - 1], b, out=step_b)
+            B[k] += step_b
+
+        # variances, shocks, and the drives of q written one day ahead
+        v, q = V[:, :m], Q[1:m + 1].transpose(1, 0, 2, 3)
+        np.multiply(A[None, days, None, None], uncond[:, None], out=v)
+        v += B[:m, :, None, :].transpose(1, 0, 2, 3)
+        np.multiply(v[0], v[1], out=P[:m])
+        np.divide(r2[:, :, None, :], v, out=v)
+        np.multiply(v, np.where(h, ar + gr, ar)[:, :, None, :], out=q[:2])
+        q[:2] += base_q
+        xx = X[:m]
+        np.sqrt(P[:m], out=xx)
+        np.divide(x[:, None, :], xx, out=xx)
+        np.multiply(xx, np.where(h[0] & h[1], (ar + gr) / 2.0, ar / 2.0)[:, None, :],
+                    out=q[2])
+        q[2] += base_qc
+        for k in range(1, m + 1):
+            np.multiply(Q[k - 1], br, out=step_q)
+            Q[k] += step_q
+
+        # each day's likelihood term
+        c = rho[:m]
+        np.multiply(Q[:m, 0], Q[:m, 1], out=c)
+        np.sqrt(c, out=c)
+        np.divide(Q[:m, 2], c, out=c)
+        np.clip(c, -_RHO_CLAMP, _RHO_CLAMP, out=c)
+        om = one_m[:m]
+        np.multiply(c, c, out=om)
+        np.subtract(1.0, om, out=om)
+        lg = P[:m]
+        lg *= om
+        np.log(lg, out=lg)
+        quad = v[0]
+        quad += v[1]
+        xx *= c
+        quad -= xx
+        quad /= om
+        quad += lg
+        quad *= weight[days, None, None]
+        for k in range(m):   # in day order, whatever the batch's shape
+            total += quad[k]
+        Q[0] = Q[m]
+        B[0] = B[m]
+
+    var = A[T] * uncond + B[0, :, None, :]
+    c = np.clip(Q[0, 2] / np.sqrt(Q[0, 0] * Q[0, 1]), -_RHO_CLAMP, _RHO_CLAMP)
+    beta = c * np.sqrt(var[0]) / np.sqrt(var[1])
+    return total.reshape(shape), beta.reshape(shape)
+
+
 def _dcc_loglik(sigma_stock, sigma_index, rho_bar,
                 r_stock: np.ndarray, r_index: np.ndarray,
                 garch_coeffs: dict, dcc_coeffs: dict,
@@ -389,58 +516,10 @@ def _dcc_loglik(sigma_stock, sigma_index, rho_bar,
     The unconditional parameters may carry any shape broadcastable with
     the path axis of ``r_stock``/``r_index`` (shape ``(n, T)``), which
     lets one likelihood pass price several candidate parameter points for
-    every path at once.
+    every path at once. It runs the filter of :func:`_dcc_filter`.
     """
-    sig_s = np.asarray(sigma_stock, dtype=float)
-    sig_i = np.asarray(sigma_index, dtype=float)
-    rho0 = np.asarray(rho_bar, dtype=float)
-    T = r_stock.shape[-1]
-    shape = np.broadcast_shapes(sig_s.shape, sig_i.shape, rho0.shape,
-                                r_stock.shape[:-1])
-
-    a, b, g = garch_coeffs["a"], garch_coeffs["b"], garch_coeffs["gamma"]
-    ar, br, gr = dcc_coeffs["a_rho"], dcc_coeffs["b_rho"], dcc_coeffs["gamma_rho"]
-    base_q = 1.0 - ar - br - gr / 2.0
-    base_qc = 1.0 - ar - br - gr / 4.0
-
-    var_s = np.broadcast_to(sig_s * sig_s, shape).copy()
-    var_i = np.broadcast_to(sig_i * sig_i, shape).copy()
-    q_s = np.ones(shape)
-    q_i = np.ones(shape)
-    q_c = np.broadcast_to(rho0, shape).copy()
-    rho = np.clip(q_c / np.sqrt(q_s * q_i), -_RHO_CLAMP, _RHO_CLAMP)
-
-    uncond_s = sig_s * sig_s
-    uncond_i = sig_i * sig_i
-    floor_s = _SIGMA_FLOOR_FRACTION * uncond_s
-    floor_i = _SIGMA_FLOOR_FRACTION * uncond_i
-
-    total = np.zeros(shape)
-    decay = 1.0 - lam
-    weight = decay ** (T - 1)
-    for t in range(T):
-        xi_s = r_stock[..., t] / np.sqrt(var_s)
-        xi_i = r_index[..., t] / np.sqrt(var_i)
-        one_m = 1.0 - rho * rho
-        ll_v = -(xi_s * xi_s + xi_i * xi_i) - np.log(var_s) - np.log(var_i)
-        ll_c = -np.log(one_m) \
-            - (xi_s * xi_s - 2.0 * rho * xi_s * xi_i + xi_i * xi_i) / one_m \
-            + (xi_s * xi_s + xi_i * xi_i)
-        total += weight * (ll_v + ll_c)
-        weight /= decay
-
-        xm_s = _asym_part(xi_s, negative_shocks)
-        xm_i = _asym_part(xi_i, negative_shocks)
-        var_s = np.maximum((1.0 - a - b - g / 2.0) * uncond_s
-                           + var_s * (a * xi_s * xi_s + b + g * xm_s * xm_s), floor_s)
-        var_i = np.maximum((1.0 - a - b - g / 2.0) * uncond_i
-                           + var_i * (a * xi_i * xi_i + b + g * xm_i * xm_i), floor_i)
-        q_s = base_q + ar * xi_s * xi_s + br * q_s + gr * xm_s * xm_s
-        q_i = base_q + ar * xi_i * xi_i + br * q_i + gr * xm_i * xm_i
-        q_c = base_qc * rho0 + ar * xi_s * xi_i + br * q_c + gr * xm_s * xm_i
-        rho = np.clip(q_c / np.sqrt(q_s * q_i), -_RHO_CLAMP, _RHO_CLAMP)
-
-    return 0.5 * total
+    return _dcc_filter(sigma_stock, sigma_index, rho_bar, r_stock, r_index,
+                       garch_coeffs, dcc_coeffs, lam, negative_shocks)[0]
 
 
 @dataclass(frozen=True)
@@ -467,6 +546,14 @@ def dcc_calibrate(r_stock: np.ndarray, r_index: np.ndarray,
     box constraints ``sigma > 0`` and ``|rho| < 0.999``. Paths whose step
     sizes did not shrink below tolerance within the evaluation budget are
     flagged unconverged and carry the best point found.
+
+    Each sweep prices the six candidate points of the paths still
+    searching, and only those, in one pass of :func:`_dcc_filter`;
+    ``evaluations`` counts the points priced. Every step is computed path
+    by path, so a path calibrates to the same bits in any batch. The
+    filter's closed-form variance needs ``1 - a - b - gamma/2`` above the
+    variance floor fraction (``ValueError`` otherwise), and then the
+    variance floor never binds.
     """
     r_s = np.atleast_2d(np.asarray(r_stock, dtype=float))
     r_i = np.atleast_2d(np.asarray(r_index, dtype=float))
@@ -477,15 +564,16 @@ def dcc_calibrate(r_stock: np.ndarray, r_index: np.ndarray,
         raise ValueError("calibration needs at least 100 observations")
     w = exp_weights(T, lam)
 
-    mx_s, mx_i = r_s @ w, r_i @ w
-    d_s, d_i = r_s - mx_s[:, None], r_i - mx_i[:, None]
-    sig_s = np.sqrt(np.maximum((d_s * d_s) @ w, 1e-20))
-    sig_i = np.sqrt(np.maximum((d_i * d_i) @ w, 1e-20))
-    rho = np.clip(((d_s * d_i) @ w) / (sig_s * sig_i), -0.95, 0.95)
+    d_s = r_s - _weighted_sums(r_s, w)[:, None]
+    d_i = r_i - _weighted_sums(r_i, w)[:, None]
+    sig_s = np.sqrt(np.maximum(np.einsum("ij,ij,j->i", d_s, d_s, w), 1e-20))
+    sig_i = np.sqrt(np.maximum(np.einsum("ij,ij,j->i", d_i, d_i, w), 1e-20))
+    rho = np.clip(np.einsum("ij,ij,j->i", d_s, d_i, w) / (sig_s * sig_i), -0.95, 0.95)
+    del d_s, d_i
 
-    def objective(cs, ci, cr):
-        return _dcc_loglik(cs, ci, cr, r_s, r_i, garch_coeffs, dcc_coeffs,
-                           lam, negative_shocks)
+    def objective(cs, ci, cr, rows=None):
+        return _dcc_filter(cs, ci, cr, r_s, r_i, garch_coeffs, dcc_coeffs,
+                           lam, negative_shocks, rows)[0]
 
     best = objective(sig_s, sig_i, rho)
     evaluations = n
@@ -496,27 +584,29 @@ def dcc_calibrate(r_stock: np.ndarray, r_index: np.ndarray,
     max_sweeps = max(1, budget // 6)  # six evaluations per path per sweep
 
     for _ in range(max_sweeps):
-        active = (step_sig > tol_sig) | (step_rho > tol_rho)
-        if not active.any():
+        act = np.flatnonzero((step_sig > tol_sig) | (step_rho > tol_rho))
+        if act.size == 0:
             break
-        cand_s = np.stack([sig_s * step_sig, sig_s / step_sig, sig_s, sig_s, sig_s, sig_s])
-        cand_i = np.stack([sig_i, sig_i, sig_i * step_sig, sig_i / step_sig, sig_i, sig_i])
-        cand_r = np.stack([rho, rho, rho, rho,
-                           np.clip(rho + step_rho, -_RHO_CLAMP, _RHO_CLAMP),
-                           np.clip(rho - step_rho, -_RHO_CLAMP, _RHO_CLAMP)])
-        vals = objective(cand_s, cand_i, cand_r)
-        evaluations += 6 * n
-        pick = np.argmax(vals, axis=0)
-        val_best = np.take_along_axis(vals, pick[None, :], axis=0)[0]
-        improved = val_best > best + 1e-12 * np.abs(best)
-        take = improved & active
-        sig_s = np.where(take, np.take_along_axis(cand_s, pick[None, :], axis=0)[0], sig_s)
-        sig_i = np.where(take, np.take_along_axis(cand_i, pick[None, :], axis=0)[0], sig_i)
-        rho = np.where(take, np.take_along_axis(cand_r, pick[None, :], axis=0)[0], rho)
-        best = np.where(take, val_best, best)
-        shrink = active & ~improved
-        step_sig = np.where(shrink, 1.0 + (step_sig - 1.0) * 0.5, step_sig)
-        step_rho = np.where(shrink, step_rho * 0.5, step_rho)
+        s, i, r = sig_s[act], sig_i[act], rho[act]
+        st_s, st_r = step_sig[act], step_rho[act]
+        cand_s = np.stack([s * st_s, s / st_s, s, s, s, s])
+        cand_i = np.stack([i, i, i * st_s, i / st_s, i, i])
+        cand_r = np.stack([r, r, r, r,
+                           np.clip(r + st_r, -_RHO_CLAMP, _RHO_CLAMP),
+                           np.clip(r - st_r, -_RHO_CLAMP, _RHO_CLAMP)])
+        vals = objective(cand_s, cand_i, cand_r, act)
+        evaluations += cand_s.size
+        pick = np.argmax(vals, axis=0), np.arange(act.size)
+        val_best = vals[pick]
+        improved = val_best > best[act] + 1e-12 * np.abs(best[act])
+        take = act[improved]
+        sig_s[take] = cand_s[pick][improved]
+        sig_i[take] = cand_i[pick][improved]
+        rho[take] = cand_r[pick][improved]
+        best[take] = val_best[improved]
+        shrink = act[~improved]
+        step_sig[shrink] = 1.0 + (step_sig[shrink] - 1.0) * 0.5
+        step_rho[shrink] *= 0.5
 
     converged = (step_sig <= tol_sig) & (step_rho <= tol_rho)
     return DccCalibration(
@@ -537,18 +627,9 @@ def dcc_beta_batch(r_stock: np.ndarray, r_index: np.ndarray,
     gcoef = ASYMMETRIC_GARCH_COEFFS if asymmetric else SYMMETRIC_GARCH_COEFFS
     dcoef = ASYMMETRIC_DCC_COEFFS if asymmetric else SYMMETRIC_DCC_COEFFS
     cal = dcc_calibrate(r_s, r_i, gcoef, dcoef, lam, negative_shocks)
-
-    n, T = r_s.shape
-    # dcc_step is elementwise, so array-valued unconditional sigmas run the
-    # filter for every path at once
-    gp_s = GarchParams(unconditional_sigma=np.asarray(cal.sigma_stock), **gcoef)
-    gp_i = GarchParams(unconditional_sigma=np.asarray(cal.sigma_index), **gcoef)
-    dp = DccParams(rho_bar=np.asarray(cal.rho_bar), **dcoef)
-    state = init_dcc_state(gp_s, gp_i, dp, shape=(n,))
-    for t in range(T):
-        state = dcc_step(state, r_s[:, t], r_i[:, t], gp_s, gp_i, dp,
-                         negative_shocks=negative_shocks)
-    return np.asarray(state.beta), cal
+    _, beta = _dcc_filter(cal.sigma_stock, cal.sigma_index, cal.rho_bar,
+                          r_s, r_i, gcoef, dcoef, lam, negative_shocks)
+    return beta, cal
 
 
 def dcc_beta(r_stock, r_index, asymmetric: bool = False,

@@ -14,6 +14,7 @@ from reactivebeta.estimators import (
     GarchParams,
     WeightedRegressionProblem,
     dcc_beta,
+    dcc_beta_batch,
     dcc_calibrate,
     dcc_step,
     init_dcc_state,
@@ -419,6 +420,34 @@ class TestDccCalibration:
             dcc_calibrate(rng.standard_normal((2, 50)), rng.standard_normal((2, 50)),
                           SYMMETRIC_GARCH_COEFFS, SYMMETRIC_DCC_COEFFS)
 
+    def test_floor_binding_coefficients_rejected(self):
+        # the closed-form variance of the filter holds while
+        # 1 - a - b - gamma/2 keeps the variance above its floor
+        rng = np.random.default_rng(19)
+        coeffs = dict(a=0.1, b=0.9 - 1e-13, gamma=0.0)
+        with pytest.raises(ValueError):
+            dcc_calibrate(0.01 * rng.standard_normal((2, 120)),
+                          0.01 * rng.standard_normal((2, 120)),
+                          coeffs, SYMMETRIC_DCC_COEFFS)
+
+    @pytest.mark.parametrize("asymmetric", [False, True])
+    def test_batch_matches_single_paths_bitwise(self, asymmetric):
+        # the moment start, the search and the final filter work path by
+        # path, so a block must reproduce each path solved alone, and its
+        # evaluation count must be the sum of theirs
+        from reactivebeta.montecarlo import McConfig, generate_batch
+        batch = generate_batch(McConfig(model="mc6", T=150, n_paths=12, seed=3))
+        beta, cal = dcc_beta_batch(batch.r_stock, batch.r_index, asymmetric=asymmetric)
+        evaluations = 0
+        for k in range(batch.n_paths):
+            b1, c1 = dcc_beta_batch(batch.r_stock[k:k + 1], batch.r_index[k:k + 1],
+                                    asymmetric=asymmetric)
+            assert b1[0] == beta[k]
+            for field in ("sigma_stock", "sigma_index", "rho_bar", "loglik", "converged"):
+                assert getattr(c1, field)[0] == getattr(cal, field)[k], field
+            evaluations += c1.evaluations
+        assert cal.evaluations == evaluations
+
 
 class TestDccBeta:
     def test_stock_equals_index(self):
@@ -429,33 +458,73 @@ class TestDccBeta:
 
     def test_loglik_consistent_with_step_filter(self):
         # one path: the likelihood filter must see the same conditional
-        # state sequence as dcc_step
+        # state sequence as dcc_step; T is not a multiple of the block
         rng = np.random.default_rng(21)
-        r_s = 0.02 * rng.standard_normal(120)
-        r_i = 0.01 * rng.standard_normal(120)
-        gp_s = _gp(0.02, SYMMETRIC_GARCH_COEFFS)
-        gp_i = _gp(0.01, SYMMETRIC_GARCH_COEFFS)
-        dp = DccParams(rho_bar=0.3, **SYMMETRIC_DCC_COEFFS)
+        T = 137
+        r_s = 0.02 * rng.standard_normal(T)
+        r_i = 0.01 * rng.standard_normal(T)
         lam = 1.0 / 90.0
-
-        state = init_dcc_state(gp_s, gp_i, dp)
-        total = 0.0
         decay = 1.0 - lam
-        T = 120
-        for t in range(T):
-            xi_s = r_s[t] / float(state.sigma_stock)
-            xi_i = r_i[t] / float(state.sigma_index)
-            rho = float(state.rho)
-            one_m = 1.0 - rho * rho
-            ll_v = -(xi_s ** 2 + xi_i ** 2) \
-                - 2.0 * math.log(float(state.sigma_stock)) \
-                - 2.0 * math.log(float(state.sigma_index))
-            ll_c = -math.log(one_m) \
-                - (xi_s ** 2 - 2 * rho * xi_s * xi_i + xi_i ** 2) / one_m \
-                + (xi_s ** 2 + xi_i ** 2)
-            total += decay ** (T - 1 - t) * (ll_v + ll_c)
-            state = dcc_step(state, r_s[t], r_i[t], gp_s, gp_i, dp)
-        got = _dcc_loglik(np.array([0.02]), np.array([0.01]), np.array([0.3]),
-                          r_s[None, :], r_i[None, :],
-                          SYMMETRIC_GARCH_COEFFS, SYMMETRIC_DCC_COEFFS, lam)
-        assert float(got[0]) == pytest.approx(0.5 * total, rel=1e-10)
+        for gcoef, dcoef in ((SYMMETRIC_GARCH_COEFFS, SYMMETRIC_DCC_COEFFS),
+                             (ASYMMETRIC_GARCH_COEFFS, ASYMMETRIC_DCC_COEFFS)):
+            gp_s = _gp(0.02, gcoef)
+            gp_i = _gp(0.01, gcoef)
+            dp = DccParams(rho_bar=0.3, **dcoef)
+            for negative_shocks in (True, False):
+                state = init_dcc_state(gp_s, gp_i, dp)
+                total = 0.0
+                for t in range(T):
+                    xi_s = r_s[t] / float(state.sigma_stock)
+                    xi_i = r_i[t] / float(state.sigma_index)
+                    rho = float(state.rho)
+                    one_m = 1.0 - rho * rho
+                    ll_v = -(xi_s ** 2 + xi_i ** 2) \
+                        - 2.0 * math.log(float(state.sigma_stock)) \
+                        - 2.0 * math.log(float(state.sigma_index))
+                    ll_c = -math.log(one_m) \
+                        - (xi_s ** 2 - 2 * rho * xi_s * xi_i + xi_i ** 2) / one_m \
+                        + (xi_s ** 2 + xi_i ** 2)
+                    total += decay ** (T - 1 - t) * (ll_v + ll_c)
+                    state = dcc_step(state, r_s[t], r_i[t], gp_s, gp_i, dp,
+                                     negative_shocks=negative_shocks)
+                got = _dcc_loglik(np.array([0.02]), np.array([0.01]), np.array([0.3]),
+                                  r_s[None, :], r_i[None, :], gcoef, dcoef, lam,
+                                  negative_shocks)
+                assert float(got[0]) == pytest.approx(0.5 * total, rel=1e-12)
+
+    def test_candidate_block_matches_single_points(self):
+        from reactivebeta.montecarlo import McConfig, generate_batch
+        batch = generate_batch(McConfig(model="mc7", T=137, n_paths=5, seed=4))
+        rng = np.random.default_rng(22)
+        cs = 0.025 * np.exp(0.3 * rng.standard_normal((6, 5)))
+        ci = 0.009 * np.exp(0.3 * rng.standard_normal((6, 5)))
+        cr = rng.uniform(-0.9, 0.9, (6, 5))
+        args = (batch.r_stock, batch.r_index, ASYMMETRIC_GARCH_COEFFS,
+                ASYMMETRIC_DCC_COEFFS, 1.0 / 90.0)
+        block = _dcc_loglik(cs, ci, cr, *args)
+        # every day's term is elementwise and the days are added in order,
+        # so the block holds the bits of each point priced alone
+        for c in range(6):
+            assert np.array_equal(_dcc_loglik(cs[c], ci[c], cr[c], *args), block[c])
+            for k in range(5):
+                alone = _dcc_loglik(cs[c, k:k + 1], ci[c, k:k + 1], cr[c, k:k + 1],
+                                    batch.r_stock[k:k + 1], batch.r_index[k:k + 1],
+                                    *args[2:])
+                assert alone[0] == block[c, k]
+
+    @pytest.mark.parametrize("asymmetric", [False, True])
+    def test_final_beta_matches_step_filter(self, asymmetric):
+        from reactivebeta.montecarlo import McConfig, generate_batch
+        batch = generate_batch(McConfig(model="mc6", T=137, n_paths=4, seed=6))
+        beta, cal = dcc_beta_batch(batch.r_stock, batch.r_index, asymmetric=asymmetric)
+        gcoef = ASYMMETRIC_GARCH_COEFFS if asymmetric else SYMMETRIC_GARCH_COEFFS
+        dcoef = ASYMMETRIC_DCC_COEFFS if asymmetric else SYMMETRIC_DCC_COEFFS
+        gp_s = _gp(cal.sigma_stock, gcoef)
+        gp_i = _gp(cal.sigma_index, gcoef)
+        dp = DccParams(rho_bar=cal.rho_bar, **dcoef)
+        state = init_dcc_state(gp_s, gp_i, dp, shape=(batch.n_paths,))
+        for t in range(batch.T):
+            state = dcc_step(state, batch.r_stock[:, t], batch.r_index[:, t],
+                             gp_s, gp_i, dp)
+        assert not np.asarray(state.floored).any()
+        np.testing.assert_allclose(beta, state.beta, rtol=1e-12, atol=0.0)
