@@ -10,8 +10,6 @@ beta sources to beta-neutral factor backtests with bias diagnostics.
 from .params import DEFAULT_PARAMS, TRADING_DAYS, ReactiveParams
 from .timeseries import (
     EmaState,
-    Series,
-    arithmetic_returns,
     ema_update,
     exp_weighted_moments,
     rolling_correlation,
@@ -39,17 +37,13 @@ from .estimators import (
     DccState,
     GarchParams,
     WeightedRegressionProblem,
-    dcc_beta,
     dcc_calibrate,
     dcc_step,
-    mad_beta,
     ols_beta,
     quantile_beta,
-    trimean_beta,
 )
-from .montecarlo import McBatch, McConfig, McPath, generate, generate_batch, ou_step, student_t_scaled
+from .montecarlo import McBatch, McConfig, generate_batch, ou_step, student_t_scaled
 from .evaluation import (
-    ErrorSample,
     ErrorSamples,
     HedgeReport,
     SelectionBiasInputs,

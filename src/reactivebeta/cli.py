@@ -24,7 +24,12 @@ import numpy as np
 
 from . import io as rio
 from .benchmark import ESTIMATORS, run_benchmark
-from .evaluation import SelectionBiasInputs, calibrate_ell_diff, selection_bias
+from .evaluation import (
+    NumericalFailure,
+    SelectionBiasInputs,
+    calibrate_ell_diff,
+    selection_bias,
+)
 from .params import ReactiveParams
 from .strategies import (
     STRATEGIES,
@@ -34,10 +39,6 @@ from .strategies import (
 )
 
 __all__ = ["main"]
-
-
-class NumericalFailure(RuntimeError):
-    pass
 
 
 def _load_params(config_path) -> ReactiveParams:

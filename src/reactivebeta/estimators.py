@@ -21,8 +21,6 @@ __all__ = [
     "quantile_beta",
     "quantile_beta_batch",
     "quantile_objective",
-    "mad_beta",
-    "trimean_beta",
     "trimean_beta_batch",
     "GarchParams",
     "DccParams",
@@ -34,7 +32,6 @@ __all__ = [
     "init_dcc_state",
     "dcc_step",
     "dcc_calibrate",
-    "dcc_beta",
     "dcc_beta_batch",
 ]
 
@@ -219,18 +216,6 @@ def quantile_beta(problem: WeightedRegressionProblem, theta: float):
     return float(alpha[0]), float(beta[0])
 
 
-def mad_beta(problem: WeightedRegressionProblem) -> float:
-    """Median (least absolute deviation) regression slope."""
-    return quantile_beta(problem, 0.5)[1]
-
-
-def trimean_beta(problem: WeightedRegressionProblem) -> float:
-    """Tukey trimean of the quartile regression slopes:
-    0.25 b(1/4) + 0.5 b(1/2) + 0.25 b(3/4)."""
-    slopes = [quantile_beta(problem, q)[1] for q in (0.25, 0.5, 0.75)]
-    return 0.25 * slopes[0] + 0.5 * slopes[1] + 0.25 * slopes[2]
-
-
 def trimean_beta_batch(x: np.ndarray, y: np.ndarray,
                        lam: float = DEFAULT_LOOKBACK) -> np.ndarray:
     b25 = quantile_beta_batch(x, y, 0.25, lam)[1]
@@ -387,9 +372,10 @@ def _dcc_filter(sigma_stock, sigma_index, rho_bar,
                 garch_coeffs: dict, dcc_coeffs: dict,
                 lam: float, negative_shocks: bool = True, rows=None):
     """Run the (A)DCC filter of :func:`dcc_step` over every parameter
-    point and path at once; return the weighted quasi log-likelihood of
-    :func:`_dcc_loglik` and the conditional beta after the last day, both
-    shaped like the parameters broadcast against the paths. ``rows``
+    point and path at once; return the exponentially weighted Gaussian
+    quasi log-likelihood of the filtered model, up to an additive
+    constant, and the conditional beta after the last day, both shaped
+    like the parameters broadcast against the paths. ``rows``
     selects the paths of the ``(n, T)`` return arrays (all when None).
 
     Since ``var_t * xi_t**2 == r_t**2``, the variance recursion is linear:
@@ -506,22 +492,6 @@ def _dcc_filter(sigma_stock, sigma_index, rho_bar,
     return total.reshape(shape), beta.reshape(shape)
 
 
-def _dcc_loglik(sigma_stock, sigma_index, rho_bar,
-                r_stock: np.ndarray, r_index: np.ndarray,
-                garch_coeffs: dict, dcc_coeffs: dict,
-                lam: float, negative_shocks: bool = True):
-    """Exponentially weighted Gaussian quasi log-likelihood of the
-    filtered (A)DCC model, up to an additive constant.
-
-    The unconditional parameters may carry any shape broadcastable with
-    the path axis of ``r_stock``/``r_index`` (shape ``(n, T)``), which
-    lets one likelihood pass price several candidate parameter points for
-    every path at once. It runs the filter of :func:`_dcc_filter`.
-    """
-    return _dcc_filter(sigma_stock, sigma_index, rho_bar, r_stock, r_index,
-                       garch_coeffs, dcc_coeffs, lam, negative_shocks)[0]
-
-
 @dataclass(frozen=True)
 class DccCalibration:
     sigma_stock: np.ndarray | float
@@ -630,14 +600,3 @@ def dcc_beta_batch(r_stock: np.ndarray, r_index: np.ndarray,
     _, beta = _dcc_filter(cal.sigma_stock, cal.sigma_index, cal.rho_bar,
                           r_s, r_i, gcoef, dcoef, lam, negative_shocks)
     return beta, cal
-
-
-def dcc_beta(r_stock, r_index, asymmetric: bool = False,
-             lam: float = DEFAULT_LOOKBACK,
-             negative_shocks: bool = True) -> float:
-    """Conditional beta at the final observation of a single path."""
-    beta, _ = dcc_beta_batch(np.asarray(r_stock, dtype=float)[None, :],
-                             np.asarray(r_index, dtype=float)[None, :],
-                             asymmetric=asymmetric, lam=lam,
-                             negative_shocks=negative_shocks)
-    return float(beta[0])

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .timeseries import as_array, rolling_correlation
 
 __all__ = [
-    "ErrorSample",
+    "NumericalFailure",
     "ErrorSamples",
     "StatRow",
     "table2_stats",
@@ -38,35 +38,21 @@ __all__ = [
 # estimator error statistics
 
 
-@dataclass(frozen=True)
-class ErrorSample:
-    """One path's measurement: estimate and truth at the final time, plus
-    the winner (outperformed the index over the last month) and low
-    (true beta below one) flags."""
-
-    estimated_beta: float
-    true_beta: float
-    winner: bool
-    low: bool
+class NumericalFailure(RuntimeError):
+    """A computation produced no usable number from valid input, such as
+    an estimator that is undefined on every path."""
 
 
 @dataclass(frozen=True)
 class ErrorSamples:
-    """Column-wise collection of :class:`ErrorSample` records."""
+    """Per-path measurements: estimate and truth at the final time, plus
+    the winner (outperformed the index over the last month) and low
+    (true beta below one) flags, one array each."""
 
     estimated_beta: np.ndarray
     true_beta: np.ndarray
     winner: np.ndarray
     low: np.ndarray
-
-    @classmethod
-    def from_records(cls, records: Sequence[ErrorSample]) -> "ErrorSamples":
-        return cls(
-            estimated_beta=np.array([r.estimated_beta for r in records], dtype=float),
-            true_beta=np.array([r.true_beta for r in records], dtype=float),
-            winner=np.array([r.winner for r in records], dtype=bool),
-            low=np.array([r.low for r in records], dtype=bool),
-        )
 
 
 @dataclass(frozen=True)
@@ -111,7 +97,7 @@ def _subset_stats(errors: np.ndarray, mask: np.ndarray):
     return mean, bool(abs(mean) > 0.0)
 
 
-def table2_stats(samples, reference_variance: Optional[float] = None,
+def table2_stats(samples: ErrorSamples, reference_variance: Optional[float] = None,
                  label: str = "") -> StatRow:
     """Bias family, absolute deviation and relative variance of a sample
     of per-path estimation errors.
@@ -122,24 +108,21 @@ def table2_stats(samples, reference_variance: Optional[float] = None,
     least-squares estimator's error variance on the same paths) by this
     estimator's error variance. A statistic earns a star when it exceeds
     three standard errors of its mean. Paths with an undefined estimate
-    are skipped and counted.
+    are skipped and counted; a sample without any valid path raises
+    :class:`NumericalFailure`.
     """
-    if isinstance(samples, ErrorSamples):
-        cols = samples
-    else:
-        cols = ErrorSamples.from_records(list(samples))
-    if cols.estimated_beta.size == 0:
+    if samples.estimated_beta.size == 0:
         raise ValueError("empty sample")
 
-    valid = np.isfinite(cols.estimated_beta) & np.isfinite(cols.true_beta)
+    valid = np.isfinite(samples.estimated_beta) & np.isfinite(samples.true_beta)
     n_skipped = int(np.count_nonzero(~valid))
-    errors = cols.estimated_beta[valid] - cols.true_beta[valid]
-    winner = cols.winner[valid]
-    low = cols.low[valid]
-    high = cols.true_beta[valid] > 1.0
+    errors = samples.estimated_beta[valid] - samples.true_beta[valid]
+    winner = samples.winner[valid]
+    low = samples.low[valid]
+    high = samples.true_beta[valid] > 1.0
 
     if errors.size == 0:
-        raise ValueError("no valid paths in sample")
+        raise NumericalFailure("no valid paths in sample")
 
     bias, bias_star = _subset_stats(errors, np.ones(errors.size, dtype=bool))
     winner_bias, winner_star = _subset_stats(errors, winner)

@@ -26,7 +26,6 @@ from .strategies import Universe, auto_supersectors
 __all__ = [
     "IngestError",
     "ingest_prices",
-    "write_weights",
     "write_table_report",
     "write_json",
     "write_plot_data",
@@ -63,6 +62,7 @@ def _read_panel(path) -> tuple[list[dt.date], list[str], np.ndarray]:
 
         dates: list[dt.date] = []
         rows: list[list[float]] = []
+        blank: list[int] = []   # flat positions of the empty cells
         seen: dict[dt.date, int] = {}
         for line_no, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
@@ -82,10 +82,12 @@ def _read_panel(path) -> tuple[list[dt.date], list[str], np.ndarray]:
                     f"increasing ({date} after {dates[-1]})")
             seen[date] = line_no
             values = []
+            offset = len(rows) * len(tickers) - 2
             for col, cell in enumerate(row[1:], start=2):
                 cell = cell.strip()
                 if cell == "":
                     values.append(np.nan)
+                    blank.append(offset + col)
                     continue
                 try:
                     values.append(float(cell))
@@ -97,7 +99,17 @@ def _read_panel(path) -> tuple[list[dt.date], list[str], np.ndarray]:
             rows.append(values)
     if not rows:
         raise IngestError(f"{path.name}: no data rows")
-    return dates, tickers, np.asarray(rows, dtype=float)
+    values = np.asarray(rows, dtype=float)
+    # float() also reads "nan", "inf" and overflowing literals; only an
+    # empty cell may hold a NaN
+    bad = ~np.isfinite(values)
+    bad.flat[blank] = False
+    if bad.any():
+        row, col = divmod(int(np.argmax(bad)), len(tickers))
+        raise IngestError(
+            f"{path.name} line {seen[dates[row]]}: non-finite number "
+            f"({values[row, col]}) in column {col + 2}")
+    return dates, tickers, values
 
 
 def _read_sectors(path, tickers) -> np.ndarray:
@@ -171,17 +183,6 @@ def ingest_prices(path, index_ticker: Optional[str] = None,
 
 # ---------------------------------------------------------------------------
 # emission
-
-
-def write_weights(path, weights_list) -> None:
-    """Delimited (date, ticker, weight) rows for every nonzero weight."""
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", "ticker", "weight"])
-        for fw in weights_list:
-            for ticker, w in zip(fw.tickers, fw.weights):
-                if w != 0.0:
-                    writer.writerow([fw.date, ticker, f"{w:.12g}"])
 
 
 def write_table_report(path, rows: dict) -> None:

@@ -22,13 +22,12 @@ counter-based Philox stream in a fixed draw order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
 from .params import TRADING_DAYS, ReactiveParams
-from .timeseries import Series
-from .volatility import fast_gap, init_levels, update_levels
+from .volatility import LevelState, fast_gap, init_levels, update_levels
 from .beta import beta_elasticity
 from .estimators import (
     ASYMMETRIC_DCC_COEFFS,
@@ -45,11 +44,9 @@ __all__ = [
     "MODELS",
     "McConfig",
     "McBatch",
-    "McPath",
     "student_t_scaled",
     "ou_step",
     "generate_batch",
-    "generate",
     "dump_batch",
 ]
 
@@ -131,20 +128,6 @@ class McBatch:
         return self.r_index.shape[1]
 
 
-@dataclass(frozen=True)
-class McPath:
-    """One simulated path with its true conditional tracks."""
-
-    model: str
-    path_id: int
-    r_index: Series
-    r_stock: Series
-    true_beta: Series
-    true_rho: Series
-    true_sigma_index: Series
-    true_sigma_stock: Series
-
-
 def student_t_scaled(dof: float, target_std: float, rng: np.random.Generator,
                      size=None):
     """Student-t draws rescaled so their standard deviation is exactly
@@ -154,17 +137,32 @@ def student_t_scaled(dof: float, target_std: float, rng: np.random.Generator,
     return rng.standard_t(dof, size=size) * (target_std * np.sqrt((dof - 2.0) / dof))
 
 
-def ou_step(x, relaxation_days: float, volvol: float,
-            rng: Optional[np.random.Generator] = None, normal=None):
+def ou_step(x, relaxation_days: float, volvol: float, normal):
     """One Euler step of a mean-zero Ornstein-Uhlenbeck process on the
-    daily grid: ``x' = x * (1 - 1/relaxation) + volvol * N(0, 1)``."""
+    daily grid: ``x' = x * (1 - 1/relaxation) + volvol * normal`` with
+    ``normal`` a pre-drawn standard normal."""
     if relaxation_days <= 0.0:
         raise ValueError("relaxation_days must be positive")
-    if normal is None:
-        if rng is None:
-            raise ValueError("provide either rng or a pre-drawn normal")
-        normal = rng.standard_normal(np.shape(x) if np.shape(x) else None)
     return np.asarray(x) * (1.0 - 1.0 / relaxation_days) + volvol * np.asarray(normal)
+
+
+def level_price_step(index_price, stock_price, tr_index, tr_stock,
+                     levels: LevelState, params: ReactiveParams):
+    """Map one day's moves on the normalized scale to prices through the
+    levels, ``price' = price + move * level``, and advance the levels.
+
+    Each new price is floored at ``_PRICE_FLOOR`` of the previous one, so
+    a single extreme draw cannot push a price non-positive. The index side
+    may be a scalar shared by every stock. Returns the new index and stock
+    prices, the new levels and the number of stock prices floored.
+    """
+    new_index = np.maximum(index_price + tr_index * levels.index_level,
+                           _PRICE_FLOOR * index_price)
+    new_stock = stock_price + tr_stock * levels.stock_level
+    floor = _PRICE_FLOOR * stock_price
+    n_floored = int(np.count_nonzero(new_stock < floor))
+    new_stock = np.maximum(new_stock, floor)
+    return new_index, new_stock, update_levels(levels, new_index, new_stock, params), n_floored
 
 
 def _path_generators(config: McConfig, offset: int, count: int):
@@ -199,26 +197,6 @@ def generate_batch(config: McConfig, offset: int = 0,
         "mc6": _gen_dcc, "mc7": _gen_dcc,
     }[config.model]
     return builder(config, rngs, path_ids)
-
-
-def generate(config: McConfig, block_size: int = 4096) -> Iterator[McPath]:
-    """Stream the configured paths one at a time."""
-    done = 0
-    while done < config.n_paths:
-        count = min(block_size, config.n_paths - done)
-        batch = generate_batch(config, done, count)
-        for k in range(count):
-            pid = int(batch.path_ids[k])
-            yield McPath(
-                model=config.model, path_id=pid,
-                r_index=Series(batch.r_index[k], f"r_index[{pid}]"),
-                r_stock=Series(batch.r_stock[k], f"r_stock[{pid}]"),
-                true_beta=Series(batch.true_beta[k], f"true_beta[{pid}]"),
-                true_rho=Series(batch.true_rho[k], f"true_rho[{pid}]"),
-                true_sigma_index=Series(batch.true_sigma_index[k], f"true_sigma_index[{pid}]"),
-                true_sigma_stock=Series(batch.true_sigma_stock[k], f"true_sigma_stock[{pid}]"),
-            )
-        done += count
 
 
 # ---------------------------------------------------------------------------
@@ -304,18 +282,12 @@ def _reduced_reactive_core(config: McConfig, rngs, path_ids,
 
         tr_index = s_index * z_index[:, t]
         tr_stock = beta_norm * tr_index + s_resid * z_resid[:, t]
-        new_index = index_price + tr_index * levels.index_level
-        new_stock = stock_price + tr_stock * levels.stock_level
-        floor_s = _PRICE_FLOOR * stock_price
-        n_clamped = int(np.count_nonzero(new_stock < floor_s))
-        if n_clamped:
-            clamped += n_clamped
-            new_stock = np.maximum(new_stock, floor_s)
-        new_index = np.maximum(new_index, _PRICE_FLOOR * index_price)
+        new_index, new_stock, levels, n_floored = level_price_step(
+            index_price, stock_price, tr_index, tr_stock, levels, params)
+        clamped += n_floored
 
         r_index[:, t] = new_index / index_price - 1.0
         r_stock[:, t] = new_stock / stock_price - 1.0
-        levels = update_levels(levels, new_index, new_stock, params)
         index_price, stock_price = new_index, new_stock
 
         if stochastic_vol and t + 1 < T:

@@ -20,8 +20,8 @@ import numpy as np
 from .params import ReactiveParams
 from .beta import ReactiveBetaEngine
 from .evaluation import HedgeReport, strategy_bias_corstd
-from .timeseries import Series
-from .volatility import init_levels, update_levels
+from .montecarlo import level_price_step
+from .volatility import init_levels
 
 __all__ = [
     "STRATEGIES",
@@ -359,7 +359,7 @@ class BacktestResult:
     strategy: str
     beta_source: str
     dates: np.ndarray
-    returns: Series
+    returns: np.ndarray
     report: HedgeReport
     skipped_days: int
     weights: Optional[list] = field(default=None, repr=False)
@@ -415,7 +415,7 @@ def backtest(universe: Universe, strategy: str, beta_source: str = "ols",
     report = strategy_bias_corstd(rets_arr, idx)
     return BacktestResult(
         strategy=strategy, beta_source=beta_source,
-        dates=dates, returns=Series(rets_arr, f"{strategy}-{beta_source}"),
+        dates=dates, returns=rets_arr,
         report=report, skipped_days=skipped,
         weights=kept if keep_weights else None,
     )
@@ -451,13 +451,8 @@ def synthetic_universe(n_stocks: int = 100, T: int = 1400, seed: int = 0,
     for t in range(1, T):
         tr_index = s_index * rng.standard_normal()
         tr_stock = tr_index + s_resid * rng.standard_normal(n_stocks)
-        new_index = index_prices[t - 1] + tr_index * levels.index_level
-        new_stock = prices[t - 1] + tr_stock * levels.stock_level
-        new_index = max(new_index, 0.05 * index_prices[t - 1])
-        new_stock = np.maximum(new_stock, 0.05 * prices[t - 1])
-        levels = update_levels(levels, new_index, new_stock, params)
-        index_prices[t] = new_index
-        prices[t] = new_stock
+        index_prices[t], prices[t], levels, _ = level_price_step(
+            index_prices[t - 1], prices[t - 1], tr_index, tr_stock, levels, params)
 
     shares = np.exp(rng.normal(0.0, 1.0, n_stocks))
     caps = prices * shares[None, :]

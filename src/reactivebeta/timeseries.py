@@ -1,22 +1,17 @@
 """Primitive recursions and statistics shared by every other module.
 
-All functions work on plain one-dimensional float arrays. A thin
-:class:`Series` wrapper carries a label and validates the invariants
-expected at the package boundary (finite values, non-empty).
+All functions work on plain one-dimensional float arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable
 
 import numpy as np
 
 __all__ = [
-    "Series",
     "EmaState",
     "ema_update",
-    "arithmetic_returns",
     "rolling_correlation",
     "exp_weighted_moments",
     "exp_weights",
@@ -25,40 +20,11 @@ __all__ = [
 
 
 def as_array(values) -> np.ndarray:
-    """Coerce array-like or :class:`Series` input to a 1-d float array."""
-    if isinstance(values, Series):
-        return values.values
+    """Coerce array-like input to a 1-d float array."""
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1:
         raise ValueError(f"expected a 1-d series, got shape {arr.shape}")
     return arr
-
-
-@dataclass(frozen=True)
-class Series:
-    """An ordered list of daily real values with an identifying label."""
-
-    values: np.ndarray
-    label: str = ""
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.values, dtype=float)
-        if arr.ndim != 1:
-            raise ValueError(f"Series must be 1-d, got shape {arr.shape}")
-        if arr.size < 1:
-            raise ValueError("Series must hold at least one value")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"Series {self.label!r} contains non-finite values")
-        object.__setattr__(self, "values", arr)
-
-    def __len__(self) -> int:
-        return self.values.size
-
-    def __iter__(self) -> Iterable[float]:
-        return iter(self.values)
-
-    def __getitem__(self, idx):
-        return self.values[idx]
 
 
 @dataclass(frozen=True)
@@ -89,20 +55,6 @@ def ema_update(state: EmaState, x: float) -> EmaState:
     if not state.initialized:
         return replace(state, value=float(x), initialized=True)
     return replace(state, value=(1.0 - state.lam) * state.value + state.lam * float(x))
-
-
-def arithmetic_returns(prices) -> np.ndarray:
-    """Day-over-day arithmetic returns ``(P_t - P_{t-1}) / P_{t-1}``.
-
-    Requires strictly positive prices and at least two observations.
-    """
-    p = as_array(prices)
-    if p.size < 2:
-        raise ValueError("need at least two prices to form returns")
-    if np.any(p <= 0.0):
-        bad = int(np.argmax(p <= 0.0))
-        raise ValueError(f"prices must be strictly positive (offending index {bad})")
-    return np.diff(p) / p[:-1]
 
 
 def rolling_correlation(x, y, window: int) -> np.ndarray:

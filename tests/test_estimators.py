@@ -13,20 +13,17 @@ from reactivebeta.estimators import (
     DccParams,
     GarchParams,
     WeightedRegressionProblem,
-    dcc_beta,
     dcc_beta_batch,
     dcc_calibrate,
     dcc_step,
     init_dcc_state,
-    mad_beta,
     ols_beta,
     ols_beta_batch,
     quantile_beta,
     quantile_beta_batch,
     quantile_objective,
-    trimean_beta,
     trimean_beta_batch,
-    _dcc_loglik,
+    _dcc_filter,
 )
 from reactivebeta.timeseries import exp_weights
 
@@ -203,7 +200,7 @@ class TestTrimean:
     def test_exact_line(self):
         rng = np.random.default_rng(8)
         x = rng.standard_normal(30)
-        assert trimean_beta(WeightedRegressionProblem(x, 3.0 * x, 0.05)) == pytest.approx(3.0, abs=1e-8)
+        assert trimean_beta_batch(x, 3.0 * x, 0.05)[0] == pytest.approx(3.0, abs=1e-8)
 
     def test_weighted_average_of_quartiles(self):
         assert 0.25 * 1.0 + 0.5 * 2.0 + 0.25 * 3.0 == pytest.approx(2.0)
@@ -213,7 +210,7 @@ class TestTrimean:
         p = WeightedRegressionProblem(x, y, 0.02)
         parts = [quantile_beta(p, q)[1] for q in (0.25, 0.5, 0.75)]
         expect = 0.25 * parts[0] + 0.5 * parts[1] + 0.25 * parts[2]
-        assert trimean_beta(p) == pytest.approx(expect, rel=1e-12)
+        assert trimean_beta_batch(x, y, 0.02)[0] == pytest.approx(expect, rel=1e-12)
 
     def test_agrees_with_ols_for_gaussian_residuals(self):
         rng = np.random.default_rng(10)
@@ -221,14 +218,7 @@ class TestTrimean:
         y = 1.1 * x + 0.5 * rng.standard_normal(1000)
         lam = 5e-3
         p = WeightedRegressionProblem(x, y, lam)
-        assert trimean_beta(p) == pytest.approx(ols_beta(p), abs=0.05)
-
-    def test_mad_is_median_quantile(self):
-        rng = np.random.default_rng(11)
-        x = rng.standard_normal(100)
-        y = 0.4 * x + rng.standard_normal(100)
-        p = WeightedRegressionProblem(x, y, 0.03)
-        assert mad_beta(p) == quantile_beta(p, 0.5)[1]
+        assert trimean_beta_batch(x, y, lam)[0] == pytest.approx(ols_beta(p), abs=0.05)
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(12)
@@ -236,7 +226,7 @@ class TestTrimean:
         y = 0.6 * x + rng.standard_normal((4, 200))
         batch = trimean_beta_batch(x, y, 0.02)
         for k in range(4):
-            assert batch[k] == trimean_beta(WeightedRegressionProblem(x[k], y[k], 0.02))
+            assert batch[k] == trimean_beta_batch(x[k], y[k], 0.02)[0]
 
 
 def _gp(sigma, coeffs):
@@ -382,13 +372,13 @@ class TestDccCalibration:
         batch = generate_batch(McConfig(model="mc6", T=400, n_paths=60, seed=18))
         si, sI, rho = 0.4 / math.sqrt(255), 0.15 / math.sqrt(255), 0.375
         n = batch.n_paths
-        ll_true = _dcc_loglik(np.full(n, si), np.full(n, sI), np.full(n, rho),
+        ll_true = _dcc_filter(np.full(n, si), np.full(n, sI), np.full(n, rho),
                               batch.r_stock, batch.r_index,
-                              SYMMETRIC_GARCH_COEFFS, SYMMETRIC_DCC_COEFFS, 1.0 / 90.0)
+                              SYMMETRIC_GARCH_COEFFS, SYMMETRIC_DCC_COEFFS, 1.0 / 90.0)[0]
         for fac in (0.8, 1.2):
-            ll_pert = _dcc_loglik(np.full(n, fac * si), np.full(n, fac * sI),
+            ll_pert = _dcc_filter(np.full(n, fac * si), np.full(n, fac * sI),
                                   np.full(n, rho), batch.r_stock, batch.r_index,
-                                  SYMMETRIC_GARCH_COEFFS, SYMMETRIC_DCC_COEFFS, 1.0 / 90.0)
+                                  SYMMETRIC_GARCH_COEFFS, SYMMETRIC_DCC_COEFFS, 1.0 / 90.0)[0]
             assert ll_true.mean() > ll_pert.mean()
 
     @pytest.mark.slow
@@ -454,7 +444,7 @@ class TestDccBeta:
         # the correlation clamp at 0.999 caps the perfect-dependence case
         rng = np.random.default_rng(20)
         r = 0.01 * rng.standard_normal(300)
-        assert dcc_beta(r, r) == pytest.approx(1.0, abs=2e-3)
+        assert dcc_beta_batch(r, r)[0][0] == pytest.approx(1.0, abs=2e-3)
 
     def test_loglik_consistent_with_step_filter(self):
         # one path: the likelihood filter must see the same conditional
@@ -487,9 +477,9 @@ class TestDccBeta:
                     total += decay ** (T - 1 - t) * (ll_v + ll_c)
                     state = dcc_step(state, r_s[t], r_i[t], gp_s, gp_i, dp,
                                      negative_shocks=negative_shocks)
-                got = _dcc_loglik(np.array([0.02]), np.array([0.01]), np.array([0.3]),
+                got = _dcc_filter(np.array([0.02]), np.array([0.01]), np.array([0.3]),
                                   r_s[None, :], r_i[None, :], gcoef, dcoef, lam,
-                                  negative_shocks)
+                                  negative_shocks)[0]
                 assert float(got[0]) == pytest.approx(0.5 * total, rel=1e-12)
 
     def test_candidate_block_matches_single_points(self):
@@ -501,15 +491,15 @@ class TestDccBeta:
         cr = rng.uniform(-0.9, 0.9, (6, 5))
         args = (batch.r_stock, batch.r_index, ASYMMETRIC_GARCH_COEFFS,
                 ASYMMETRIC_DCC_COEFFS, 1.0 / 90.0)
-        block = _dcc_loglik(cs, ci, cr, *args)
+        block = _dcc_filter(cs, ci, cr, *args)[0]
         # every day's term is elementwise and the days are added in order,
         # so the block holds the bits of each point priced alone
         for c in range(6):
-            assert np.array_equal(_dcc_loglik(cs[c], ci[c], cr[c], *args), block[c])
+            assert np.array_equal(_dcc_filter(cs[c], ci[c], cr[c], *args)[0], block[c])
             for k in range(5):
-                alone = _dcc_loglik(cs[c, k:k + 1], ci[c, k:k + 1], cr[c, k:k + 1],
+                alone = _dcc_filter(cs[c, k:k + 1], ci[c, k:k + 1], cr[c, k:k + 1],
                                     batch.r_stock[k:k + 1], batch.r_index[k:k + 1],
-                                    *args[2:])
+                                    *args[2:])[0]
                 assert alone[0] == block[c, k]
 
     @pytest.mark.parametrize("asymmetric", [False, True])

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from reactivebeta.evaluation import (
-    ErrorSample,
     ErrorSamples,
+    NumericalFailure,
     SelectionBiasInputs,
     calibrate_ell_diff,
     elasticity_diagnostic,
@@ -71,17 +71,14 @@ class TestTable2Stats:
         row2 = table2_stats(_samples(noise - noise.mean()), None)
         assert not row2.bias_star
 
-    def test_from_records(self):
-        records = [ErrorSample(1.1, 1.0, True, False),
-                   ErrorSample(0.9, 1.0, False, False)]
-        row = table2_stats(records, None)
-        assert row.bias == pytest.approx(0.0)
-        assert row.winner_bias == pytest.approx(0.1)
-        assert row.loser_bias == pytest.approx(-0.1)
-
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):
-            table2_stats([], None)
+            table2_stats(_samples([]), None)
+
+    def test_no_valid_path_is_numerical_failure(self):
+        with pytest.raises(NumericalFailure, match="no valid paths"):
+            table2_stats(_samples(np.full(5, np.nan)), None)
+        assert not issubclass(NumericalFailure, ValueError)
 
 
 class TestStrategyBiasCorstd:

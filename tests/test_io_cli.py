@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from reactivebeta.cli import main
-from reactivebeta.io import IngestError, ingest_prices, sha256_file, write_weights
+from reactivebeta.io import IngestError, ingest_prices, sha256_file
 from reactivebeta.params import ReactiveParams
-from reactivebeta.strategies import FactorWeights, compute_panels
+from reactivebeta.strategies import compute_panels
 
 
 PRICES_CSV = """date,IDX,AAA,BBB,CCC
@@ -18,6 +18,15 @@ PRICES_CSV = """date,IDX,AAA,BBB,CCC
 2020-01-06,101,51.5,,10.1
 2020-01-07,103,52.5,21.5,10.4
 """
+
+
+#: cells that float() reads as a number but that no price or cap can be
+NON_FINITE = ("nan", "inf", "-inf", "Infinity", "1e999")
+
+
+def _with_cell(token):
+    """PRICES_CSV with BBB's (blank-free) cell on 2020-01-03 replaced."""
+    return PRICES_CSV.replace("2020-01-03,102,52,21,", f"2020-01-03,102,52,{token},")
 
 
 @pytest.fixture
@@ -85,24 +94,30 @@ class TestIngest:
         assert uni.caps.shape == (5, 3)
         assert uni.supersector[0] == uni.supersector[2] != uni.supersector[1]
 
+    @pytest.mark.parametrize("panel", ["prices", "caps"])
+    @pytest.mark.parametrize("token", NON_FINITE)
+    def test_non_finite_cell_names_line_and_column(self, tmp_path, price_file,
+                                                   token, panel):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(_with_cell(token))
+        with pytest.raises(IngestError, match="bad.csv line 4: .* column 4"):
+            if panel == "prices":
+                ingest_prices(bad)
+            else:
+                ingest_prices(price_file, caps_path=bad)
+
+    def test_non_positive_price_rejected(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        for token in ("0", "-5"):
+            bad.write_text(_with_cell(token))
+            with pytest.raises(IngestError, match="strictly positive"):
+                ingest_prices(bad)
+
     def test_missing_sector_label_rejected(self, tmp_path, price_file):
         sectors = tmp_path / "sectors.csv"
         sectors.write_text("ticker,supersector\nAAA,tech\n")
         with pytest.raises(IngestError, match="BBB"):
             ingest_prices(price_file, sectors_path=sectors)
-
-
-class TestWeightsExport:
-    def test_rows(self, tmp_path):
-        fw = FactorWeights(date="2020-01-02", tickers=("A", "B", "C"),
-                           weights=np.array([0.25, 0.0, -0.25]),
-                           mu_plus={0: 0.25}, mu_minus={0: 0.25}, p=0.3)
-        dest = tmp_path / "weights.csv"
-        write_weights(dest, [fw])
-        lines = dest.read_text().strip().splitlines()
-        assert lines[0] == "date,ticker,weight"
-        assert len(lines) == 3  # zero weight omitted
-        assert lines[1].startswith("2020-01-02,A,0.25")
 
 
 class TestCli:
@@ -232,6 +247,17 @@ class TestCli:
                      "--out", str(tmp_path / "o")]) == 1
         assert "input error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("panel", ["--prices", "--caps"])
+    def test_non_finite_cell_exit_code(self, tmp_path, capsys, price_file, panel):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(_with_cell("-inf"))
+        files = {"--prices": price_file, "--caps": price_file, panel: bad}
+        argv = ["estimate", "--out", str(tmp_path / "o")]
+        for flag, path in files.items():
+            argv += [flag, str(path)]
+        assert main(argv) == 1
+        assert "bad.csv line 4" in capsys.readouterr().err
+
     def test_bad_estimator_exit_code(self, tmp_path, capsys):
         assert main(["simulate", "--estimator", "magic",
                      "--out", str(tmp_path / "o")]) == 1
@@ -271,3 +297,14 @@ class TestCli:
         code = cli.main(["selection-bias", "--out", str(tmp_path / "o")])
         assert code == 2
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_estimator_without_valid_path_exit_code(self, tmp_path, capsys,
+                                                    monkeypatch):
+        import reactivebeta.benchmark as benchmark
+
+        monkeypatch.setattr(benchmark, "ols_beta_batch",
+                            lambda x, y, lam: np.full(len(x), np.nan))
+        code = main(["simulate", "--model", "mc1", "--estimator", "ols",
+                     "--paths", "10", "--days", "60", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "no valid paths" in capsys.readouterr().err

@@ -5,11 +5,13 @@ from reactivebeta.montecarlo import (
     MODELS,
     McConfig,
     dump_batch,
-    generate,
     generate_batch,
+    level_price_step,
     ou_step,
     student_t_scaled,
 )
+from reactivebeta.params import ReactiveParams
+from reactivebeta.volatility import init_levels, update_levels
 
 
 class TestConfig:
@@ -63,23 +65,23 @@ class TestOuStep:
         assert x == pytest.approx((1 - 1 / 50.0) ** 100)
 
     def test_stationary_std(self):
-        rng = np.random.default_rng(3)
+        normals = np.random.default_rng(3).standard_normal(200_000)
         relax, volvol = 100.0, 0.04
         x = 0.0
-        track = np.empty(200_000)
+        track = np.empty(normals.size)
         for t in range(track.size):
-            x = ou_step(x, relax, volvol, rng=rng)
+            x = ou_step(x, relax, volvol, normal=normals[t])
             track[t] = x
         expect = volvol * np.sqrt(relax / 2.0)
         assert track[5000:].std() == pytest.approx(expect, rel=0.05)
 
     def test_autocorrelation(self):
-        rng = np.random.default_rng(4)
+        normals = np.random.default_rng(4).standard_normal(300_000)
         relax = 100.0
         x = 0.0
-        track = np.empty(300_000)
+        track = np.empty(normals.size)
         for t in range(track.size):
-            x = ou_step(x, relax, 0.04, rng=rng)
+            x = ou_step(x, relax, 0.04, normal=normals[t])
             track[t] = x
         lag = 20
         a, b = track[5000:-lag], track[5000 + lag:]
@@ -89,8 +91,6 @@ class TestOuStep:
     def test_validation(self):
         with pytest.raises(ValueError):
             ou_step(0.0, 0.0, 0.04, normal=0.0)
-        with pytest.raises(ValueError):
-            ou_step(0.0, 50.0, 0.04)
 
 
 class TestReproducibility:
@@ -115,13 +115,46 @@ class TestReproducibility:
         b = generate_batch(McConfig(model="mc1", T=40, n_paths=4, seed=2))
         assert not np.allclose(a.r_stock, b.r_stock)
 
-    def test_stream_matches_batch(self):
-        cfg = McConfig(model="mc6", T=30, n_paths=5, seed=9)
-        batch = generate_batch(cfg)
-        for k, path in enumerate(generate(cfg, block_size=2)):
-            assert path.path_id == k
-            assert np.array_equal(path.r_stock.values, batch.r_stock[k])
-            assert np.array_equal(path.true_rho.values, batch.true_rho[k])
+
+class TestLevelPriceStep:
+    def test_floor_on_both_sides_counts_stock_hits(self):
+        params = ReactiveParams()
+        levels = init_levels(100.0, np.full(3, 100.0))
+        # -200 on the index and on stock 0, -96 on stock 2: all below 5%
+        index, stocks, new_levels, n = level_price_step(
+            100.0, np.full(3, 100.0), -2.0, np.array([-2.0, 0.01, -0.96]),
+            levels, params)
+        assert index == 5.0
+        assert np.array_equal(stocks, [5.0, 101.0, 5.0])
+        assert n == 2
+        expect = update_levels(levels, 5.0, stocks, params)
+        assert np.array_equal(new_levels.stock_level, expect.stock_level)
+        assert new_levels.index_level == expect.index_level
+        # an index-side hit alone is not counted
+        index, _, _, n = level_price_step(100.0, np.full(3, 100.0), -2.0,
+                                          np.zeros(3), levels, params)
+        assert index == 5.0 and n == 0
+
+    def test_scalar_index_matches_repeated_index(self):
+        params = ReactiveParams()
+        rng = np.random.default_rng(5)
+        n = 7
+        i1, s1 = 100.0, np.full(n, 100.0)
+        iv, sv = np.full(n, 100.0), np.full(n, 100.0)
+        lv1, lvv = init_levels(i1, s1), init_levels(iv, sv)
+        index_floored = stock_floored = 0
+        for _ in range(60):
+            tr_i = 0.5 * rng.standard_normal()
+            tr_s = tr_i + 0.5 * rng.standard_normal(n)
+            index_floored += tr_i * lv1.index_level < -0.95 * i1
+            i1, s1, lv1, n1 = level_price_step(i1, s1, tr_i, tr_s, lv1, params)
+            iv, sv, lvv, nv = level_price_step(iv, sv, np.full(n, tr_i), tr_s,
+                                               lvv, params)
+            assert np.array_equal(np.full(n, i1), iv)
+            assert np.array_equal(s1, sv)
+            assert n1 == nv
+            stock_floored += n1
+        assert index_floored > 0 and stock_floored > 0
 
 
 class TestMarketModel:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from reactivebeta.estimators import ols_beta_batch
 from reactivebeta.params import ReactiveParams
 from reactivebeta.strategies import (
     INDICATOR_WINDOW,
@@ -243,6 +244,8 @@ class TestBatchAgainstReference:
                 assert abs(fw.mu_minus[s] - mu_minus[s]) <= 1e-15
         assert uni.dates[651] not in built
         assert result.skipped_days == skipped >= 1
+        # missing prices contribute zero, so every traded day's return is finite
+        assert np.isfinite(result.returns).all()
 
 
 class TestNoLookAhead:
@@ -275,7 +278,7 @@ class TestBacktest:
                        supersector=np.arange(n) % 6,
                        caps=np.tile(path[:, None], (1, n)))
         result = backtest(uni, "reversal", "ols", PARAMS)
-        assert np.max(np.abs(result.returns.values)) < 1e-12
+        assert np.max(np.abs(result.returns)) < 1e-12
 
     def test_reversal_direction_single_seed(self):
         uni = synthetic_universe(n_stocks=60, T=800, seed=5)
@@ -301,6 +304,19 @@ class TestBacktest:
         result = backtest(uni, "size", "reactive", PARAMS, keep_weights=True)
         assert len(result.weights) == len(result.returns)
         assert result.weights[0].date == result.dates[0]
+
+
+class TestPanels:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_ols_track_matches_batch_ols(self, seed):
+        # on a complete panel the per-day EW-OLS track is the final-day
+        # reduction of ols_beta_batch over returns 1..t
+        uni = synthetic_universe(n_stocks=40, T=900, seed=seed)
+        panels = compute_panels(uni, PARAMS)
+        for t in (5, 60, 250, 600, 899):
+            x = np.broadcast_to(panels.index_returns[1:t + 1], (40, t))
+            expect = ols_beta_batch(x, panels.returns[1:t + 1].T, PARAMS.lambda_beta)
+            np.testing.assert_allclose(panels.ols_beta[t], expect, rtol=1e-12, atol=0.0)
 
 
 class TestSyntheticUniverse:

@@ -4,28 +4,11 @@ from hypothesis import given, settings, strategies as st
 
 from reactivebeta.timeseries import (
     EmaState,
-    Series,
-    arithmetic_returns,
     ema_update,
     exp_weighted_moments,
     exp_weights,
     rolling_correlation,
 )
-
-
-class TestSeries:
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError):
-            Series(np.array([1.0, np.nan]))
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            Series(np.array([]))
-
-    def test_len_and_iter(self):
-        s = Series(np.array([1.0, 2.0]), "x")
-        assert len(s) == 2
-        assert list(s) == [1.0, 2.0]
 
 
 class TestEma:
@@ -73,30 +56,6 @@ class TestEma:
         for x in xs:
             state = ema_update(state, x)
         assert min(xs) - 1e-9 <= state.value <= max(xs) + 1e-9
-
-
-class TestArithmeticReturns:
-    def test_single_step(self):
-        assert arithmetic_returns([100.0, 101.0]) == pytest.approx([0.01])
-
-    def test_constant_price(self):
-        assert arithmetic_returns([100.0, 100.0, 100.0]) == pytest.approx([0.0, 0.0])
-
-    def test_geometric_growth(self):
-        prices = 100.0 * 1.02 ** np.arange(5)
-        rets = arithmetic_returns(prices)
-        assert rets.shape == (4,)
-        assert np.max(np.abs(rets - 0.02)) < 1e-12
-
-    def test_rejects_non_positive(self):
-        with pytest.raises(ValueError):
-            arithmetic_returns([100.0, 0.0])
-        with pytest.raises(ValueError):
-            arithmetic_returns([100.0, -5.0])
-
-    def test_needs_two_points(self):
-        with pytest.raises(ValueError):
-            arithmetic_returns([100.0])
 
 
 class TestRollingCorrelation:
