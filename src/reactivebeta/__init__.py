@@ -8,12 +8,7 @@ beta sources to beta-neutral factor backtests with bias diagnostics.
 """
 
 from .params import DEFAULT_PARAMS, TRADING_DAYS, ReactiveParams
-from .timeseries import (
-    EmaState,
-    ema_update,
-    exp_weighted_moments,
-    rolling_correlation,
-)
+from .timeseries import exp_weighted_moments, rolling_correlation
 from .volatility import (
     LevelState,
     VolState,
@@ -30,7 +25,6 @@ from .beta import (
     elasticity_correction,
     leverage_correction,
     reactive_beta_from_returns,
-    update_beta,
 )
 from .estimators import (
     DccParams,

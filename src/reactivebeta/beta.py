@@ -14,32 +14,30 @@ price panel (one index, many stocks) and a batch of simulated paths
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .params import ReactiveParams
+from .timeseries import block_rows, ema_rows
 from .volatility import (
     LevelState,
     VolState,
     fast_gap,
+    filter_phi,
     init_levels,
     init_vols,
-    normalized_returns,
-    update_levels,
-    update_reactive_vols,
 )
 
 __all__ = [
     "BetaState",
     "ReactiveBetaEngine",
-    "StepResult",
     "beta_elasticity",
     "leverage_correction",
     "elasticity_correction",
     "init_beta_state",
-    "update_beta",
     "reactive_beta_from_returns",
 ]
 
@@ -110,8 +108,6 @@ class BetaState:
     kappa_seeded: np.ndarray | bool
     tilde_beta: np.ndarray | float
     beta: np.ndarray | float
-    corr_leverage: np.ndarray | float = 1.0
-    corr_elasticity: np.ndarray | float = 1.0
 
 
 def init_beta_state(index_shape=(), stock_shape=()) -> BetaState:
@@ -127,126 +123,26 @@ def init_beta_state(index_shape=(), stock_shape=()) -> BetaState:
     )
 
 
-def update_beta(
-    state: BetaState,
-    r_index,
-    r_stock,
-    prev_tilde_var_index,
-    corr_leverage,
-    corr_elasticity,
-    level: LevelState,
-    vol: VolState,
-    index_price,
-    stock_prices,
-    params: ReactiveParams,
-    stock_mask: Optional[np.ndarray] = None,
-) -> BetaState:
-    """One daily advance of the regression EMAs and the derived betas.
-
-    ``r_index``/``r_stock`` are today's normalized returns, divided by
-    yesterday's normalized index volatility (``prev_tilde_var_index``)
-    when ``params.hat_normalize`` is set. The corrected cross moment is
-    incremented by the cross product divided by both correction factors;
-    the normalized beta is the ratio of that moment to the index moment,
-    and the reactive beta multiplies back the level ratio and both
-    corrections. An index moment of zero leaves the betas undefined (NaN).
-    """
-    lam = params.lambda_beta
-    r_i = np.asarray(r_index, dtype=float)
-    r_s = np.asarray(r_stock, dtype=float)
-    if stock_mask is None:
-        stock_mask = np.isfinite(r_s)
-
-    prev_var = np.asarray(prev_tilde_var_index, dtype=float)
-    if params.hat_normalize:
-        with np.errstate(invalid="ignore", divide="ignore"):
-            scale = 1.0 / np.sqrt(prev_var)
-        index_ok = np.isfinite(scale)
-    else:
-        scale = np.ones_like(prev_var) if prev_var.shape else 1.0
-        index_ok = np.isfinite(r_i)
-    with np.errstate(invalid="ignore"):
-        hr_i = r_i * scale
-        hr_s = np.where(stock_mask, r_s, 0.0) * scale
-
-    adv_index = index_ok
-    adv_stock = stock_mask & index_ok
-
-    var_index = np.where(adv_index,
-                         (1.0 - lam) * state.var_index + lam * hr_i * hr_i,
-                         state.var_index)
-    incr_cross = np.where(adv_stock, hr_s * hr_i, 0.0)
-    cross = np.where(adv_stock, (1.0 - lam) * state.cross + lam * incr_cross,
-                     state.cross)
-    denom = np.asarray(corr_leverage, dtype=float) * np.asarray(corr_elasticity, dtype=float)
-    cross_corrected = np.where(
-        adv_stock,
-        (1.0 - lam) * state.cross_corrected + lam * incr_cross / denom,
-        state.cross_corrected)
-    var_stock = np.where(adv_stock,
-                         (1.0 - lam) * state.var_stock + lam * hr_s * hr_s,
-                         state.var_stock)
-
-    # squared relative volatility tracker, using today's normalized vols
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratio_sq = np.asarray(vol.tilde_var_stock, dtype=float) \
-                   / np.asarray(vol.tilde_var_index, dtype=float)
-    ratio_ok = stock_mask & np.isfinite(ratio_sq) & (ratio_sq > 0.0)
-    kappa = np.where(ratio_ok,
-                     np.where(state.kappa_seeded,
-                              (1.0 - lam) * state.kappa + lam * ratio_sq,
-                              ratio_sq),
-                     state.kappa)
-    kappa_seeded = state.kappa_seeded | ratio_ok
-
-    with np.errstate(invalid="ignore", divide="ignore"):
-        tilde_beta = cross_corrected / var_index
-    tilde_beta = np.where(np.asarray(var_index) > 0.0, tilde_beta, np.nan)
-    i = np.asarray(index_price, dtype=float)
-    s = np.asarray(stock_prices, dtype=float)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        level_ratio = (level.stock_level * i) / (s * level.index_level)
-        beta = tilde_beta * level_ratio * denom
-
-    tilde_beta = np.where(stock_mask, tilde_beta, state.tilde_beta)
-    beta = np.where(stock_mask, beta, state.beta)
-    return BetaState(
-        cross=cross, cross_corrected=cross_corrected,
-        var_index=var_index, var_stock=var_stock,
-        kappa=kappa, kappa_seeded=kappa_seeded,
-        tilde_beta=tilde_beta, beta=beta,
-        corr_leverage=np.asarray(corr_leverage, dtype=float) + 0.0,
-        corr_elasticity=np.asarray(corr_elasticity, dtype=float) + 0.0,
-    )
-
-
-@dataclass(frozen=True)
-class StepResult:
-    """Per-day outputs of the engine.
-
-    ``beta_plain`` is the regression ratio without the increment
-    corrections and ``relvol_hat`` the ratio of the renormalized vols,
-    the two panels the elasticity diagnostic consumes.
-    """
-
-    beta: np.ndarray | float
-    tilde_beta: np.ndarray | float
-    sigma_index: np.ndarray | float
-    sigma_stock: np.ndarray | float
-    corr_leverage: np.ndarray | float
-    corr_elasticity: np.ndarray | float
-    r_index: np.ndarray | float
-    r_stock: np.ndarray | float
-    beta_plain: np.ndarray | float = np.nan
-    relvol_hat: np.ndarray | float = np.nan
+def _set_rows(x: np.ndarray, *values) -> None:
+    """Write ``values`` (scalars or arrays) flattened into the rows of ``x``."""
+    for row, value in zip(x, values):
+        row[...] = np.reshape(value, -1)
 
 
 class ReactiveBetaEngine:
-    """Streaming daily estimator over one index and any number of stocks.
+    """Daily estimator over one index and any number of stocks.
 
-    Feed one day of prices at a time; every state object is a plain value
-    so the engine can be snapshotted or handed between threads between
-    steps. Stocks with a NaN price keep their previous state for the day.
+    :meth:`advance` runs a block of days at a time. Every recursion but
+    the corrected cross moment is linear in its own past, with a constant
+    or mask-switched coefficient (price EMAs, normalized variances,
+    regression moments, ``kappa``), so each steps in place with one
+    multiply-add per day, and the maps between them (levels, returns, hat
+    scale, corrections, vols, betas) run vectorised over the block. Only
+    the corrected cross moment feeds back, through the elasticity
+    correction of yesterday's normalized beta, in a loop of in-place
+    operations per day. :meth:`step` is the same pass over one day. The
+    states are plain values between calls; a stock without a finite
+    price keeps its state for the day (``frozen_stock_days`` counts it).
     """
 
     def __init__(self, params: Optional[ReactiveParams] = None):
@@ -254,62 +150,205 @@ class ReactiveBetaEngine:
         self.levels: Optional[LevelState] = None
         self.vols: Optional[VolState] = None
         self.beta_state: Optional[BetaState] = None
-        self.day: int = 0
-        self.frozen_days: int = 0
+        self.frozen_stock_days: int = 0
 
     def start(self, index_price, stock_prices) -> None:
         """Seed all states with the first day of prices."""
-        stock_prices = np.asarray(stock_prices, dtype=float)
-        index_price = np.asarray(index_price, dtype=float)
         self.levels = init_levels(index_price, stock_prices)
-        index_shape = np.shape(index_price)
-        stock_shape = np.shape(stock_prices)
-        self.vols = init_vols(index_shape, stock_shape)
-        self.beta_state = init_beta_state(index_shape, stock_shape)
-        self.day = 1
+        shapes = np.shape(index_price), np.shape(stock_prices)
+        self.vols, self.beta_state = init_vols(*shapes), init_beta_state(*shapes)
 
-    def step(self, index_price, stock_prices) -> StepResult:
-        """Consume one day of prices and return the updated estimates."""
+    def step(self, index_price, stock_prices) -> BetaState:
+        """Consume one day of prices and return the updated beta state."""
+        self.advance(np.asarray(index_price, dtype=float)[None],
+                     np.asarray(stock_prices, dtype=float)[None])
+        return self.beta_state
+
+    def advance(self, index_prices, stock_prices, beta_out=None, sigma_out=None) -> None:
+        """Consume the days of ``index_prices`` and ``stock_prices`` (days on
+        the first axis, each day shaped like the prices given to
+        :meth:`start`). Each day's reactive beta and reactive stock
+        volatility go to the matching rows of ``beta_out`` and
+        ``sigma_out`` when they are given.
+        """
         if self.levels is None:
             raise RuntimeError("engine not started; call start() first")
-        params = self.params
-        s = np.asarray(stock_prices, dtype=float)
-        mask = np.isfinite(s)
-        if not np.all(mask):
-            self.frozen_days += 1
+        p = self.params
+        lam_s, lam_v, lam_b = p.lambda_s, p.lambda_sigma, p.lambda_beta
+        lv, vol, st = self.levels, self.vols, self.beta_state
+        index_shape, stock_shape = np.shape(lv.last_index), np.shape(lv.last_stock)
+        k, n = math.prod(index_shape), math.prod(stock_shape)   # k is 1 or n
+        T = len(stock_prices)
+        index_prices = np.reshape(index_prices, (T, k))
+        stock_prices = np.reshape(stock_prices, (T, n))
+        L = block_rows(n, T)
 
-        r_index, r_stock = normalized_returns(self.levels, index_price, s)
-        corr_lev = leverage_correction(self.levels, params)
-        corr_ela = elasticity_correction(self.beta_state, self.vols, params)
-        # a zero (unseeded) trailing variance maps to an infinite scale in
-        # update_beta, which skips the regression advance for that day
-        prev_tilde_var_index = self.vols.tilde_var_index
+        # Row 0 of each workspace array holds the state after the day
+        # before the block, rows 1..m the block's days. Recursions that
+        # step together share an array, their index side (columns :k)
+        # broadcast to every stock.
+        ema = np.empty((L + 1, 3, n))       # slow and fast index EMA, slow stock EMA
+        tv = np.empty((L + 1, 2, n))        # normalized index and stock variances
+        reg = np.empty((L + 1, 4, n))       # var_index, cross, var_stock, kappa
+        price_i, level_i = np.empty((2, L + 1, k))
+        price_s, level_s, cc, tb, beta = np.empty((5, L + 1, n))
+        s_seeded, k_seeded = np.empty((2, n), dtype=bool)
+        _set_rows(ema[0], lv.slow_index, lv.fast_index, lv.slow_stock)
+        _set_rows(tv[0], vol.tilde_var_index, vol.tilde_var_stock)
+        _set_rows(reg[0], st.var_index, st.cross, st.var_stock, st.kappa)
+        _set_rows((price_i[0], level_i[0], price_s[0], level_s[0], cc[0], tb[0], beta[0],
+                   s_seeded, k_seeded),
+                  lv.last_index, lv.index_level, lv.last_stock, lv.stock_level,
+                  st.cross_corrected, st.tilde_beta, st.beta, vol.stock_seeded,
+                  st.kappa_seeded)
+        index_seeded = bool(vol.index_seeded)
+        decay = np.empty((L, 9, n))         # of ema, tv and reg, in that order
+        decay[:, 0], decay[:, 1], decay[:, 3] = 1.0 - lam_s, 1.0 - p.lambda_f, 1.0 - lam_v
+        stock, den = np.empty((2, L, n))
+        f, c = np.empty((2, n))
+        bad = np.empty(n, dtype=bool)
+        cols = np.arange(n)
+        lo, slope2, cap2 = p.elasticity_lo, 2.0 * p.elasticity_slope, 2.0 * p.elasticity_cap
 
-        levels = update_levels(self.levels, index_price, s, params, mask)
-        vols = update_reactive_vols(self.vols, levels, r_index, r_stock, params, mask)
-        beta_state = update_beta(
-            self.beta_state, r_index, r_stock, prev_tilde_var_index,
-            corr_lev, corr_ela, levels, vols, index_price, s, params, mask,
-        )
-        self.levels, self.vols, self.beta_state = levels, vols, beta_state
-        self.day += 1
-        with np.errstate(invalid="ignore", divide="ignore"):
-            beta_plain = np.where(np.asarray(beta_state.var_index) > 0.0,
-                                  beta_state.cross / beta_state.var_index, np.nan)
-            relvol_hat = np.sqrt(np.asarray(beta_state.var_stock)
-                                 / np.asarray(beta_state.var_index))
-        return StepResult(
-            beta=beta_state.beta,
-            tilde_beta=beta_state.tilde_beta,
-            sigma_index=vols.sigma_index,
-            sigma_stock=vols.sigma_stock,
-            corr_leverage=corr_lev,
-            corr_elasticity=corr_ela,
-            r_index=r_index,
-            r_stock=r_stock,
-            beta_plain=beta_plain,
-            relvol_hat=relvol_hat,
-        )
+        for t0 in range(0, T, L):
+            m = min(L, T - t0)
+            now, before = slice(1, m + 1), slice(0, m)
+            i = price_i[now]
+            i[:] = index_prices[t0:t0 + m]
+            s = stock[:m]
+            s[:] = stock_prices[t0:t0 + m]
+            ok = np.isfinite(s)
+            blank = ~ok
+            if not np.all((i > 0.0) & (i < np.inf)):
+                raise ValueError("index price must be finite and strictly positive")
+            if np.any((s <= 0.0) & ok):
+                raise ValueError("stock prices must be strictly positive")
+            self.frozen_stock_days += int(np.count_nonzero(blank))
+            # flat source of each held value: its last priced row, else row 0
+            held = np.where(ok, np.arange(1, m + 1)[:, None], 0)
+            np.maximum.accumulate(held, axis=0, out=held)
+            held = held * n + cols
+
+            def hold(x, new):
+                x[now] = new
+                x[now] = np.take(x, held)
+
+            # levels, as update_levels
+            e, dec = ema[:m + 1], decay[:m]
+            e[1:, 0], e[1:, 1] = lam_s * i, p.lambda_f * i
+            e[1:, 2] = np.where(ok, lam_s * s, 0.0)
+            dec[:, 2] = np.where(ok, 1.0 - lam_s, 1.0)
+            ema_rows(e, dec[:, :3])
+            slow, fast = e[1:, 0, :k], e[1:, 1, :k]
+            fgap = (fast - i) / fast
+            level_i[now] = i * (1.0 + filter_phi((slow - i) / i, p.phi)) * (1.0 + p.ell * fgap)
+            with np.errstate(invalid="ignore"):
+                hold(level_s, s * (1.0 + filter_phi((e[1:, 2] - s) / s, p.phi))
+                     * (1.0 + p.ell_prime * fgap))
+            hold(price_s, s)
+
+            # normalized returns and variances, as update_reactive_vols
+            r_i = (i - price_i[before]) / level_i[before]
+            with np.errstate(invalid="ignore"):
+                r_s = (s - price_s[before]) / level_s[before]
+            r_s_sq = np.where(ok, r_s * r_s, 0.0)
+            v = tv[:m + 1]
+            v[1:, 0] = lam_v * r_i * r_i
+            if not index_seeded:        # seeded with the first value
+                v[1, 0] = r_i[0] * r_i[0]
+                index_seeded = True
+            seeded = np.logical_or.accumulate(np.vstack([s_seeded, ok[:-1]]), axis=0)
+            v[1:, 1] = np.where(seeded, lam_v * r_s_sq, r_s_sq)
+            dec[:, 4] = np.where(ok, 1.0 - lam_v, 1.0)
+            ema_rows(v, dec[:, 3:5])
+            s_seeded |= ok.any(axis=0)
+            tv_i, tv_s = v[:, 0, :k], v[:, 1]
+
+            # regression moments and kappa, as the per-day update of the
+            # beta state does
+            with np.errstate(invalid="ignore", divide="ignore"):
+                if p.hat_normalize:
+                    scale = 1.0 / np.sqrt(tv_i[:m])
+                    index_ok = np.isfinite(scale)
+                else:
+                    scale = 1.0
+                    index_ok = np.isfinite(r_i)
+                hr_i = r_i * scale
+                hr_s = np.where(ok, r_s, 0.0) * scale
+                adv = ok & index_ok
+                ratio = tv_s[1:] / tv_i[1:]
+                ratio_ok = ok & np.isfinite(ratio) & (ratio > 0.0)
+                k_before = np.logical_or.accumulate(np.vstack([k_seeded, ratio_ok[:-1]]),
+                                                    axis=0)
+                k_seeded |= ratio_ok.any(axis=0)
+                r = reg[:m + 1]
+                r[1:, 0] = np.where(index_ok, lam_b * hr_i * hr_i, 0.0)
+                r[1:, 1] = lam_b * np.where(adv, hr_s * hr_i, 0.0)
+                r[1:, 2] = np.where(adv, lam_b * hr_s * hr_s, 0.0)
+                r[1:, 3] = np.where(ratio_ok, np.where(k_before, lam_b * ratio, ratio), 0.0)
+                gain_cc = r[1:, 1].copy()
+                dec[:, 5] = np.where(index_ok, 1.0 - lam_b, 1.0)
+                dec[:, 6] = dec[:, 7] = np.where(adv, 1.0 - lam_b, 1.0)
+                dec[:, 8] = np.where(ratio_ok, 1.0 - lam_b, 1.0)
+                ema_rows(r, dec[:, 5:])
+
+                # both corrections from yesterday's state; delta is NaN
+                # while kappa is unseeded, which sets the elasticity to one
+                lev = np.maximum(1.0 + p.ell_diff * ((ema[:m, 1, :k] - price_i[before])
+                                                     / ema[:m, 1, :k]), _CORRECTION_FLOOR)
+                delta = np.sqrt(tv_s[:m] / tv_i[:m]) / np.sqrt(reg[:m, 3]) - 1.0
+                np.copyto(delta, np.nan, where=~k_before)
+                var_pos = np.where(r[1:, 0] > 0.0, r[1:, 0], np.nan)
+
+                # the feedback: corrected cross moment and normalized beta
+                for d in range(m):
+                    b = tb[d]
+                    np.subtract(b, lo, out=f)
+                    f *= slope2
+                    np.maximum(f, 0.0, out=f)
+                    np.minimum(f, cap2, out=f)          # twice the elasticity
+                    np.divide(f, b, out=c)
+                    c *= delta[d]
+                    c += 1.0
+                    np.isfinite(c, out=bad)
+                    np.logical_not(bad, out=bad)
+                    np.copyto(c, 1.0, where=bad)
+                    np.maximum(c, _CORRECTION_FLOOR, out=c)
+                    np.multiply(c, lev[d], out=den[d])
+                    np.divide(gain_cc[d], den[d], out=f)
+                    np.multiply(cc[d], dec[d, 6], out=cc[d + 1])
+                    cc[d + 1] += f
+                    np.divide(cc[d + 1], var_pos[d], out=tb[d + 1])
+                    np.copyto(tb[d + 1], b, where=blank[d])
+
+                hold(beta, tb[now] * ((level_s[now] * i) / (s * level_i[now])) * den[:m])
+            if beta_out is not None:
+                beta_out[t0:t0 + m] = beta[now].reshape((m,) + stock_shape)
+            if sigma_out is not None:
+                sigma_out[t0:t0 + m] = (np.sqrt(tv_s[1:]) * level_s[now]
+                                        / price_s[now]).reshape((m,) + stock_shape)
+            for x in (ema, tv, reg, price_i, level_i, price_s, level_s, cc, tb, beta):
+                x[0] = x[m]
+
+        def idx(x):     # row 0 of a workspace array, shaped as at start()
+            return x[:k].reshape(index_shape).copy()
+
+        def stk(x):
+            return x.reshape(stock_shape).copy()
+
+        self.levels = LevelState(
+            slow_index=idx(ema[0, 0]), fast_index=idx(ema[0, 1]), slow_stock=stk(ema[0, 2]),
+            index_level=idx(level_i[0]), stock_level=stk(level_s[0]),
+            last_index=idx(price_i[0]), last_stock=stk(price_s[0]))
+        self.vols = VolState(
+            tilde_var_index=idx(tv[0, 0]), tilde_var_stock=stk(tv[0, 1]),
+            sigma_index=idx(np.sqrt(tv[0, 0, :k]) * level_i[0] / price_i[0]),
+            sigma_stock=stk(np.sqrt(tv[0, 1]) * level_s[0] / price_s[0]),
+            index_seeded=index_seeded, stock_seeded=stk(s_seeded))
+        self.beta_state = BetaState(
+            cross=stk(reg[0, 1]), cross_corrected=stk(cc[0]), var_index=idx(reg[0, 0]),
+            var_stock=stk(reg[0, 2]), kappa=stk(reg[0, 3]), kappa_seeded=stk(k_seeded),
+            tilde_beta=stk(tb[0]), beta=stk(beta[0]))
 
 
 def reactive_beta_from_returns(
@@ -317,35 +356,26 @@ def reactive_beta_from_returns(
     r_stock: np.ndarray,
     params: Optional[ReactiveParams] = None,
     start_price: float = 100.0,
-    track: bool = False,
 ):
     """Run the estimator over return paths and report the final beta.
 
     ``r_index`` and ``r_stock`` hold arithmetic returns with time on the
     last axis; leading axes are independent paths. Prices are rebuilt
     from ``start_price`` (the estimator is scale invariant, so the level
-    does not matter). With ``track=True`` the full per-day beta history
-    is returned as a second array.
+    does not matter) a block of days at a time, each block's cumulative
+    product led by the growth so far (the same products as over all days).
     """
     r_i = np.asarray(r_index, dtype=float)
     r_s = np.asarray(r_stock, dtype=float)
     if r_i.shape != r_s.shape:
         raise ValueError("return arrays must have identical shapes")
-    params = params if params is not None else ReactiveParams()
-
-    index_prices = start_price * np.cumprod(1.0 + r_i, axis=-1)
-    stock_prices = start_price * np.cumprod(1.0 + r_s, axis=-1)
-
+    growth = np.ones((2,) + r_i.shape[:-1] + (1,))      # index and stock
     engine = ReactiveBetaEngine(params)
-    engine.start(np.full(r_i.shape[:-1], start_price) if r_i.ndim > 1 else start_price,
-                 np.full(r_s.shape[:-1], start_price) if r_s.ndim > 1 else start_price)
+    engine.start(*start_price * growth[..., 0])
     T = r_i.shape[-1]
-    history = np.full(r_s.shape, np.nan) if track else None
-    out = None
-    for t in range(T):
-        out = engine.step(index_prices[..., t], stock_prices[..., t])
-        if track:
-            history[..., t] = out.beta
-    if track:
-        return out.beta, history
-    return out.beta
+    days = block_rows(growth[0].size, T)
+    for t0 in range(0, T, days):
+        block = 1.0 + np.stack([r_i[..., t0:t0 + days], r_s[..., t0:t0 + days]])
+        growth = np.cumprod(np.concatenate([growth[..., -1:], block], axis=-1), axis=-1)
+        engine.advance(*np.moveaxis(start_price * growth[..., 1:], -1, 1))
+    return engine.beta_state.beta

@@ -78,6 +78,16 @@ def _csv_field(value) -> str:
     return buf.getvalue()[:-3]
 
 
+def _reactive_diagnostics(panels, burn_in: int) -> dict:
+    """The manifest's counts for the reactive panel; NumericalFailure when
+    days follow the burn-in and no stock has a finite beta on any."""
+    after = panels.re_beta[max(1, burn_in):]
+    if after.size and not np.isfinite(after).any():
+        raise NumericalFailure("no stock has a finite reactive beta after burn-in")
+    return {"frozen_stock_days": panels.frozen_stock_days,
+            "nan_final_betas": int(np.count_nonzero(~np.isfinite(panels.re_beta[-1])))}
+
+
 def _cmd_estimate(args) -> int:
     params = _load_params(args.config)
     if args.burn_in is not None:
@@ -85,6 +95,7 @@ def _cmd_estimate(args) -> int:
     universe = rio.ingest_prices(args.prices, index_ticker=args.index,
                                  caps_path=args.caps, sectors_path=args.sectors)
     panels = compute_panels(universe, params)
+    diagnostics = _reactive_diagnostics(panels, params.burn_in)
     out = _out_dir(args)
     dest = out / "betas.csv"
     start = max(1, params.burn_in)
@@ -101,7 +112,7 @@ def _cmd_estimate(args) -> int:
     inputs = [p for p in (args.prices, args.caps, args.sectors) if p]
     rio.write_manifest(out / "manifest.json", "estimate",
                        {"params": params.__dict__, "burn_in": params.burn_in},
-                       inputs=inputs, outputs=[dest])
+                       inputs=inputs, outputs=[dest], diagnostics=diagnostics)
     print(f"wrote {dest}")
     return 0
 
@@ -154,6 +165,7 @@ def _cmd_backtest(args) -> int:
                                      caps_path=args.caps, sectors_path=args.sectors)
         inputs = [p for p in (args.prices, args.caps, args.sectors) if p]
     panels = compute_panels(universe, params)
+    diagnostics = _reactive_diagnostics(panels, params.burn_in)
     strategies = list(STRATEGIES) if args.strategy == "all" else [args.strategy]
     sources = ["ols", "reactive"] if args.beta_source == "both" else [args.beta_source]
 
@@ -178,7 +190,7 @@ def _cmd_backtest(args) -> int:
                         "synthetic": bool(args.synthetic), "stocks": args.stocks,
                         "days": args.days, "seed": args.seed,
                         "params": params.__dict__},
-                       inputs=inputs, outputs=[dest])
+                       inputs=inputs, outputs=[dest], diagnostics=diagnostics)
     return 0
 
 

@@ -247,8 +247,9 @@ def sha256_file(path) -> str:
     return h.hexdigest()
 
 
-def write_manifest(path, command: str, config: dict, inputs=(), outputs=()) -> None:
-    """Reproducibility record: configuration echo, versions and digests."""
+def write_manifest(path, command: str, config: dict, inputs=(), outputs=(),
+                   diagnostics: Optional[dict] = None) -> None:
+    """Reproducibility record: configuration, versions, digests, counts."""
     try:
         from importlib.metadata import version
         pkg_version = version("reactivebeta")
@@ -267,4 +268,6 @@ def write_manifest(path, command: str, config: dict, inputs=(), outputs=()) -> N
         "outputs": [str(p) for p in outputs],
         "written_at": dt.datetime.now(dt.timezone.utc).isoformat(),
     }
+    if diagnostics is not None:
+        manifest["diagnostics"] = diagnostics
     write_json(path, manifest)

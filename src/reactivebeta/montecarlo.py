@@ -29,6 +29,7 @@ import numpy as np
 from .params import TRADING_DAYS, ReactiveParams
 from .volatility import LevelState, fast_gap, init_levels, update_levels
 from .beta import beta_elasticity
+from .evaluation import NumericalFailure
 from .estimators import (
     ASYMMETRIC_DCC_COEFFS,
     ASYMMETRIC_GARCH_COEFFS,
@@ -154,7 +155,9 @@ def level_price_step(index_price, stock_price, tr_index, tr_stock,
     Each new price is floored at ``_PRICE_FLOOR`` of the previous one, so
     a single extreme draw cannot push a price non-positive. The index side
     may be a scalar shared by every stock. Returns the new index and stock
-    prices, the new levels and the number of stock prices floored.
+    prices, the new levels and the number of stock prices floored. Raises
+    ``NumericalFailure`` once a price falls below the normal floats, as
+    flooring day after day under volatilities far beyond any market's does.
     """
     new_index = np.maximum(index_price + tr_index * levels.index_level,
                            _PRICE_FLOOR * index_price)
@@ -162,6 +165,10 @@ def level_price_step(index_price, stock_price, tr_index, tr_stock,
     floor = _PRICE_FLOOR * stock_price
     n_floored = int(np.count_nonzero(new_stock < floor))
     new_stock = np.maximum(new_stock, floor)
+    tiny = np.finfo(float).tiny
+    if not (np.all(new_index >= tiny) and np.all(new_stock >= tiny)):
+        raise NumericalFailure("a generated price underflowed under the price floor; "
+                               "the volatilities are too large for the level map")
     return new_index, new_stock, update_levels(levels, new_index, new_stock, params), n_floored
 
 

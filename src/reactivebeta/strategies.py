@@ -21,6 +21,7 @@ from .params import ReactiveParams
 from .beta import ReactiveBetaEngine
 from .evaluation import HedgeReport, strategy_bias_corstd
 from .montecarlo import level_price_step
+from .timeseries import block_rows, ema_rows
 from .volatility import init_levels
 
 __all__ = [
@@ -115,6 +116,7 @@ class UniversePanels:
     ``ols_beta``/``ols_sigma`` come from plain exponentially weighted
     moments of raw returns; ``re_beta``/``re_sigma`` from the
     leverage-aware engine. All shapes are (time x stock).
+    ``frozen_stock_days`` counts the blank prices the engine held over.
     """
 
     returns: np.ndarray
@@ -123,11 +125,19 @@ class UniversePanels:
     ols_sigma: np.ndarray
     re_beta: np.ndarray
     re_sigma: np.ndarray
+    frozen_stock_days: int = 0
 
 
 def compute_panels(universe: Universe,
                    params: Optional[ReactiveParams] = None) -> UniversePanels:
-    """Run both beta estimators over the whole panel once."""
+    """Run both beta estimators over the whole panel once.
+
+    The reactive track is :meth:`ReactiveBetaEngine.advance` over days
+    1..T-1. The least-squares track is a set of linear recursions with
+    per-stock weight masses, so frozen (missing-price) stocks keep exact
+    exponentially weighted moments; they step in place a block of days
+    at a time, and the slopes and volatilities are computed per block.
+    """
     params = params if params is not None else ReactiveParams()
     prices = universe.prices
     index = universe.index_prices
@@ -138,13 +148,6 @@ def compute_panels(universe: Universe,
     returns = np.vstack([np.full((1, n), np.nan), returns])
     index_returns = np.concatenate([[np.nan], index[1:] / index[:-1] - 1.0])
 
-    lam_b, lam_s = params.lambda_beta, params.lambda_sigma
-    # per-stock weight masses so frozen (missing-price) stocks keep exact
-    # exponentially weighted moments
-    ema_mass = np.zeros(n)
-    ema = {k: np.zeros(n) for k in ("x", "y", "xx", "xy")}
-    vol_mass = np.zeros(n)
-    ema_yy = np.zeros(n)
     ols_beta = np.full((T, n), np.nan)
     ols_sigma = np.full((T, n), np.nan)
     re_beta = np.full((T, n), np.nan)
@@ -152,40 +155,46 @@ def compute_panels(universe: Universe,
 
     engine = ReactiveBetaEngine(params)
     engine.start(index[0], prices[0])
+    engine.advance(index[1:], prices[1:], beta_out=re_beta[1:], sigma_out=re_sigma[1:])
 
-    for t in range(1, T):
-        out = engine.step(index[t], prices[t])
-        re_beta[t] = out.beta
-        re_sigma[t] = out.sigma_stock
-
-        x = index_returns[t]
-        y = returns[t]
+    lam_b, lam_s = params.lambda_beta, params.lambda_sigma
+    L = block_rows(n, T - 1)
+    # mass, x, y, xx, xy with weight lam_b; mass and yy with lam_s; row 0
+    # carries the moments of the day before the block
+    beta_moments = np.zeros((L + 1, 5, n))
+    vol_moments = np.zeros((L + 1, 2, n))
+    for t0 in range(1, T, L):
+        m = min(L, T - t0)
+        days = slice(t0, t0 + m)
+        x = index_returns[days, None]
+        y = returns[days]
         ok = np.isfinite(y)
         y0 = np.where(ok, y, 0.0)
-        decay = np.where(ok, 1.0 - lam_b, 1.0)
         gain = np.where(ok, lam_b, 0.0)
-        ema_mass = decay * ema_mass + gain
-        ema["x"] = decay * ema["x"] + gain * x
-        ema["y"] = decay * ema["y"] + gain * y0
-        ema["xx"] = decay * ema["xx"] + gain * x * x
-        ema["xy"] = decay * ema["xy"] + gain * x * y0
-        decay_s = np.where(ok, 1.0 - lam_s, 1.0)
+        gx = gain * x
+        bm = beta_moments[:m + 1]
+        bm[1:] = np.stack([gain, gx, gain * y0, gx * x, gx * y0], axis=1)
+        ema_rows(bm, np.where(ok, 1.0 - lam_b, 1.0)[:, None])
         gain_s = np.where(ok, lam_s, 0.0)
-        vol_mass = decay_s * vol_mass + gain_s
-        ema_yy = decay_s * ema_yy + gain_s * y0 * y0
+        vm = vol_moments[:m + 1]
+        vm[1:] = np.stack([gain_s, gain_s * y0 * y0], axis=1)
+        ema_rows(vm, np.where(ok, 1.0 - lam_s, 1.0)[:, None])
 
+        mass, ex, ey, exx, exy = bm[1:].transpose(1, 0, 2)
         with np.errstate(invalid="ignore", divide="ignore"):
-            mean_x = ema["x"] / ema_mass
-            mean_y = ema["y"] / ema_mass
-            var_x = ema["xx"] / ema_mass - mean_x * mean_x
-            cov = ema["xy"] / ema_mass - mean_x * mean_y
-            ols_beta[t] = np.where(var_x > 0.0, cov / var_x, np.nan)
-            mean_yy = ema_yy / vol_mass
-        ols_sigma[t] = np.sqrt(np.maximum(mean_yy - mean_y * mean_y, 0.0))
+            mean_x = ex / mass
+            mean_y = ey / mass
+            var_x = exx / mass - mean_x * mean_x
+            cov = exy / mass - mean_x * mean_y
+            ols_beta[days] = np.where(var_x > 0.0, cov / var_x, np.nan)
+            mean_yy = vm[1:, 1] / vm[1:, 0]
+        ols_sigma[days] = np.sqrt(np.maximum(mean_yy - mean_y * mean_y, 0.0))
+        beta_moments[0], vol_moments[0] = bm[m], vm[m]
 
     return UniversePanels(returns=returns, index_returns=index_returns,
                           ols_beta=ols_beta, ols_sigma=ols_sigma,
-                          re_beta=re_beta, re_sigma=re_sigma)
+                          re_beta=re_beta, re_sigma=re_sigma,
+                          frozen_stock_days=engine.frozen_stock_days)
 
 
 def indicator(strategy: str, universe: Universe, t, panels: UniversePanels,

@@ -1,17 +1,18 @@
 """Primitive recursions and statistics shared by every other module.
 
-All functions work on plain one-dimensional float arrays.
+The statistics work on plain one-dimensional float arrays; ``ema_rows``
+runs a recursion down the first axis of an array of any shape.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "EmaState",
-    "ema_update",
+    "block_rows",
+    "ema_rows",
     "rolling_correlation",
     "exp_weighted_moments",
     "exp_weights",
@@ -27,34 +28,26 @@ def as_array(values) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class EmaState:
-    """State of a single exponential moving average.
+def ema_rows(x: np.ndarray, decay) -> np.ndarray:
+    """Run the linear recursion ``x[t] = decay[t - 1] * x[t - 1] + x[t]``
+    down the first axis of ``x``, in place, and return ``x``.
 
-    Until the first update the state is a pure placeholder; the first
-    observation seeds ``value`` so the recursion starts bias-free.
+    Row 0 holds the state before the first step; every later row holds
+    its step's increment on entry and the state after that step on
+    return. ``decay`` broadcasts against ``x[1:]``: a constant, or one
+    row per step (a coefficient of one and an increment of zero hold the
+    state for that step, bit for bit).
     """
-
-    lam: float
-    value: float = 0.0
-    initialized: bool = False
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.lam <= 1.0:
-            raise ValueError(f"EMA weight must lie in (0, 1], got {self.lam}")
+    decay = np.broadcast_to(decay, x[1:].shape)
+    for t in range(1, len(x)):
+        x[t] += x[t - 1] * decay[t - 1]
+    return x
 
 
-def ema_update(state: EmaState, x: float) -> EmaState:
-    """Advance an EMA by one observation.
-
-    ``value' = (1 - lam) * value + lam * x``; an uninitialized state is
-    seeded with ``x`` itself.
-    """
-    if not np.isfinite(x):
-        raise ValueError(f"EMA input must be finite, got {x}")
-    if not state.initialized:
-        return replace(state, value=float(x), initialized=True)
-    return replace(state, value=(1.0 - state.lam) * state.value + state.lam * float(x))
+def block_rows(width: int, total: int) -> int:
+    """Rows a blocked pass over ``width`` columns takes at once: about 2048
+    cells per array, within 8..512 rows and at most ``total``."""
+    return max(1, min(total, 512, max(8, 2048 // max(width, 1))))
 
 
 def rolling_correlation(x, y, window: int) -> np.ndarray:

@@ -16,7 +16,6 @@ Stocks with a missing price on a given day keep their previous state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -91,7 +90,6 @@ def update_levels(
     index_price,
     stock_prices,
     params: ReactiveParams,
-    stock_mask: Optional[np.ndarray] = None,
 ) -> LevelState:
     """Advance the EMAs with today's prices and rebuild both levels.
 
@@ -101,13 +99,12 @@ def update_levels(
     gap. Only the two slow, stock-specific gaps pass through the outlier
     filter; the fast systematic gap is already bounded by its short EMA.
 
-    ``stock_mask`` marks stocks with a valid price today; masked-out
-    stocks keep their previous state (prices are never interpolated).
+    Stocks without a finite price today keep their previous state
+    (prices are never interpolated).
     """
     i = np.asarray(index_price, dtype=float)
     s = np.asarray(stock_prices, dtype=float)
-    if stock_mask is None:
-        stock_mask = np.isfinite(s)
+    stock_mask = np.isfinite(s)
     if not np.all(np.isfinite(i)):
         raise ValueError("index price must be finite")
     _check_positive(i, "index price")
@@ -168,10 +165,6 @@ class VolState:
     index_seeded: bool = False
     stock_seeded: np.ndarray | bool = False
 
-    @property
-    def initialized(self) -> bool:
-        return bool(self.index_seeded)
-
 
 def init_vols(index_shape=(), stock_shape=()) -> VolState:
     z_i = np.zeros(index_shape) if index_shape else 0.0
@@ -188,12 +181,11 @@ def update_reactive_vols(
     r_index,
     r_stock,
     params: ReactiveParams,
-    stock_mask: Optional[np.ndarray] = None,
 ) -> VolState:
     """Advance the normalized variances and convert them to reactive vols.
 
     The normalized variances are EMAs (weight ``lambda_sigma``) of squared
-    normalized returns, each seeded with its first valid observation.
+    normalized returns, each seeded with its first finite observation.
     Reactive vols restore the level ratio: ``sigma_index =
     tilde_sigma_index * L / I`` and likewise per stock, so the identity
     ``sigma * price == tilde_sigma * level`` holds exactly at every step.
@@ -201,8 +193,7 @@ def update_reactive_vols(
     lam = params.lambda_sigma
     r_i = np.asarray(r_index, dtype=float)
     r_s = np.asarray(r_stock, dtype=float)
-    if stock_mask is None:
-        stock_mask = np.isfinite(r_s)
+    stock_mask = np.isfinite(r_s)
     r_s_sq = np.where(stock_mask, r_s * r_s, 0.0)
 
     if vol.index_seeded:

@@ -3,6 +3,7 @@ import pytest
 
 from reactivebeta.params import ReactiveParams
 from reactivebeta.beta import (
+    BetaState,
     ReactiveBetaEngine,
     beta_elasticity,
     elasticity_correction,
@@ -10,8 +11,17 @@ from reactivebeta.beta import (
     leverage_correction,
     reactive_beta_from_returns,
 )
+from reactivebeta.strategies import Universe, compute_panels, synthetic_universe
 from reactivebeta.timeseries import exp_weights
-from reactivebeta.volatility import LevelState, VolState
+from reactivebeta.volatility import (
+    LevelState,
+    VolState,
+    init_levels,
+    init_vols,
+    normalized_returns,
+    update_levels,
+    update_reactive_vols,
+)
 
 PARAMS = ReactiveParams()
 
@@ -211,7 +221,7 @@ class TestReactiveBetaEngine:
             if t == 150:
                 out = engine.step(i, np.array([s0, np.nan]))
                 assert out.beta[1] == prev
-                assert engine.frozen_days == 1
+                assert engine.frozen_stock_days == 1
             else:
                 out = engine.step(i, np.array([s0, 100.0 * (1 + 0.02 * rng.standard_normal())]))
                 prev = out.beta[1]
@@ -232,3 +242,158 @@ class TestReactiveBetaEngine:
                                              PARAMS.replace(phi=0.0))
         assert np.mean(np.abs(with_filter - without)) < 0.01
         assert not np.allclose(with_filter, without)
+
+
+# ---------------------------------------------------------------------------
+# the block-wise engine against the per-day functions, composed day by day
+
+
+def _update_beta_reference(state, r_index, r_stock, prev_tilde_var_index,
+                           corr_leverage, corr_elasticity, level, vol,
+                           index_price, stock_prices, params, stock_mask):
+    """One daily advance of the regression moments and the betas."""
+    lam = params.lambda_beta
+    r_i = np.asarray(r_index, dtype=float)
+    r_s = np.asarray(r_stock, dtype=float)
+    prev_var = np.asarray(prev_tilde_var_index, dtype=float)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        if params.hat_normalize:
+            scale = 1.0 / np.sqrt(prev_var)
+            index_ok = np.isfinite(scale)
+        else:
+            scale = np.ones_like(prev_var)
+            index_ok = np.isfinite(r_i)
+        hr_i = r_i * scale
+        hr_s = np.where(stock_mask, r_s, 0.0) * scale
+        adv_stock = stock_mask & index_ok
+        var_index = np.where(index_ok, (1.0 - lam) * state.var_index + lam * hr_i * hr_i,
+                             state.var_index)
+        incr = np.where(adv_stock, hr_s * hr_i, 0.0)
+        cross = np.where(adv_stock, (1.0 - lam) * state.cross + lam * incr, state.cross)
+        denom = corr_leverage * corr_elasticity
+        cross_corrected = np.where(
+            adv_stock, (1.0 - lam) * state.cross_corrected + lam * incr / denom,
+            state.cross_corrected)
+        var_stock = np.where(adv_stock, (1.0 - lam) * state.var_stock + lam * hr_s * hr_s,
+                             state.var_stock)
+        ratio_sq = vol.tilde_var_stock / vol.tilde_var_index
+        ratio_ok = stock_mask & np.isfinite(ratio_sq) & (ratio_sq > 0.0)
+        kappa = np.where(ratio_ok, np.where(state.kappa_seeded,
+                                            (1.0 - lam) * state.kappa + lam * ratio_sq,
+                                            ratio_sq), state.kappa)
+        tilde_beta = np.where(var_index > 0.0, cross_corrected / var_index, np.nan)
+        level_ratio = (level.stock_level * index_price) / (stock_prices * level.index_level)
+        beta = tilde_beta * level_ratio * denom
+    return BetaState(
+        cross=cross, cross_corrected=cross_corrected, var_index=var_index,
+        var_stock=var_stock, kappa=kappa, kappa_seeded=state.kappa_seeded | ratio_ok,
+        tilde_beta=np.where(stock_mask, tilde_beta, state.tilde_beta),
+        beta=np.where(stock_mask, beta, state.beta))
+
+
+def _reference_run(index, stocks, params):
+    """Per-day beta, normalized beta and stock volatility (days 1..T-1),
+    and the final states, from the per-day functions."""
+    levels = init_levels(index[0], stocks[0])
+    vols = init_vols(np.shape(index[0]), np.shape(stocks[0]))
+    state = init_beta_state(np.shape(index[0]), np.shape(stocks[0]))
+    tracks = {name: np.full(stocks.shape, np.nan)
+              for name in ("beta", "tilde_beta", "sigma_stock")}
+    for t in range(1, len(stocks)):
+        s = stocks[t]
+        r_i, r_s = normalized_returns(levels, index[t], s)
+        corr_lev = leverage_correction(levels, params)
+        corr_ela = elasticity_correction(state, vols, params)
+        prev_var = vols.tilde_var_index
+        levels = update_levels(levels, index[t], s, params)
+        vols = update_reactive_vols(vols, levels, r_i, r_s, params)
+        state = _update_beta_reference(state, r_i, r_s, prev_var, corr_lev, corr_ela,
+                                       levels, vols, index[t], s, params, np.isfinite(s))
+        tracks["beta"][t], tracks["tilde_beta"][t] = state.beta, state.tilde_beta
+        tracks["sigma_stock"][t] = vols.sigma_stock
+    return tracks, (levels, vols, state)
+
+
+def _ols_reference(returns, index_returns, params):
+    """The EW least-squares track, one day at a time, with per-stock masses."""
+    T, n = returns.shape
+    lam_b, lam_s = params.lambda_beta, params.lambda_sigma
+    mass, ex, ey, exx, exy, vol_mass, eyy = np.zeros((7, n))
+    beta, sigma = np.full((2, T, n), np.nan)
+    for t in range(1, T):
+        x, y = index_returns[t], returns[t]
+        ok = np.isfinite(y)
+        y0 = np.where(ok, y, 0.0)
+        decay, gain = np.where(ok, 1.0 - lam_b, 1.0), np.where(ok, lam_b, 0.0)
+        mass = decay * mass + gain
+        ex = decay * ex + gain * x
+        ey = decay * ey + gain * y0
+        exx = decay * exx + gain * x * x
+        exy = decay * exy + gain * x * y0
+        decay_s, gain_s = np.where(ok, 1.0 - lam_s, 1.0), np.where(ok, lam_s, 0.0)
+        vol_mass = decay_s * vol_mass + gain_s
+        eyy = decay_s * eyy + gain_s * y0 * y0
+        with np.errstate(invalid="ignore", divide="ignore"):
+            mean_x, mean_y = ex / mass, ey / mass
+            var_x = exx / mass - mean_x * mean_x
+            beta[t] = np.where(var_x > 0.0, (exy / mass - mean_x * mean_y) / var_x, np.nan)
+            sigma[t] = np.sqrt(np.maximum(eyy / vol_mass - mean_y * mean_y, 0.0))
+    return beta, sigma
+
+
+def _frozen_panel(seed, n=12, T=203):
+    """A synthetic universe with blank 10-day runs: from day 1, across a
+    block boundary, at the end, and back to back."""
+    uni = synthetic_universe(n_stocks=n, T=T, seed=seed)
+    prices = uni.prices.copy()
+    for col, start in ((0, 1), (1, 28), (2, T - 5), (3, 60), (3, 70), (4, 95), (7, 150)):
+        prices[start:start + 10, col] = np.nan
+    return Universe(dates=uni.dates, tickers=uni.tickers, prices=prices,
+                    index_prices=uni.index_prices, supersector=uni.supersector)
+
+
+class TestBlockwiseEngine:
+    @pytest.mark.parametrize("block", [7, 32])      # neither divides 202 days
+    @pytest.mark.parametrize("hat", [True, False])
+    def test_panel_matches_daily_composition(self, monkeypatch, block, hat):
+        import reactivebeta.beta as beta_module
+        import reactivebeta.strategies as strategies_module
+        for module in (beta_module, strategies_module):
+            monkeypatch.setattr(module, "block_rows", lambda width, total: min(block, total))
+        params = PARAMS.replace(hat_normalize=hat)
+        uni = _frozen_panel(seed=block)
+        expect, (levels, vols, state) = _reference_run(uni.index_prices, uni.prices, params)
+        panels = compute_panels(uni, params)
+        assert np.array_equal(panels.re_beta, expect["beta"], equal_nan=True)
+        assert np.array_equal(panels.re_sigma, expect["sigma_stock"], equal_nan=True)
+        assert panels.frozen_stock_days == 65
+        assert np.isfinite(panels.re_beta[-1, 5:]).all()
+        ols_beta, ols_sigma = _ols_reference(panels.returns, panels.index_returns, params)
+        assert np.array_equal(panels.ols_beta, ols_beta, equal_nan=True)
+        assert np.array_equal(panels.ols_sigma, ols_sigma, equal_nan=True)
+
+        # the same days a day at a time, and the states after the last
+        engine = ReactiveBetaEngine(params)
+        engine.start(uni.index_prices[0], uni.prices[0])
+        for t in range(1, uni.n_days):
+            out = engine.step(uni.index_prices[t], uni.prices[t])
+            assert np.array_equal(out.tilde_beta, expect["tilde_beta"][t], equal_nan=True)
+        for got, want in ((engine.levels, levels), (engine.vols, vols),
+                          (engine.beta_state, state)):
+            for name, value in vars(want).items():
+                assert np.array_equal(getattr(got, name), value, equal_nan=True), name
+
+    def test_path_alone_matches_block_and_composition(self):
+        from reactivebeta.montecarlo import McConfig, generate_batch
+        batch = generate_batch(McConfig(model="mc5", T=150, n_paths=37, seed=8))
+        together = reactive_beta_from_returns(batch.r_index, batch.r_stock, PARAMS)
+        index = 100.0 * np.cumprod(1.0 + batch.r_index, axis=1)
+        stocks = 100.0 * np.cumprod(1.0 + batch.r_stock, axis=1)
+        start = np.full((37, 1), 100.0)
+        expect, _ = _reference_run(np.hstack([start, index]).T,
+                                   np.hstack([start, stocks]).T, PARAMS)
+        assert np.array_equal(together, expect["beta"][-1])
+        for k in (0, 17, 36):
+            alone = reactive_beta_from_returns(batch.r_index[k], batch.r_stock[k], PARAMS)
+            assert alone.shape == ()
+            assert alone == together[k]

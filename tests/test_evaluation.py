@@ -284,9 +284,14 @@ class TestElasticityDiagnostic:
         beta_panel = np.full((T, n), np.nan)
         relvol_panel = np.full((T, n), np.nan)
         for t in range(T):
-            out = engine.step(pi[:, t], ps[:, t])
-            beta_panel[t] = out.beta_plain
-            relvol_panel[t] = out.relvol_hat
+            engine.step(pi[:, t], ps[:, t])
+            # the uncorrected regression ratio and the ratio of the
+            # renormalized vols, both read off the regression moments
+            state = engine.beta_state
+            with np.errstate(invalid="ignore", divide="ignore"):
+                beta_panel[t] = np.where(state.var_index > 0.0,
+                                         state.cross / state.var_index, np.nan)
+                relvol_panel[t] = np.sqrt(state.var_stock / state.var_index)
         diag = elasticity_diagnostic(beta_panel[params.burn_in:],
                                      relvol_panel[params.burn_in:],
                                      bucket_size=10_000)

@@ -8,7 +8,7 @@ import pytest
 from reactivebeta.cli import main
 from reactivebeta.io import IngestError, ingest_prices, sha256_file
 from reactivebeta.params import ReactiveParams
-from reactivebeta.strategies import compute_panels
+from reactivebeta.strategies import compute_panels, synthetic_universe
 
 
 PRICES_CSV = """date,IDX,AAA,BBB,CCC
@@ -34,6 +34,15 @@ def price_file(tmp_path):
     path = tmp_path / "prices.csv"
     path.write_text(PRICES_CSV)
     return path
+
+
+def _write_panel(path, panel):
+    """A price CSV of ``panel`` (index first, blank cells for NaN)."""
+    dates = np.busday_offset("2020-01-01", np.arange(len(panel)), roll="forward")
+    rows = [",".join([str(d)] + ["" if np.isnan(v) else repr(float(v)) for v in row])
+            for d, row in zip(dates.astype(str), panel)]
+    header = ",".join(["date", "IDX"] + [f"S{j}" for j in range(panel.shape[1] - 1)])
+    path.write_text(header + "\n" + "\n".join(rows) + "\n")
 
 
 class TestIngest:
@@ -297,6 +306,42 @@ class TestCli:
         code = cli.main(["selection-bias", "--out", str(tmp_path / "o")])
         assert code == 2
         assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["estimate", "backtest"])
+    def test_all_nan_beta_panel_exit_code(self, tmp_path, capsys, command):
+        # a constant index leaves the regression without variance, so no
+        # stock gets a reactive beta after the burn-in
+        rng = np.random.default_rng(4)
+        panel = np.column_stack([np.full(40, 100.0), 100.0 * np.cumprod(
+            1.0 + 0.01 * rng.standard_normal((40, 3)), axis=0)])
+        prices = tmp_path / "flat.csv"
+        _write_panel(prices, panel)
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[reactive]\nburn_in = 1\n")
+        code = main([command, "--prices", str(prices), "--config", str(cfg),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "no stock has a finite reactive beta" in capsys.readouterr().err
+
+    def test_manifest_counts_frozen_stock_days(self, tmp_path):
+        uni = synthetic_universe(n_stocks=40, T=400, seed=3)
+        panel = np.column_stack([uni.index_prices, uni.prices])
+        panel[100:110, 1] = np.nan      # stock 0: a 10-day run
+        panel[395:, 2] = np.nan         # stock 1: blank through the last day
+        panel[1:, 3] = np.nan           # stock 2: never priced after day 0
+        prices = tmp_path / "prices.csv"
+        _write_panel(prices, panel)
+        for command in ("estimate", "backtest"):
+            out = tmp_path / command
+            argv = [command, "--prices", str(prices), "--out", str(out)]
+            if command == "backtest":
+                argv += ["--strategy", "reversal"]
+            assert main(argv) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["diagnostics"] == {"frozen_stock_days": 10 + 5 + 399,
+                                               "nan_final_betas": 1}
+        assert "diagnostics" not in json.loads((tmp_path / "backtest" / "backtest.json")
+                                               .read_text())
 
     def test_estimator_without_valid_path_exit_code(self, tmp_path, capsys,
                                                     monkeypatch):

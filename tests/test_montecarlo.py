@@ -10,6 +10,7 @@ from reactivebeta.montecarlo import (
     ou_step,
     student_t_scaled,
 )
+from reactivebeta.evaluation import NumericalFailure
 from reactivebeta.params import ReactiveParams
 from reactivebeta.volatility import init_levels, update_levels
 
@@ -155,6 +156,26 @@ class TestLevelPriceStep:
             assert n1 == nv
             stock_floored += n1
         assert index_floored > 0 and stock_floored > 0
+
+    @pytest.mark.parametrize("model", ["mc3", "mc4"])
+    def test_underflowing_price_is_numerical_failure(self, model):
+        # vols this large floor the index day after day until it leaves the
+        # normal floats: a numerical failure, not a bad-input ValueError
+        cfg = McConfig(model=model, T=1000, n_paths=60, seed=0,
+                       stock_vol=6.0, index_vol=3.0)
+        with pytest.raises(NumericalFailure, match="underflowed"):
+            generate_batch(cfg)
+
+    def test_underflow_check_leaves_small_normal_prices(self):
+        tiny = np.finfo(float).tiny
+        levels = init_levels(1e6 * tiny, np.full(2, 1e6 * tiny))
+        index, stocks, _, n = level_price_step(1e6 * tiny, np.full(2, 1e6 * tiny), -2.0,
+                                               np.array([-2.0, 0.0]), levels,
+                                               ReactiveParams())
+        assert index == 5e4 * tiny and n == 1
+        with pytest.raises(NumericalFailure):
+            level_price_step(10.0 * tiny, np.full(2, 1.0), -2.0, np.zeros(2),
+                             init_levels(10.0 * tiny, np.ones(2)), ReactiveParams())
 
 
 class TestMarketModel:

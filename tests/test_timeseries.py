@@ -3,59 +3,56 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reactivebeta.timeseries import (
-    EmaState,
-    ema_update,
+    ema_rows,
     exp_weighted_moments,
     exp_weights,
     rolling_correlation,
 )
 
 
+def _ema(lam, xs):
+    """The EMA of ``xs`` seeded with its first value, through ema_rows."""
+    rows = np.concatenate(([xs[0]], lam * np.asarray(xs[1:], dtype=float)))
+    return ema_rows(rows, 1.0 - lam)[-1]
+
+
 class TestEma:
     def test_half_weight_step(self):
-        state = EmaState(lam=0.5, value=1.0, initialized=True)
-        assert ema_update(state, 2.0).value == pytest.approx(1.5)
+        assert _ema(0.5, [1.0, 2.0]) == pytest.approx(1.5)
 
     def test_unit_weight_tracks_input(self):
-        state = EmaState(lam=1.0, value=7.0, initialized=True)
-        assert ema_update(state, 3.0).value == 3.0
+        assert _ema(1.0, [7.0, 3.0]) == 3.0
 
     def test_constant_input_fixed_point(self):
-        state = EmaState(lam=0.0241)
-        for _ in range(1000):
-            state = ema_update(state, 5.0)
-        assert state.value == pytest.approx(5.0, abs=1e-12)
+        assert _ema(0.0241, [5.0] * 1000) == pytest.approx(5.0, abs=1e-12)
 
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            ema_update(EmaState(lam=0.5), float("inf"))
-
-    def test_rejects_bad_lambda(self):
-        with pytest.raises(ValueError):
-            EmaState(lam=0.0)
-        with pytest.raises(ValueError):
-            EmaState(lam=1.5)
+    def test_unit_decay_zero_increment_holds_state(self):
+        rng = np.random.default_rng(2)
+        x = rng.standard_normal((9, 3, 4))
+        decay = rng.uniform(0.5, 1.0, (8, 1, 4))
+        hold = rng.random((8, 1, 4)) < 0.4
+        decay[hold] = 1.0
+        x[1:][np.broadcast_to(hold, x[1:].shape)] = 0.0
+        expect = x.copy()
+        for t in range(1, 9):
+            expect[t] = decay[t - 1] * expect[t - 1] + expect[t]
+        ema_rows(x, decay)
+        assert np.array_equal(x, expect)
+        held = np.broadcast_to(hold, x[1:].shape)
+        assert np.array_equal(x[1:][held], x[:-1][held])
 
     @given(st.floats(0.01, 1.0), st.integers(1, 50),
            st.lists(st.floats(-100, 100), min_size=1, max_size=40))
     @settings(max_examples=200)
     def test_burn_in_invariance(self, lam, n_burn, xs):
-        seeded = EmaState(lam=lam)
-        for x in [xs[0]] * n_burn + xs:
-            seeded = ema_update(seeded, x)
-        direct = EmaState(lam=lam)
-        for x in xs:
-            direct = ema_update(direct, x)
-        assert seeded.value == pytest.approx(direct.value, rel=1e-12, abs=1e-12)
+        seeded = _ema(lam, [xs[0]] * n_burn + xs)
+        assert seeded == pytest.approx(_ema(lam, xs), rel=1e-12, abs=1e-12)
 
     @given(st.floats(0.01, 1.0),
            st.lists(st.floats(-50, 50), min_size=1, max_size=60))
     @settings(max_examples=200)
     def test_stays_within_range(self, lam, xs):
-        state = EmaState(lam=lam)
-        for x in xs:
-            state = ema_update(state, x)
-        assert min(xs) - 1e-9 <= state.value <= max(xs) + 1e-9
+        assert min(xs) - 1e-9 <= _ema(lam, xs) <= max(xs) + 1e-9
 
 
 class TestRollingCorrelation:
