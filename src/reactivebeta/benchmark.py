@@ -13,10 +13,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .params import ReactiveParams
+from .params import DEFAULT_PARAMS, ReactiveParams
 from .beta import reactive_beta_from_returns
 from .estimators import (
-    DEFAULT_LOOKBACK,
     dcc_beta_batch,
     ols_beta_batch,
     quantile_beta_batch,
@@ -33,15 +32,18 @@ ESTIMATORS = ("ols", "reactive", "dcc", "adcc", "mad", "trm")
 #: trailing trading days defining the winner/loser split
 WINNER_WINDOW = 21
 
+#: paths generated and estimated at once; bounds a block's memory
+_BLOCK_PATHS = 4096
 
-def path_flags(batch: McBatch, window: int = WINNER_WINDOW):
+
+def path_flags(batch: McBatch):
     """Winner and low-beta flags for every path of a batch.
 
     A path is a winner when the stock outperformed the index over the
-    last ``window`` returns (compounded); it is low-beta when the true
-    conditional beta at the final time is below one.
+    last ``WINNER_WINDOW`` returns (compounded); it is low-beta when the
+    true conditional beta at the final time is below one.
     """
-    w = min(window, batch.T)
+    w = min(WINNER_WINDOW, batch.T)
     growth_stock = np.prod(1.0 + batch.r_stock[:, -w:], axis=1)
     growth_index = np.prod(1.0 + batch.r_index[:, -w:], axis=1)
     winner = growth_stock > growth_index
@@ -50,10 +52,11 @@ def path_flags(batch: McBatch, window: int = WINNER_WINDOW):
 
 
 def estimate_batch(name: str, batch: McBatch,
-                   lam: float = DEFAULT_LOOKBACK,
-                   params: Optional[ReactiveParams] = None) -> np.ndarray:
-    """Final-time beta estimates of one estimator over a batch of paths."""
+                   params: ReactiveParams = DEFAULT_PARAMS) -> np.ndarray:
+    """Final-time beta estimates of one estimator over a batch of paths.
+    Every estimator looks back over ``params.lambda_beta``."""
     r_s, r_i = batch.r_stock, batch.r_index
+    lam = params.lambda_beta
     if name == "ols":
         return ols_beta_batch(r_i, r_s, lam)
     if name == "mad":
@@ -93,15 +96,14 @@ class BenchmarkResult:
 
 def run_benchmark(model: str, estimators: Sequence[str] = ("ols", "reactive"),
                   n_paths: int = 2000, T: int = 1000, seed: int = 0,
-                  lam: float = DEFAULT_LOOKBACK,
-                  params: Optional[ReactiveParams] = None,
-                  block_size: int = 4096) -> BenchmarkResult:
+                  params: ReactiveParams = DEFAULT_PARAMS) -> BenchmarkResult:
     """Simulate one model and score the requested estimators against the
     true conditional beta at the final time.
 
     The variance ratio of every row is quoted against the least-squares
     error variance on the same paths, which is computed even when "ols"
-    is not among the requested estimators.
+    is not among the requested estimators. Every estimator shares the
+    look-back ``params.lambda_beta``.
     """
     for name in estimators:
         if name not in ESTIMATORS:
@@ -116,7 +118,7 @@ def run_benchmark(model: str, estimators: Sequence[str] = ("ols", "reactive"),
 
     done = 0
     while done < n_paths:
-        count = min(block_size, n_paths - done)
+        count = min(_BLOCK_PATHS, n_paths - done)
         batch = generate_batch(config, done, count)
         clamped += batch.clamped
         w, lo = path_flags(batch)
@@ -124,7 +126,7 @@ def run_benchmark(model: str, estimators: Sequence[str] = ("ols", "reactive"),
         lows.append(lo)
         true_final.append(batch.true_beta[:, -1])
         for name in run_names:
-            estimates[name].append(estimate_batch(name, batch, lam, params))
+            estimates[name].append(estimate_batch(name, batch, params))
         done += count
 
     true_final = np.concatenate(true_final)

@@ -143,6 +143,8 @@ class ReactiveBetaEngine:
     operations per day. :meth:`step` is the same pass over one day. The
     states are plain values between calls; a stock without a finite
     price keeps its state for the day (``frozen_stock_days`` counts it).
+    A stock first priced after :meth:`start` is seeded on that day, which
+    has no return and so no beta.
     """
 
     def __init__(self, params: Optional[ReactiveParams] = None):
@@ -233,11 +235,15 @@ class ReactiveBetaEngine:
                 x[now] = new
                 x[now] = np.take(x, held)
 
-            # levels, as update_levels
+            # levels, as update_levels: a stock's first price seeds its slow
+            # EMA (decay 0); only a stock priced today and before has a return
+            hold(price_s, s)
+            has_ret = ok & np.isfinite(price_s[before])
+            no_ret = ~has_ret
             e, dec = ema[:m + 1], decay[:m]
             e[1:, 0], e[1:, 1] = lam_s * i, p.lambda_f * i
-            e[1:, 2] = np.where(ok, lam_s * s, 0.0)
-            dec[:, 2] = np.where(ok, 1.0 - lam_s, 1.0)
+            e[1:, 2] = np.where(has_ret, lam_s * s, np.where(ok, s, 0.0))
+            dec[:, 2] = np.where(has_ret, 1.0 - lam_s, blank)
             ema_rows(e, dec[:, :3])
             slow, fast = e[1:, 0, :k], e[1:, 1, :k]
             fgap = (fast - i) / fast
@@ -245,23 +251,22 @@ class ReactiveBetaEngine:
             with np.errstate(invalid="ignore"):
                 hold(level_s, s * (1.0 + filter_phi((e[1:, 2] - s) / s, p.phi))
                      * (1.0 + p.ell_prime * fgap))
-            hold(price_s, s)
 
             # normalized returns and variances, as update_reactive_vols
             r_i = (i - price_i[before]) / level_i[before]
             with np.errstate(invalid="ignore"):
                 r_s = (s - price_s[before]) / level_s[before]
-            r_s_sq = np.where(ok, r_s * r_s, 0.0)
+            r_s_sq = np.where(has_ret, r_s * r_s, 0.0)
             v = tv[:m + 1]
             v[1:, 0] = lam_v * r_i * r_i
             if not index_seeded:        # seeded with the first value
                 v[1, 0] = r_i[0] * r_i[0]
                 index_seeded = True
-            seeded = np.logical_or.accumulate(np.vstack([s_seeded, ok[:-1]]), axis=0)
+            seeded = np.logical_or.accumulate(np.vstack([s_seeded, has_ret[:-1]]), axis=0)
             v[1:, 1] = np.where(seeded, lam_v * r_s_sq, r_s_sq)
-            dec[:, 4] = np.where(ok, 1.0 - lam_v, 1.0)
+            dec[:, 4] = np.where(has_ret, 1.0 - lam_v, 1.0)
             ema_rows(v, dec[:, 3:5])
-            s_seeded |= ok.any(axis=0)
+            s_seeded |= has_ret.any(axis=0)
             tv_i, tv_s = v[:, 0, :k], v[:, 1]
 
             # regression moments and kappa, as the per-day update of the
@@ -274,10 +279,10 @@ class ReactiveBetaEngine:
                     scale = 1.0
                     index_ok = np.isfinite(r_i)
                 hr_i = r_i * scale
-                hr_s = np.where(ok, r_s, 0.0) * scale
-                adv = ok & index_ok
+                hr_s = np.where(has_ret, r_s, 0.0) * scale
+                adv = has_ret & index_ok
                 ratio = tv_s[1:] / tv_i[1:]
-                ratio_ok = ok & np.isfinite(ratio) & (ratio > 0.0)
+                ratio_ok = has_ret & np.isfinite(ratio) & (ratio > 0.0)
                 k_before = np.logical_or.accumulate(np.vstack([k_seeded, ratio_ok[:-1]]),
                                                     axis=0)
                 k_seeded |= ratio_ok.any(axis=0)
@@ -319,7 +324,7 @@ class ReactiveBetaEngine:
                     np.multiply(cc[d], dec[d, 6], out=cc[d + 1])
                     cc[d + 1] += f
                     np.divide(cc[d + 1], var_pos[d], out=tb[d + 1])
-                    np.copyto(tb[d + 1], b, where=blank[d])
+                    np.copyto(tb[d + 1], b, where=no_ret[d])
 
                 hold(beta, tb[now] * ((level_s[now] * i) / (s * level_i[now])) * den[:m])
             if beta_out is not None:

@@ -30,7 +30,7 @@ from .evaluation import (
     calibrate_ell_diff,
     selection_bias,
 )
-from .params import ReactiveParams
+from .params import DEFAULT_PARAMS, ReactiveParams
 from .strategies import (
     STRATEGIES,
     backtest as run_backtest,
@@ -94,11 +94,14 @@ def _cmd_estimate(args) -> int:
         params = params.replace(burn_in=args.burn_in)
     universe = rio.ingest_prices(args.prices, index_ticker=args.index,
                                  caps_path=args.caps, sectors_path=args.sectors)
+    start = max(1, params.burn_in)
+    if universe.n_days <= start:
+        raise rio.IngestError(f"{args.prices}: {universe.n_days} days leave none "
+                              f"after the burn-in of {params.burn_in}")
     panels = compute_panels(universe, params)
     diagnostics = _reactive_diagnostics(panels, params.burn_in)
     out = _out_dir(args)
     dest = out / "betas.csv"
-    start = max(1, params.burn_in)
     # csv.writer's bytes, one write per day: each date and ticker is
     # quoted once, the numbers go through one row template
     tickers = [_csv_field(ticker) for ticker in universe.tickers]
@@ -234,10 +237,13 @@ def _cmd_calibrate_ell(args) -> int:
                 raise rio.IngestError(
                     f"{args.data} line {line_no}: expected date,correlation,leverage")
             try:
-                rows.append((float(row[1]), float(row[2])))
+                pair = float(row[1]), float(row[2])
             except ValueError:
                 raise rio.IngestError(
                     f"{args.data} line {line_no}: bad number") from None
+            if not np.isfinite(pair).all():
+                raise rio.IngestError(f"{args.data} line {line_no}: non-finite number")
+            rows.append(pair)
     corr = np.array([r[0] for r in rows])
     lev = np.array([r[1] for r in rows])
     fit = calibrate_ell_diff(corr, lev)
@@ -311,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, default=0.30)
     p.add_argument("--sigma-index", type=float, default=0.1977)
     p.add_argument("--vol-ratio", type=float, default=1.53)
-    p.add_argument("--lambda-beta", type=float, default=1.0 / 90.0)
+    p.add_argument("--lambda-beta", type=float, default=DEFAULT_PARAMS.lambda_beta)
     p.add_argument("--factor-vol", type=float, default=0.0346)
     p.add_argument("--sigma-eta", type=float, default=None)
     p.set_defaults(func=_cmd_selection_bias)

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .params import DEFAULT_PARAMS
 from .timeseries import as_array, exp_weights
 
 __all__ = [
@@ -35,7 +36,8 @@ __all__ = [
     "dcc_beta_batch",
 ]
 
-DEFAULT_LOOKBACK = 1.0 / 90.0
+#: the reactive estimator's beta look-back, which every rival shares
+DEFAULT_LOOKBACK = DEFAULT_PARAMS.lambda_beta
 
 
 @dataclass(frozen=True)
@@ -63,22 +65,10 @@ class WeightedRegressionProblem:
 # least squares
 
 
-def ols_beta(problem: WeightedRegressionProblem, intercept: bool = True) -> float:
-    """Exponentially weighted least-squares slope of y on x.
-
-    ``intercept=True`` (the default) removes the weighted means first,
-    i.e. returns weighted cov(x, y) / var(x). A zero-variance regressor
-    yields NaN.
-    """
-    w = exp_weights(problem.x.size, problem.lam)
-    x, y = problem.x, problem.y
-    if intercept:
-        x = x - w @ x
-        y = y - w @ y
-    var = float(w @ (x * x))
-    if var <= 0.0:
-        return float("nan")
-    return float(w @ (x * y)) / var
+def ols_beta(problem: WeightedRegressionProblem) -> float:
+    """Exponentially weighted least-squares slope of a single problem; see
+    the batch variant."""
+    return float(ols_beta_batch(problem.x, problem.y, problem.lam))
 
 
 def _weighted_sums(a: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -87,19 +77,21 @@ def _weighted_sums(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.einsum("...j,j->...", a, w)
 
 
-def ols_beta_batch(x: np.ndarray, y: np.ndarray, lam: float = DEFAULT_LOOKBACK,
-                   intercept: bool = True) -> np.ndarray:
-    """Weighted least-squares slopes along the last axis."""
+def ols_beta_batch(x: np.ndarray, y: np.ndarray,
+                   lam: float = DEFAULT_LOOKBACK) -> np.ndarray:
+    """Weighted least-squares slopes with an intercept along the last axis:
+    weighted cov(x, y) / var(x). A zero-variance regressor yields NaN."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     w = exp_weights(x.shape[-1], lam)
-    if intercept:
-        x = x - _weighted_sums(x, w)[..., None]
-        y = y - _weighted_sums(y, w)[..., None]
+    mean_x = _weighted_sums(x, w)
+    x = x - mean_x[..., None]
+    y = y - _weighted_sums(y, w)[..., None]
     var = _weighted_sums(x * x, w)
     with np.errstate(invalid="ignore", divide="ignore"):
         beta = _weighted_sums(x * y, w) / var
-    return np.where(var > 0.0, beta, np.nan)
+    # a constant regressor keeps a variance of the mean's rounding error
+    return np.where(var > 1e-30 * mean_x * mean_x, beta, np.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +233,8 @@ _RHO_CLAMP = 0.999
 #: days the (A)DCC filter advances per vectorised block; its workspace
 #: holds about ten arrays of (block days, parameter points, paths)
 _BLOCK_DAYS = 8
+#: compass-search sweeps per calibration, six evaluations per path each
+_MAX_SWEEPS = 10_000 // 6
 
 
 @dataclass(frozen=True)
@@ -315,31 +309,21 @@ def init_dcc_state(gp_stock: GarchParams, gp_index: GarchParams,
     )
 
 
-def _asym_part(xi, negative_shocks: bool):
-    if negative_shocks:
-        return np.where(xi < 0.0, xi, 0.0)
-    return np.where(xi > 0.0, xi, 0.0)
-
-
 def dcc_step(state: DccState, r_stock, r_index,
-             gp_stock: GarchParams, gp_index: GarchParams, dp: DccParams,
-             negative_shocks: bool = True) -> DccState:
+             gp_stock: GarchParams, gp_index: GarchParams, dp: DccParams) -> DccState:
     """One (A)DCC update driven by realized returns.
 
     Shocks are the returns divided by yesterday's conditional vols. Both
     variances and the three normalized terms advance with yesterday's
     state and today's shocks; the correlation is the normalized cross
     term clamped into (-0.999, 0.999) and the conditional beta is
-    ``rho * sigma_stock / sigma_index``.
-
-    ``negative_shocks`` selects which sign of shock feeds the asymmetry
-    terms; the default charges negative shocks, the convention under
-    which falling prices raise volatility.
+    ``rho * sigma_stock / sigma_index``. The asymmetry terms charge
+    negative shocks, under which falling prices raise volatility.
     """
     xi_s = np.asarray(r_stock, dtype=float) / state.sigma_stock
     xi_i = np.asarray(r_index, dtype=float) / state.sigma_index
-    xm_s = _asym_part(xi_s, negative_shocks)
-    xm_i = _asym_part(xi_i, negative_shocks)
+    xm_s = np.where(xi_s < 0.0, xi_s, 0.0)
+    xm_i = np.where(xi_i < 0.0, xi_i, 0.0)
 
     def _advance_var(sig_prev, xi, xm, gp: GarchParams):
         var_prev = sig_prev * sig_prev
@@ -370,7 +354,7 @@ def dcc_step(state: DccState, r_stock, r_index,
 def _dcc_filter(sigma_stock, sigma_index, rho_bar,
                 r_stock: np.ndarray, r_index: np.ndarray,
                 garch_coeffs: dict, dcc_coeffs: dict,
-                lam: float, negative_shocks: bool = True, rows=None):
+                lam: float, rows=None):
     """Run the (A)DCC filter of :func:`dcc_step` over every parameter
     point and path at once; return the exponentially weighted Gaussian
     quasi log-likelihood of the filtered model, up to an additive
@@ -415,7 +399,6 @@ def _dcc_filter(sigma_stock, sigma_index, rho_bar,
     powers = b ** np.arange(T + 1.0)
     A = powers + omega * (1.0 - powers) / (1.0 - b)
     weight = -0.5 * (1.0 - lam) ** np.arange(T - 1.0, -1.0, -1.0)
-    shock = np.less if negative_shocks else np.greater
 
     L = min(_BLOCK_DAYS, T)
     C, p = uncond.shape[1:]
@@ -437,7 +420,7 @@ def _dcc_filter(sigma_stock, sigma_index, rho_bar,
         # B over the block's days: it needs the returns only
         r = np.stack([r_stock[rows, days].T, r_index[rows, days].T])
         r2 = r * r
-        h = shock(r, 0.0)
+        h = r < 0.0
         x = 2.0 * r[0] * r[1]
         np.multiply(np.where(h, a + g, a), r2, out=B[1:m + 1].transpose(1, 0, 2))
         for k in range(1, m + 1):
@@ -504,9 +487,7 @@ class DccCalibration:
 
 def dcc_calibrate(r_stock: np.ndarray, r_index: np.ndarray,
                   garch_coeffs: dict, dcc_coeffs: dict,
-                  lam: float = DEFAULT_LOOKBACK,
-                  negative_shocks: bool = True,
-                  budget: int = 10_000) -> DccCalibration:
+                  lam: float = DEFAULT_LOOKBACK) -> DccCalibration:
     """Fit the three unconditional parameters by weighted quasi maximum
     likelihood, keeping the dynamics coefficients fixed.
 
@@ -514,7 +495,7 @@ def dcc_calibrate(r_stock: np.ndarray, r_index: np.ndarray,
     accepted step) from moment-based initial guesses, with multiplicative
     steps for the two vols and additive steps for the correlation, under
     box constraints ``sigma > 0`` and ``|rho| < 0.999``. Paths whose step
-    sizes did not shrink below tolerance within the evaluation budget are
+    sizes did not shrink below tolerance within ``_MAX_SWEEPS`` sweeps are
     flagged unconverged and carry the best point found.
 
     Each sweep prices the six candidate points of the paths still
@@ -543,7 +524,7 @@ def dcc_calibrate(r_stock: np.ndarray, r_index: np.ndarray,
 
     def objective(cs, ci, cr, rows=None):
         return _dcc_filter(cs, ci, cr, r_s, r_i, garch_coeffs, dcc_coeffs,
-                           lam, negative_shocks, rows)[0]
+                           lam, rows)[0]
 
     best = objective(sig_s, sig_i, rho)
     evaluations = n
@@ -551,9 +532,7 @@ def dcc_calibrate(r_stock: np.ndarray, r_index: np.ndarray,
     step_sig = np.full(n, 1.30)   # multiplicative
     step_rho = np.full(n, 0.15)   # additive
     tol_sig, tol_rho = 1.0 + 1e-4, 1e-4
-    max_sweeps = max(1, budget // 6)  # six evaluations per path per sweep
-
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         act = np.flatnonzero((step_sig > tol_sig) | (step_rho > tol_rho))
         if act.size == 0:
             break
@@ -587,8 +566,7 @@ def dcc_calibrate(r_stock: np.ndarray, r_index: np.ndarray,
 
 def dcc_beta_batch(r_stock: np.ndarray, r_index: np.ndarray,
                    asymmetric: bool = False,
-                   lam: float = DEFAULT_LOOKBACK,
-                   negative_shocks: bool = True):
+                   lam: float = DEFAULT_LOOKBACK):
     """Calibrate the unconditional parameters, filter the whole path and
     return the conditional beta at the final time, with a per-path
     convergence flag."""
@@ -596,7 +574,7 @@ def dcc_beta_batch(r_stock: np.ndarray, r_index: np.ndarray,
     r_i = np.atleast_2d(np.asarray(r_index, dtype=float))
     gcoef = ASYMMETRIC_GARCH_COEFFS if asymmetric else SYMMETRIC_GARCH_COEFFS
     dcoef = ASYMMETRIC_DCC_COEFFS if asymmetric else SYMMETRIC_DCC_COEFFS
-    cal = dcc_calibrate(r_s, r_i, gcoef, dcoef, lam, negative_shocks)
+    cal = dcc_calibrate(r_s, r_i, gcoef, dcoef, lam)
     _, beta = _dcc_filter(cal.sigma_stock, cal.sigma_index, cal.rho_bar,
-                          r_s, r_i, gcoef, dcoef, lam, negative_shocks)
+                          r_s, r_i, gcoef, dcoef, lam)
     return beta, cal

@@ -14,6 +14,7 @@ from typing import Optional
 
 import numpy as np
 
+from .params import DEFAULT_PARAMS
 from .timeseries import as_array, rolling_correlation
 
 __all__ = [
@@ -195,26 +196,13 @@ def strategy_bias_corstd(strategy_returns, index_returns,
 
 
 def inverse_erf(y: float) -> float:
-    """Inverse error function on (-1, 1).
-
-    A rational first guess refined by three Newton steps; absolute error
-    below 1e-12 on [-0.99, 0.99].
-    """
+    """Inverse error function on (-1, 1), from the standard normal
+    quantile: ``erf(x) = 2 Phi(x sqrt(2)) - 1``."""
     y = float(y)
     if not -1.0 < y < 1.0:
         raise ValueError(f"inverse_erf argument must lie in (-1, 1), got {y}")
-    if y == 0.0:
-        return 0.0
-    # initial guess (Winitzki-style rational approximation)
-    a = 0.147
-    ln_term = math.log1p(-y * y)
-    h = 2.0 / (math.pi * a) + ln_term / 2.0
-    x = math.copysign(math.sqrt(math.sqrt(h * h - ln_term / a) - h), y)
-    # Newton refinement on erf(x) - y
-    for _ in range(3):
-        err = math.erf(x) - y
-        x -= err * (math.sqrt(math.pi) / 2.0) * math.exp(x * x)
-    return x
+    import statistics   # here, as it costs every command's start-up a few ms
+    return statistics.NormalDist().inv_cdf((1.0 + y) / 2.0) / math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -229,7 +217,7 @@ class SelectionBiasInputs:
     p: float = 0.30
     sigma_index: float = 0.1977
     vol_ratio: float = 1.53
-    lambda_beta: float = 1.0 / 90.0
+    lambda_beta: float = DEFAULT_PARAMS.lambda_beta
     factor_vol: float = 0.0346
     sigma_eta: Optional[float] = None
 

@@ -21,12 +21,12 @@ counter-based Philox stream in a fixed draw order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .params import TRADING_DAYS, ReactiveParams
+from .params import DEFAULT_PARAMS, TRADING_DAYS, ReactiveParams
 from .volatility import LevelState, fast_gap, init_levels, update_levels
 from .beta import beta_elasticity
 from .evaluation import NumericalFailure
@@ -57,11 +57,17 @@ _MODEL_IDS = {name: i for i, name in enumerate(MODELS, start=1)}
 # generated prices are floored at this fraction of the previous price so a
 # single extreme fat-tailed draw cannot push a price non-positive
 _PRICE_FLOOR = 0.05
+# the protocol's normalized (mc3-mc5) or constant (mc1/mc2) beta, and the
+# relaxation time in days and daily vol of vol of mc5's log-vol processes
+_BETA = 1.0
+_OU_RELAXATION = 100.0
+_OU_VOLVOL = 0.04
 
 
 @dataclass(frozen=True)
 class McConfig:
-    """Generator settings; defaults follow the benchmark protocol."""
+    """Generator settings (volatilities annual); defaults follow the
+    benchmark protocol, whose other terms are module constants."""
 
     model: str
     T: int = 1000
@@ -69,12 +75,7 @@ class McConfig:
     seed: int = 0
     stock_vol: float = 0.40
     index_vol: float = 0.15
-    beta: float = 1.0
     t_dof: float = 3.0
-    ou_relaxation: float = 100.0
-    ou_volvol: float = 0.04
-    annualization: int = TRADING_DAYS
-    params: ReactiveParams = field(default_factory=ReactiveParams)
 
     def __post_init__(self) -> None:
         if self.model not in MODELS:
@@ -85,25 +86,23 @@ class McConfig:
             raise ValueError("n_paths must be >= 1")
         if not (self.stock_vol > 0.0 and self.index_vol > 0.0):
             raise ValueError("volatilities must be positive")
-        if self.stock_vol <= self.index_vol * abs(self.beta):
+        if self.stock_vol <= _BETA * self.index_vol:
             raise ValueError("stock_vol must exceed beta * index_vol")
         if self.t_dof <= 2.0:
             raise ValueError("t_dof must exceed 2 (finite variance)")
-        if self.ou_relaxation <= 0.0:
-            raise ValueError("ou_relaxation must be positive")
 
     @property
     def daily_index_vol(self) -> float:
-        return self.index_vol / np.sqrt(self.annualization)
+        return self.index_vol / np.sqrt(TRADING_DAYS)
 
     @property
     def daily_stock_vol(self) -> float:
-        return self.stock_vol / np.sqrt(self.annualization)
+        return self.stock_vol / np.sqrt(TRADING_DAYS)
 
     @property
     def daily_residual_vol(self) -> float:
-        return np.sqrt(self.stock_vol ** 2 - (self.beta * self.index_vol) ** 2) \
-            / np.sqrt(self.annualization)
+        return np.sqrt(self.stock_vol ** 2 - (_BETA * self.index_vol) ** 2) \
+            / np.sqrt(TRADING_DAYS)
 
 
 @dataclass(frozen=True)
@@ -199,8 +198,7 @@ def generate_batch(config: McConfig, offset: int = 0,
     path_ids = np.arange(offset, offset + count)
     builder = {
         "mc1": _gen_market_model, "mc2": _gen_market_model,
-        "mc3": _gen_reduced_reactive, "mc4": _gen_reduced_reactive,
-        "mc5": _gen_full_reactive,
+        "mc3": _gen_level_driven, "mc4": _gen_level_driven, "mc5": _gen_level_driven,
         "mc6": _gen_dcc, "mc7": _gen_dcc,
     }[config.model]
     return builder(config, rngs, path_ids)
@@ -221,23 +219,23 @@ def _gen_market_model(config: McConfig, rngs, path_ids) -> McBatch:
             resid[k] = student_t_scaled(config.t_dof, s_eps, rng, size=T)
         else:
             resid[k] = s_eps * rng.standard_normal(T)
-    r_stock = config.beta * r_index + resid
+    r_stock = _BETA * r_index + resid
 
     ones = np.ones((n, T))
     sig_i_tot = config.daily_stock_vol
-    rho = config.beta * s_i / sig_i_tot
+    rho = _BETA * s_i / sig_i_tot
     return McBatch(
         model=config.model, path_ids=path_ids,
         r_index=r_index, r_stock=r_stock,
-        true_beta=config.beta * ones, true_rho=rho * ones,
+        true_beta=_BETA * ones, true_rho=rho * ones,
         true_sigma_index=s_i * ones, true_sigma_stock=sig_i_tot * ones,
     )
 
 
-def _reduced_reactive_core(config: McConfig, rngs, path_ids,
-                           stochastic_vol: bool) -> McBatch:
+def _gen_level_driven(config: McConfig, rngs, path_ids) -> McBatch:
     n, T = len(rngs), config.T
-    params = config.params
+    stochastic_vol = config.model == "mc5"
+    params = DEFAULT_PARAMS
     z_index = _draw_matrix(rngs, T, "normal")
     if config.model == "mc3":
         z_resid = _draw_matrix(rngs, T, "normal")
@@ -248,7 +246,7 @@ def _reduced_reactive_core(config: McConfig, rngs, path_ids,
     if stochastic_vol:
         z_ou_index = _draw_matrix(rngs, T, "normal")
         z_ou_rel = _draw_matrix(rngs, T, "normal")
-        stat_std = config.ou_volvol * np.sqrt(config.ou_relaxation / 2.0)
+        stat_std = _OU_VOLVOL * np.sqrt(_OU_RELAXATION / 2.0)
         log_si = stat_std * z_ou_index[:, 0]
         log_rel = stat_std * z_ou_rel[:, 0]
     else:
@@ -264,7 +262,7 @@ def _reduced_reactive_core(config: McConfig, rngs, path_ids,
 
     s_index = s_index_bar * np.exp(log_si)
     s_resid = s_resid_bar * np.exp(log_si + log_rel)
-    beta_norm = np.full(n, config.beta)
+    beta_norm = np.full(n, _BETA)
     ratio_prev = np.sqrt(beta_norm ** 2 * s_index ** 2 + s_resid ** 2) / s_index
     kappa = ratio_prev ** 2
     lam_b = params.lambda_beta
@@ -285,7 +283,7 @@ def _reduced_reactive_core(config: McConfig, rngs, path_ids,
             with np.errstate(invalid="ignore", divide="ignore"):
                 corr_ela = 1.0 + (2.0 * f / beta_norm) * delta
             corr_ela = np.where(np.isfinite(corr_ela) & (f > 0.0), corr_ela, 1.0)
-            beta_norm = np.maximum(config.beta * corr_lev * corr_ela, 0.05)
+            beta_norm = np.maximum(_BETA * corr_lev * corr_ela, 0.05)
 
         tr_index = s_index * z_index[:, t]
         tr_stock = beta_norm * tr_index + s_resid * z_resid[:, t]
@@ -299,10 +297,8 @@ def _reduced_reactive_core(config: McConfig, rngs, path_ids,
 
         if stochastic_vol and t + 1 < T:
             # draw column 0 seeded the stationary start; steps use 1..T-1
-            log_si = ou_step(log_si, config.ou_relaxation, config.ou_volvol,
-                             normal=z_ou_index[:, t + 1])
-            log_rel = ou_step(log_rel, config.ou_relaxation, config.ou_volvol,
-                              normal=z_ou_rel[:, t + 1])
+            log_si = ou_step(log_si, _OU_RELAXATION, _OU_VOLVOL, normal=z_ou_index[:, t + 1])
+            log_rel = ou_step(log_rel, _OU_RELAXATION, _OU_VOLVOL, normal=z_ou_rel[:, t + 1])
             s_index = s_index_bar * np.exp(log_si)
             s_resid = s_resid_bar * np.exp(log_si + log_rel)
 
@@ -330,20 +326,12 @@ def _reduced_reactive_core(config: McConfig, rngs, path_ids,
     )
 
 
-def _gen_reduced_reactive(config, rngs, path_ids) -> McBatch:
-    return _reduced_reactive_core(config, rngs, path_ids, stochastic_vol=False)
-
-
-def _gen_full_reactive(config, rngs, path_ids) -> McBatch:
-    return _reduced_reactive_core(config, rngs, path_ids, stochastic_vol=True)
-
-
 def _gen_dcc(config: McConfig, rngs, path_ids) -> McBatch:
     n, T = len(rngs), config.T
     asymmetric = config.model == "mc7"
     gcoef = ASYMMETRIC_GARCH_COEFFS if asymmetric else SYMMETRIC_GARCH_COEFFS
     dcoef = ASYMMETRIC_DCC_COEFFS if asymmetric else SYMMETRIC_DCC_COEFFS
-    rho_bar = config.beta * config.index_vol / config.stock_vol
+    rho_bar = _BETA * config.index_vol / config.stock_vol
     gp_s = GarchParams(unconditional_sigma=config.daily_stock_vol, **gcoef)
     gp_i = GarchParams(unconditional_sigma=config.daily_index_vol, **gcoef)
     dp = DccParams(rho_bar=rho_bar, **dcoef)

@@ -14,7 +14,7 @@ class ReactiveParams:
     two level EMAs (a slow one tracking the retarded single-stock effect,
     a fast one tracking the index panic effect), the leverage intensities
     for index and single stocks, the outlier filter strength, and the
-    piecewise-linear beta elasticity thresholds.
+    knot, slope and cap of the piecewise-linear beta elasticity.
 
     Attributes
     ----------
@@ -33,12 +33,12 @@ class ReactiveParams:
     phi : float
         Strength of the tanh outlier filter applied to level gaps.
         ``phi == 0`` disables the filter.
-    elasticity_lo, elasticity_hi, elasticity_slope, elasticity_cap : float
-        Knots, slope and plateau of the piecewise-linear beta elasticity.
+    elasticity_lo, elasticity_slope, elasticity_cap : float
+        Knot, slope and plateau of the piecewise-linear beta elasticity.
         The elasticity is zero below ``elasticity_lo``, rises with
-        ``elasticity_slope`` and saturates at ``elasticity_cap`` (which
-        the slope reaches before ``elasticity_hi``, keeping the function
-        continuous).
+        ``elasticity_slope`` and saturates at ``elasticity_cap`` from
+        ``elasticity_lo + elasticity_cap / elasticity_slope`` on (1.5 by
+        default); it is continuous everywhere.
     hat_normalize : bool
         Divide regression inputs by the trailing normalized index
         volatility. Disabling it (together with ``lambda_s = lambda_f = 1``,
@@ -58,7 +58,6 @@ class ReactiveParams:
     ell_prime: float = 8.0 - 0.91
     phi: float = 3.3
     elasticity_lo: float = 0.5
-    elasticity_hi: float = 1.6
     elasticity_slope: float = 0.6
     elasticity_cap: float = 0.6
     hat_normalize: bool = True
@@ -76,8 +75,6 @@ class ReactiveParams:
             )
         if self.phi < 0.0:
             raise ValueError(f"phi must be >= 0, got {self.phi}")
-        if not self.elasticity_lo < self.elasticity_hi:
-            raise ValueError("elasticity_lo must be < elasticity_hi")
         if self.elasticity_slope < 0.0:
             raise ValueError("elasticity_slope must be >= 0")
         if self.elasticity_cap < 0.0:

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .params import ReactiveParams
+from .params import TRADING_DAYS, ReactiveParams
 from .beta import ReactiveBetaEngine
 from .evaluation import HedgeReport, strategy_bias_corstd
 from .montecarlo import level_price_step
@@ -197,22 +197,20 @@ def compute_panels(universe: Universe,
                           frozen_stock_days=engine.frozen_stock_days)
 
 
-def indicator(strategy: str, universe: Universe, t, panels: UniversePanels,
-              low_vol_long_high_beta: bool = True) -> np.ndarray:
+def indicator(strategy: str, universe: Universe, t, panels: UniversePanels) -> np.ndarray:
     """Ranking values at day ``t`` (a day or an array of days, giving one
     row per day); higher values go into the long leg.
 
-    Low volatility ranks on the plain least-squares beta (selection always
-    uses the standard estimate, whatever hedges the factor); reversal
-    flips the sign of the one-month return so losers rank first; momentum
-    uses the two-year return; size the capitalization. Stocks lacking the
-    required history return NaN and are excluded for the day.
+    Low volatility ranks on the plain least-squares beta, high betas long
+    (selection always uses the standard estimate, whatever hedges the
+    factor); reversal flips the sign of the one-month return so losers
+    rank first; momentum uses the two-year return; size the cap. Stocks
+    lacking the required history return NaN and are excluded for the day.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     if strategy == "low_vol":
-        vals = panels.ols_beta[t].copy()
-        return vals if low_vol_long_high_beta else -vals
+        return panels.ols_beta[t].copy()
     if strategy == "size":
         if universe.caps is None:
             raise ValueError("size strategy requires capitalization data")
@@ -254,8 +252,7 @@ def _quantile(strategy: str, p: Optional[float]) -> float:
 
 def build_factors(universe: Universe, days, strategy: str,
                   panels: UniversePanels, beta_source: str = "ols",
-                  p: Optional[float] = None,
-                  low_vol_long_high_beta: bool = True):
+                  p: Optional[float] = None):
     """Beta-neutral weights for position dates ``days + 1``, each from data
     available through its day in ``days``, all days in one pass.
 
@@ -279,7 +276,7 @@ def build_factors(universe: Universe, days, strategy: str,
         raise ValueError("beta_source must be 'ols' or 'reactive'")
     p = _quantile(strategy, p)
     days = np.asarray(days)
-    ind = indicator(strategy, universe, days, panels, low_vol_long_high_beta)
+    ind = indicator(strategy, universe, days, panels)
     beta = (panels.ols_beta if beta_source == "ols" else panels.re_beta)[days]
     sigma = (panels.ols_sigma if beta_source == "ols" else panels.re_sigma)[days]
     D, n = ind.shape
@@ -347,8 +344,7 @@ def _factor_weights(universe: Universe, t: int, weights, mu_plus, mu_minus,
 
 def build_factor(universe: Universe, t: int, strategy: str,
                  panels: UniversePanels, beta_source: str = "ols",
-                 p: Optional[float] = None,
-                 low_vol_long_high_beta: bool = True) -> Optional[FactorWeights]:
+                 p: Optional[float] = None) -> Optional[FactorWeights]:
     """Construct beta-neutral weights for position date ``t + 1`` from
     data available through day ``t``: ``build_factors`` for the single
     day ``t``. ``mu_plus``/``mu_minus`` map each used supersector to its
@@ -356,8 +352,8 @@ def build_factor(universe: Universe, t: int, strategy: str,
     neutrality is unsolvable.
     """
     p = _quantile(strategy, p)
-    weights, mu_p, mu_m, skipped = build_factors(
-        universe, [t], strategy, panels, beta_source, p, low_vol_long_high_beta)
+    weights, mu_p, mu_m, skipped = build_factors(universe, [t], strategy, panels,
+                                                 beta_source, p)
     if skipped[0]:
         return None
     return _factor_weights(universe, t, weights[0], mu_p[0], mu_m[0], p)
@@ -378,8 +374,7 @@ def backtest(universe: Universe, strategy: str, beta_source: str = "ols",
              params: Optional[ReactiveParams] = None,
              p: Optional[float] = None,
              panels: Optional[UniversePanels] = None,
-             keep_weights: bool = False,
-             low_vol_long_high_beta: bool = True) -> BacktestResult:
+             keep_weights: bool = False) -> BacktestResult:
     """Daily-rebalanced backtest of one strategy under one beta source.
 
     Position weights for day ``d`` are built from data through ``d - 1``,
@@ -403,8 +398,8 @@ def backtest(universe: Universe, strategy: str, beta_source: str = "ols",
     skipped = 0
     for lo in range(start, T - 1, _BLOCK_DAYS):
         days = np.arange(lo, min(lo + _BLOCK_DAYS, T - 1))
-        weights, mu_p, mu_m, skip = build_factors(
-            universe, days, strategy, panels, beta_source, p, low_vol_long_high_beta)
+        weights, mu_p, mu_m, skip = build_factors(universe, days, strategy, panels,
+                                                  beta_source, p)
         skipped += int(skip.sum())
         day_ret = panels.returns[days + 1]
         day_ret = np.where(np.isfinite(day_ret), day_ret, 0.0)
@@ -435,21 +430,20 @@ def backtest(universe: Universe, strategy: str, beta_source: str = "ols",
 
 
 def synthetic_universe(n_stocks: int = 100, T: int = 1400, seed: int = 0,
-                       index_vol: float = 0.15, stock_vol: float = 0.40,
-                       params: Optional[ReactiveParams] = None,
-                       annualization: int = 255) -> Universe:
+                       params: Optional[ReactiveParams] = None) -> Universe:
     """Generate a panel whose conditional betas move with stock over- and
     underperformance, the dynamics the leverage-aware estimator targets.
 
-    One index drives all stocks; normalized returns with unit normalized
-    beta are mapped through the price-level recursion, so measured betas
+    One index drives all stocks, at the benchmark protocol's annual vols
+    (15% index, 40% stock); normalized returns with unit normalized beta
+    are mapped through the price-level recursion, so measured betas
     drift as each stock's price diverges from its slow average. Caps are
     fixed share counts times prices; supersectors are auto-partitioned.
     """
     params = params if params is not None else ReactiveParams()
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, 9001])))
-    s_index = index_vol / np.sqrt(annualization)
-    s_resid = np.sqrt(stock_vol ** 2 - index_vol ** 2) / np.sqrt(annualization)
+    s_index = 0.15 / np.sqrt(TRADING_DAYS)
+    s_resid = np.sqrt(0.40 ** 2 - 0.15 ** 2) / np.sqrt(TRADING_DAYS)
 
     index_prices = np.empty(T)
     prices = np.empty((T, n_stocks))

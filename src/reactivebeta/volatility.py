@@ -73,13 +73,15 @@ class LevelState:
 
 
 def init_levels(index_price, stock_prices) -> LevelState:
-    """Seed every level with the first observed price (all gaps zero)."""
+    """Seed every level with the first observed price (all gaps zero). A
+    stock without one has NaN levels and a zero slow EMA until
+    :func:`update_levels` seeds it."""
     _check_positive(index_price, "index price")
     _check_positive(stock_prices, "stock prices")
     i = np.asarray(index_price, dtype=float) + 0.0
     s = np.asarray(stock_prices, dtype=float) + 0.0
     return LevelState(
-        slow_index=i, fast_index=i, slow_stock=s,
+        slow_index=i, fast_index=i, slow_stock=np.where(np.isnan(s), 0.0, s),
         index_level=i, stock_level=s,
         last_index=i, last_stock=s,
     )
@@ -100,7 +102,8 @@ def update_levels(
     filter; the fast systematic gap is already bounded by its short EMA.
 
     Stocks without a finite price today keep their previous state
-    (prices are never interpolated).
+    (prices are never interpolated); a stock priced for the first time
+    seeds its slow EMA with today's price, as :func:`init_levels` does.
     """
     i = np.asarray(index_price, dtype=float)
     s = np.asarray(stock_prices, dtype=float)
@@ -113,7 +116,8 @@ def update_levels(
     lam_s, lam_f = params.lambda_s, params.lambda_f
     slow_index = (1.0 - lam_s) * state.slow_index + lam_s * i
     fast_index = (1.0 - lam_f) * state.fast_index + lam_f * i
-    slow_stock_new = (1.0 - lam_s) * state.slow_stock + lam_s * s
+    slow_stock_new = np.where(np.isnan(state.last_stock), s,
+                              (1.0 - lam_s) * state.slow_stock + lam_s * s)
     slow_stock = np.where(stock_mask, slow_stock_new, state.slow_stock)
 
     fgap = (fast_index - i) / fast_index

@@ -34,7 +34,9 @@ class TestElasticity:
 
     def test_continuity_at_knots(self):
         eps = 1e-9
-        for knot in (PARAMS.elasticity_lo, PARAMS.elasticity_hi):
+        upper = PARAMS.elasticity_lo + PARAMS.elasticity_cap / PARAMS.elasticity_slope
+        assert upper == pytest.approx(1.5)
+        for knot in (PARAMS.elasticity_lo, upper):
             below = beta_elasticity(knot - eps, PARAMS)
             above = beta_elasticity(knot + eps, PARAMS)
             assert below == pytest.approx(above, abs=1e-8)
@@ -307,8 +309,9 @@ def _reference_run(index, stocks, params):
         prev_var = vols.tilde_var_index
         levels = update_levels(levels, index[t], s, params)
         vols = update_reactive_vols(vols, levels, r_i, r_s, params)
+        # a stock has a return when priced today and on an earlier day
         state = _update_beta_reference(state, r_i, r_s, prev_var, corr_lev, corr_ela,
-                                       levels, vols, index[t], s, params, np.isfinite(s))
+                                       levels, vols, index[t], s, params, np.isfinite(r_s))
         tracks["beta"][t], tracks["tilde_beta"][t] = state.beta, state.tilde_beta
         tracks["sigma_stock"][t] = vols.sigma_stock
     return tracks, (levels, vols, state)
@@ -343,11 +346,13 @@ def _ols_reference(returns, index_returns, params):
 
 def _frozen_panel(seed, n=12, T=203):
     """A synthetic universe with blank 10-day runs: from day 1, across a
-    block boundary, at the end, and back to back."""
+    block boundary, at the end, and back to back; and a stock blank over
+    days 0-14, first priced on day 15."""
     uni = synthetic_universe(n_stocks=n, T=T, seed=seed)
     prices = uni.prices.copy()
     for col, start in ((0, 1), (1, 28), (2, T - 5), (3, 60), (3, 70), (4, 95), (7, 150)):
         prices[start:start + 10, col] = np.nan
+    prices[:15, 9] = np.nan
     return Universe(dates=uni.dates, tickers=uni.tickers, prices=prices,
                     index_prices=uni.index_prices, supersector=uni.supersector)
 
@@ -366,8 +371,10 @@ class TestBlockwiseEngine:
         panels = compute_panels(uni, params)
         assert np.array_equal(panels.re_beta, expect["beta"], equal_nan=True)
         assert np.array_equal(panels.re_sigma, expect["sigma_stock"], equal_nan=True)
-        assert panels.frozen_stock_days == 65
+        assert panels.frozen_stock_days == 65 + 14     # day 0 seeds, days 1.. advance
         assert np.isfinite(panels.re_beta[-1, 5:]).all()
+        assert np.isnan(panels.re_beta[:16, 9]).all()     # no return before day 16
+        assert np.isfinite(panels.re_beta[16:, 9]).all()
         ols_beta, ols_sigma = _ols_reference(panels.returns, panels.index_returns, params)
         assert np.array_equal(panels.ols_beta, ols_beta, equal_nan=True)
         assert np.array_equal(panels.ols_sigma, ols_sigma, equal_nan=True)

@@ -257,7 +257,7 @@ class TestDccStep:
             assert float(state.rho) == pytest.approx(0.42, rel=1e-12)
 
     def test_against_scalar_reimplementation(self):
-        def scalar_path(r_s, r_I, gs, gI, dp, neg=True):
+        def scalar_path(r_s, r_I, gs, gI, dp):
             var_s, var_I = gs["u"] ** 2, gI["u"] ** 2
             qs = qi = 1.0
             qc = dp["rho"]
@@ -265,8 +265,8 @@ class TestDccStep:
             for t in range(len(r_s)):
                 xs = r_s[t] / math.sqrt(var_s)
                 xI = r_I[t] / math.sqrt(var_I)
-                xms = xs if (xs < 0.0) == neg else 0.0
-                xmI = xI if (xI < 0.0) == neg else 0.0
+                xms = xs if xs < 0.0 else 0.0
+                xmI = xI if xI < 0.0 else 0.0
                 var_s = (1 - gs["a"] - gs["b"] - gs["g"] / 2) * gs["u"] ** 2 \
                     + var_s * (gs["a"] * xs * xs + gs["b"] + gs["g"] * xms * xms)
                 var_I = (1 - gI["a"] - gI["b"] - gI["g"] / 2) * gI["u"] ** 2 \
@@ -315,9 +315,11 @@ class TestDccStep:
                             gamma_rho=0.0, rho_bar=0.3)
         s1 = init_dcc_state(gp_sym, gp_sym, dp_sym)
         s2 = init_dcc_state(gp_zero, gp_zero, dp_zero)
+        # without asymmetry the sign of the shocks cannot matter, so the
+        # mirrored returns give the same beta
         for t in range(60):
-            s1 = dcc_step(s1, r_s[t], r_i[t], gp_sym, gp_sym, dp_sym, negative_shocks=True)
-            s2 = dcc_step(s2, r_s[t], r_i[t], gp_zero, gp_zero, dp_zero, negative_shocks=False)
+            s1 = dcc_step(s1, r_s[t], r_i[t], gp_sym, gp_sym, dp_sym)
+            s2 = dcc_step(s2, -r_s[t], -r_i[t], gp_zero, gp_zero, dp_zero)
             assert float(s1.beta) == float(s2.beta)
 
     def test_positivity_preserved(self):
@@ -439,6 +441,27 @@ class TestDccCalibration:
         assert cal.evaluations == evaluations
 
 
+class TestSharedLookBack:
+    def test_every_estimator_reads_lambda_beta(self):
+        # simulate --config sets lambda_beta, and every rival follows it
+        from reactivebeta.benchmark import estimate_batch
+        from reactivebeta.montecarlo import McConfig, generate_batch
+        from reactivebeta.params import ReactiveParams
+        batch = generate_batch(McConfig(model="mc6", T=150, n_paths=3, seed=2))
+        r_s, r_i, lam = batch.r_stock, batch.r_index, 0.05
+        expect = {
+            "ols": ols_beta_batch(r_i, r_s, lam),
+            "mad": quantile_beta_batch(r_i, r_s, 0.5, lam)[1],
+            "trm": trimean_beta_batch(r_i, r_s, lam),
+            "dcc": dcc_beta_batch(r_s, r_i, lam=lam)[0],
+            "adcc": dcc_beta_batch(r_s, r_i, asymmetric=True, lam=lam)[0],
+        }
+        for name, want in expect.items():
+            assert np.array_equal(estimate_batch(name, batch, ReactiveParams(lambda_beta=lam)),
+                                  want), name
+            assert not np.array_equal(estimate_batch(name, batch), want), name
+
+
 class TestDccBeta:
     def test_stock_equals_index(self):
         # the correlation clamp at 0.999 caps the perfect-dependence case
@@ -460,27 +483,24 @@ class TestDccBeta:
             gp_s = _gp(0.02, gcoef)
             gp_i = _gp(0.01, gcoef)
             dp = DccParams(rho_bar=0.3, **dcoef)
-            for negative_shocks in (True, False):
-                state = init_dcc_state(gp_s, gp_i, dp)
-                total = 0.0
-                for t in range(T):
-                    xi_s = r_s[t] / float(state.sigma_stock)
-                    xi_i = r_i[t] / float(state.sigma_index)
-                    rho = float(state.rho)
-                    one_m = 1.0 - rho * rho
-                    ll_v = -(xi_s ** 2 + xi_i ** 2) \
-                        - 2.0 * math.log(float(state.sigma_stock)) \
-                        - 2.0 * math.log(float(state.sigma_index))
-                    ll_c = -math.log(one_m) \
-                        - (xi_s ** 2 - 2 * rho * xi_s * xi_i + xi_i ** 2) / one_m \
-                        + (xi_s ** 2 + xi_i ** 2)
-                    total += decay ** (T - 1 - t) * (ll_v + ll_c)
-                    state = dcc_step(state, r_s[t], r_i[t], gp_s, gp_i, dp,
-                                     negative_shocks=negative_shocks)
-                got = _dcc_filter(np.array([0.02]), np.array([0.01]), np.array([0.3]),
-                                  r_s[None, :], r_i[None, :], gcoef, dcoef, lam,
-                                  negative_shocks)[0]
-                assert float(got[0]) == pytest.approx(0.5 * total, rel=1e-12)
+            state = init_dcc_state(gp_s, gp_i, dp)
+            total = 0.0
+            for t in range(T):
+                xi_s = r_s[t] / float(state.sigma_stock)
+                xi_i = r_i[t] / float(state.sigma_index)
+                rho = float(state.rho)
+                one_m = 1.0 - rho * rho
+                ll_v = -(xi_s ** 2 + xi_i ** 2) \
+                    - 2.0 * math.log(float(state.sigma_stock)) \
+                    - 2.0 * math.log(float(state.sigma_index))
+                ll_c = -math.log(one_m) \
+                    - (xi_s ** 2 - 2 * rho * xi_s * xi_i + xi_i ** 2) / one_m \
+                    + (xi_s ** 2 + xi_i ** 2)
+                total += decay ** (T - 1 - t) * (ll_v + ll_c)
+                state = dcc_step(state, r_s[t], r_i[t], gp_s, gp_i, dp)
+            got = _dcc_filter(np.array([0.02]), np.array([0.01]), np.array([0.3]),
+                              r_s[None, :], r_i[None, :], gcoef, dcoef, lam)[0]
+            assert float(got[0]) == pytest.approx(0.5 * total, rel=1e-12)
 
     def test_candidate_block_matches_single_points(self):
         from reactivebeta.montecarlo import McConfig, generate_batch

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import pkgutil
 from pathlib import Path
@@ -25,3 +26,29 @@ def test_package_reexports_are_public():
             module = importlib.import_module(f"reactivebeta.{node.module}")
             public = getattr(module, "__all__", dir(module))
             assert not [a.name for a in node.names if a.name not in public], node.module
+
+
+def _attributes_read(skip_class: str) -> set:
+    """Names of attributes loaded anywhere under the package, outside the
+    body of the class ``skip_class``."""
+    names = set()
+    for path in Path(reactivebeta.__file__).parent.glob("*.py"):
+        stack = [ast.parse(path.read_text())]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, ast.ClassDef) and node.name == skip_class:
+                continue
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+            stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+@pytest.mark.parametrize("module, cls", [("params", "ReactiveParams"),
+                                         ("montecarlo", "McConfig")])
+def test_every_config_field_is_read(module, cls):
+    # a field that only its own class reads (to validate or document it)
+    # is an option that changes no result
+    config = getattr(importlib.import_module(f"reactivebeta.{module}"), cls)
+    read = _attributes_read(cls)
+    assert [f.name for f in dataclasses.fields(config) if f.name not in read] == []

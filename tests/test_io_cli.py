@@ -282,9 +282,10 @@ class TestCli:
 
     def test_unknown_config_key_rejected(self, tmp_path, price_file):
         cfg = tmp_path / "run.ini"
-        cfg.write_text("[reactive]\nmystery = 1\n")
-        assert main(["estimate", "--prices", str(price_file),
-                     "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        for key in ("mystery", "elasticity_hi"):    # the latter is no parameter
+            cfg.write_text(f"[reactive]\n{key} = 1\n")
+            assert main(["estimate", "--prices", str(price_file),
+                         "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
 
     def test_manifest_versions(self, tmp_path):
         out = tmp_path / "v"
@@ -342,6 +343,47 @@ class TestCli:
                                                "nan_final_betas": 1}
         assert "diagnostics" not in json.loads((tmp_path / "backtest" / "backtest.json")
                                                .read_text())
+
+    def test_stock_listed_after_first_day_gets_a_beta(self, tmp_path):
+        # S1 has no price on days 0-2: it is seeded on day 3 and has a
+        # reactive beta from day 4 on, and S0 reads as without S1
+        uni = synthetic_universe(n_stocks=2, T=60, seed=5)
+        panel = np.column_stack([uni.index_prices, uni.prices])
+        panel[:3, 2] = np.nan
+        rows = {}
+        for name, cols in (("both", [0, 1, 2]), ("a_only", [0, 1])):
+            prices = tmp_path / f"{name}.csv"
+            _write_panel(prices, panel[:, cols])
+            out = tmp_path / name
+            assert main(["estimate", "--prices", str(prices), "--burn-in", "1",
+                         "--out", str(out)]) == 0
+            lines = (out / "betas.csv").read_text().splitlines()[1:]
+            rows[name] = {t: [r for r in lines if r.split(",")[1] == t] for t in ("S0", "S1")}
+        assert rows["both"]["S0"] == rows["a_only"]["S0"]
+        b = np.array([[float(v) for v in r.split(",")[2:]] for r in rows["both"]["S1"]])
+        reactive = b[:, [0, 2]]                     # reactive_beta, reactive_sigma; day 1 on
+        assert np.isnan(reactive[:2]).all()
+        assert np.isnan(reactive[2, 0])             # day 3 is seeded, without a return
+        assert np.isfinite(reactive[3:]).all()
+
+    def test_panel_within_burn_in_exit_code(self, tmp_path, capsys, price_file):
+        out = tmp_path / "o"
+        for burn_in in ("250", "5"):                # the default, and the edge
+            assert main(["estimate", "--prices", str(price_file), "--out", str(out),
+                         "--burn-in", burn_in]) == 1
+            assert f"5 days leave none after the burn-in of {burn_in}" \
+                in capsys.readouterr().err
+        assert not (out / "betas.csv").exists()
+
+    @pytest.mark.parametrize("token", ["nan", "inf"])
+    def test_calibrate_ell_non_finite_cell_exit_code(self, tmp_path, capsys, token):
+        data = tmp_path / "ici.csv"
+        data.write_text("date,correlation,leverage\n2020-01-01,0.5,0.01\n"
+                        f"2020-01-02,{token},0.02\n2020-01-03,0.4,0.0\n")
+        out = tmp_path / "ell"
+        assert main(["calibrate-ell", "--data", str(data), "--out", str(out)]) == 1
+        assert "ici.csv line 3: non-finite number" in capsys.readouterr().err
+        assert not (out / "calibrate_ell.json").exists()
 
     def test_estimator_without_valid_path_exit_code(self, tmp_path, capsys,
                                                     monkeypatch):

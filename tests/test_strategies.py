@@ -19,12 +19,11 @@ from reactivebeta.strategies import (
 PARAMS = ReactiveParams()
 
 
-def reference_factor(universe, t, strategy, panels, beta_source="ols", p=None,
-                     low_vol_long_high_beta=True):
+def reference_factor(universe, t, strategy, panels, beta_source="ols", p=None):
     """One day's factor, one supersector at a time: the loop the batch
     construction replaced. Returns None or (weights, mu_plus, mu_minus)."""
     p = STRATEGY_QUANTILE[strategy] if p is None else p
-    ind = indicator(strategy, universe, t, panels, low_vol_long_high_beta)
+    ind = indicator(strategy, universe, t, panels)
     beta = panels.ols_beta[t] if beta_source == "ols" else panels.re_beta[t]
     sigma = panels.ols_sigma[t] if beta_source == "ols" else panels.re_sigma[t]
 
@@ -114,8 +113,6 @@ class TestIndicator:
         uni = _flat_universe(n_stocks=3)
         panels = _panels_with(uni, ols_beta=np.array([0.5, 1.0, 1.5]))
         assert np.argmax(indicator("low_vol", uni, 10, panels)) == 2
-        flipped = indicator("low_vol", uni, 10, panels, low_vol_long_high_beta=False)
-        assert np.argmax(flipped) == 0
 
     def test_unknown_strategy(self):
         uni = _flat_universe()
