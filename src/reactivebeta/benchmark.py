@@ -55,26 +55,35 @@ def estimate_batch(name: str, batch: McBatch,
                    params: ReactiveParams = DEFAULT_PARAMS) -> np.ndarray:
     """Final-time beta estimates of one estimator over a batch of paths.
     Every estimator looks back over ``params.lambda_beta``."""
+    return _estimate(name, batch, params)[0]
+
+
+def _estimate(name: str, batch: McBatch, params: ReactiveParams):
+    """The estimates and, for (A)DCC, the calibration's counts: paths,
+    converged paths, paths at the ``rho_bar`` bound and filter passes."""
     r_s, r_i = batch.r_stock, batch.r_index
     lam = params.lambda_beta
     if name == "ols":
-        return ols_beta_batch(r_i, r_s, lam)
+        return ols_beta_batch(r_i, r_s, lam), None
     if name == "mad":
-        return quantile_beta_batch(r_i, r_s, 0.5, lam)[1]
+        return quantile_beta_batch(r_i, r_s, 0.5, lam)[1], None
     if name == "trm":
-        return trimean_beta_batch(r_i, r_s, lam)
-    if name == "dcc":
-        return dcc_beta_batch(r_s, r_i, asymmetric=False, lam=lam)[0]
-    if name == "adcc":
-        return dcc_beta_batch(r_s, r_i, asymmetric=True, lam=lam)[0]
+        return trimean_beta_batch(r_i, r_s, lam), None
+    if name in ("dcc", "adcc"):
+        beta, cal = dcc_beta_batch(r_s, r_i, asymmetric=name == "adcc", lam=lam)
+        return beta, {"paths": batch.n_paths,
+                      "converged": int(np.count_nonzero(cal.converged)),
+                      "at_bound": int(np.count_nonzero(cal.at_bound)),
+                      "evaluations": int(cal.evaluations)}
     if name == "reactive":
-        return np.asarray(reactive_beta_from_returns(r_i, r_s, params=params))
+        return np.asarray(reactive_beta_from_returns(r_i, r_s, params=params)), None
     raise ValueError(f"unknown estimator {name!r}; expected one of {ESTIMATORS}")
 
 
 @dataclass(frozen=True)
 class BenchmarkResult:
-    """Per-model, per-estimator statistic rows plus run metadata."""
+    """Per-model, per-estimator statistic rows plus run metadata, and the
+    (A)DCC calibration counts of :func:`_estimate` summed over blocks."""
 
     model: str
     n_paths: int
@@ -82,6 +91,7 @@ class BenchmarkResult:
     seed: int
     rows: dict  # estimator name -> StatRow
     clamped: int
+    diagnostics: dict  # estimator name -> (A)DCC counts
 
     def to_dict(self) -> dict:
         return {
@@ -91,6 +101,7 @@ class BenchmarkResult:
             "seed": self.seed,
             "clamped": self.clamped,
             "rows": {k: v.to_dict() for k, v in self.rows.items()},
+            "diagnostics": self.diagnostics,
         }
 
 
@@ -113,6 +124,7 @@ def run_benchmark(model: str, estimators: Sequence[str] = ("ols", "reactive"),
     wanted = list(dict.fromkeys(estimators))
     run_names = wanted if "ols" in wanted else ["ols"] + wanted
     estimates = {name: [] for name in run_names}
+    diagnostics = {}
     true_final, winners, lows = [], [], []
     clamped = 0
 
@@ -126,7 +138,12 @@ def run_benchmark(model: str, estimators: Sequence[str] = ("ols", "reactive"),
         lows.append(lo)
         true_final.append(batch.true_beta[:, -1])
         for name in run_names:
-            estimates[name].append(estimate_batch(name, batch, params))
+            est, counts = _estimate(name, batch, params)
+            estimates[name].append(est)
+            if counts is not None:
+                total = diagnostics.setdefault(name, dict.fromkeys(counts, 0))
+                for key, value in counts.items():
+                    total[key] += value
         done += count
 
     true_final = np.concatenate(true_final)
@@ -143,4 +160,4 @@ def run_benchmark(model: str, estimators: Sequence[str] = ("ols", "reactive"),
     reference = ols_row.error_variance
     rows = {name: _row(name, reference) for name in wanted}
     return BenchmarkResult(model=model, n_paths=n_paths, T=T, seed=seed,
-                           rows=rows, clamped=clamped)
+                           rows=rows, clamped=clamped, diagnostics=diagnostics)

@@ -147,7 +147,8 @@ def _cmd_simulate(args) -> int:
                        {"model": args.model, "estimators": estimators,
                         "paths": args.paths, "days": args.days,
                         "seed": args.seed, "params": params.__dict__},
-                       outputs=[dest])
+                       outputs=[dest],
+                       diagnostics={m: r.diagnostics for m, r in results.items()})
     for model, result in results.items():
         for name, row in result.rows.items():
             print(f"{model} {name}: bias={row.bias:+.3f}{'*' if row.bias_star else ' '} "

@@ -230,11 +230,18 @@ ASYMMETRIC_DCC_COEFFS = {"a_rho": 0.0020, "b_rho": 0.9512, "gamma_rho": 0.0040}
 
 _SIGMA_FLOOR_FRACTION = 1e-12
 _RHO_CLAMP = 0.999
-#: days the (A)DCC filter advances per vectorised block; its workspace
-#: holds about ten arrays of (block days, parameter points, paths)
-_BLOCK_DAYS = 8
-#: compass-search sweeps per calibration, six evaluations per path each
-_MAX_SWEEPS = 10_000 // 6
+#: (day, parameter point, path) cells per block of the (A)DCC filter,
+#: which advances at least 8 days per block: long blocks spread numpy's
+#: per-call cost over more cells, while the workspace and temporaries,
+#: some sixty arrays of a block's cells, stay small
+_BLOCK_CELLS = 2048
+#: filter passes a calibration may spend on one path
+_MAX_PASSES = 100
+#: a path stops once its next Newton step predicts a gain below this
+#: fraction of its log-likelihood
+_GAIN_TOL = 1e-13
+#: the largest move of a Newton step in any coordinate
+_MAX_STEP = 0.5
 
 
 @dataclass(frozen=True)
@@ -356,11 +363,14 @@ def _dcc_filter(sigma_stock, sigma_index, rho_bar,
                 garch_coeffs: dict, dcc_coeffs: dict,
                 lam: float, rows=None):
     """Run the (A)DCC filter of :func:`dcc_step` over every parameter
-    point and path at once; return the exponentially weighted Gaussian
+    point and path at once. Return the exponentially weighted Gaussian
     quasi log-likelihood of the filtered model, up to an additive
     constant, and the conditional beta after the last day, both shaped
-    like the parameters broadcast against the paths. ``rows``
-    selects the paths of the ``(n, T)`` return arrays (all when None).
+    like the parameters broadcast against the paths, then the exact
+    score and Hessian of the likelihood in ``(log sigma_stock, log
+    sigma_index, rho_bar)``, shaped ``(3,) + shape`` and ``(3, 3) +
+    shape``. ``rows`` selects the paths of the ``(n, T)`` return arrays
+    (all when None).
 
     Since ``var_t * xi_t**2 == r_t**2``, the variance recursion is linear:
     ``var_t = U * A_t + B_t`` with ``U`` the unconditional variance, ``A_t``
@@ -370,10 +380,18 @@ def _dcc_filter(sigma_stock, sigma_index, rho_bar,
     fraction, which is checked here. The three normalized terms are AR(1)
     filters with the constant coefficient ``b_rho``, driven by the
     shocks. So only those filters (and ``B``) step day by day; the rest
-    runs vectorised over blocks of ``_BLOCK_DAYS`` days in a workspace
-    reused from block to block. Day t adds
-    ``-w_t/2 * (log(var_s var_i (1 - rho**2))
+    runs vectorised over blocks of days in a workspace reused from block
+    to block. Day t adds ``-w_t/2 * (log(var_s var_i (1 - rho**2))
     + (xi_s**2 - 2 rho xi_s xi_i + xi_i**2) / (1 - rho**2))``.
+
+    The derivatives come from the same structure: ``d log var_t / d log
+    sigma = 2 U A_t / var_t``. The first and second derivatives of the
+    normalized terms in the two log vols follow the AR(1) recursion of
+    the terms themselves, so they are nine more rows of its workspace.
+    ``rho_bar`` enters ``q_cross`` linearly, through the scalar sequence
+    ``K_t = d q_cross / d rho_bar`` with ``K_0 = 1`` and ``K_{t+1} = 1 -
+    a_rho - b_rho - gamma_rho/4 + b_rho K_t``. Where the clamp holds the
+    correlation, it has no derivative.
     """
     a, b, g = garch_coeffs["a"], garch_coeffs["b"], garch_coeffs["gamma"]
     omega = 1.0 - a - b - g / 2.0
@@ -395,25 +413,32 @@ def _dcc_filter(sigma_stock, sigma_index, rho_bar,
                        np.broadcast_to(sig_i * sig_i, shape).reshape(points)])
     rho0 = np.broadcast_to(rho0, shape).reshape(points)
     base_q = 1.0 - ar - br - gr / 2.0
-    base_qc = (1.0 - ar - br - gr / 4.0) * rho0
+    base_qc = 1.0 - ar - br - gr / 4.0
     powers = b ** np.arange(T + 1.0)
     A = powers + omega * (1.0 - powers) / (1.0 - b)
+    powers = br ** np.arange(T + 0.0)
+    K = powers + base_qc * (1.0 - powers) / (1.0 - br)
+    base_qc = base_qc * rho0
     weight = -0.5 * (1.0 - lam) ** np.arange(T - 1.0, -1.0, -1.0)
 
-    L = min(_BLOCK_DAYS, T)
     C, p = uncond.shape[1:]
+    L = min(max(8, _BLOCK_CELLS // (C * p)), T)
     B = np.zeros((L + 1, 2, n))          # B_t of the block's days, then the carry
     step_b = np.empty((2, n))
     V = np.empty((2, L, C, p))           # variances, then squared shocks
+    E = np.empty((2, L, C, p))           # d log var / d log sigma
     P = np.empty((L, C, p))
     X = np.empty((L, C, p))              # 2 xi_s xi_i
     rho = np.empty((L, C, p))
     one_m = np.empty((L, C, p))
-    Q = np.empty((L + 1, 3, C, p))       # q of the block's days, then the carry
+    # q_s, q_i, q_c and their nine sensitivities (see _sensitivity_drives)
+    # of the block's days, then the carry
+    Q = np.zeros((L + 1, 12, C, p))
     Q[0, :2] = 1.0
     Q[0, 2] = rho0
-    step_q = np.empty((3, C, p))
-    total = np.zeros((C, p))
+    step_q = np.empty((12, C, p))
+    G = np.empty((10, L, C, p))          # each day's weighted terms
+    total = np.zeros((10, C, p))
     for t0 in range(0, T, L):
         m = min(L, T - t0)
         days = slice(t0, t0 + m)
@@ -428,61 +453,156 @@ def _dcc_filter(sigma_stock, sigma_index, rho_bar,
             B[k] += step_b
 
         # variances, shocks, and the drives of q written one day ahead
-        v, q = V[:, :m], Q[1:m + 1].transpose(1, 0, 2, 3)
+        v, e, q = V[:, :m], E[:, :m], Q[1:m + 1].transpose(1, 0, 2, 3)
         np.multiply(A[None, days, None, None], uncond[:, None], out=v)
+        np.multiply(v, 2.0, out=e)
         v += B[:m, :, None, :].transpose(1, 0, 2, 3)
         np.multiply(v[0], v[1], out=P[:m])
+        e /= v
         np.divide(r2[:, :, None, :], v, out=v)
         np.multiply(v, np.where(h, ar + gr, ar)[:, :, None, :], out=q[:2])
-        q[:2] += base_q
         xx = X[:m]
         np.sqrt(P[:m], out=xx)
         np.divide(x[:, None, :], xx, out=xx)
         np.multiply(xx, np.where(h[0] & h[1], (ar + gr) / 2.0, ar / 2.0)[:, None, :],
                     out=q[2])
+        _sensitivity_drives(q, e)
+        q[:2] += base_q
         q[2] += base_qc
         for k in range(1, m + 1):
             np.multiply(Q[k - 1], br, out=step_q)
             Q[k] += step_q
 
-        # each day's likelihood term
+        # each day's likelihood term, score and Hessian
         c = rho[:m]
         np.multiply(Q[:m, 0], Q[:m, 1], out=c)
         np.sqrt(c, out=c)
+        R = 1.0 / c
         np.divide(Q[:m, 2], c, out=c)
+        free = np.abs(c) < _RHO_CLAMP
         np.clip(c, -_RHO_CLAMP, _RHO_CLAMP, out=c)
         om = one_m[:m]
         np.multiply(c, c, out=om)
         np.subtract(1.0, om, out=om)
+        _derivative_terms(G[1:, :m], e, v, 0.5 * xx, c, om,
+                          np.where(free, R, 0.0), np.where(free, c, 0.0),
+                          Q[:m].transpose(1, 0, 2, 3), K[days, None, None])
         lg = P[:m]
         lg *= om
         np.log(lg, out=lg)
-        quad = v[0]
-        quad += v[1]
+        quad = G[0, :m]
+        np.add(v[0], v[1], out=quad)
         xx *= c
         quad -= xx
         quad /= om
         quad += lg
-        quad *= weight[days, None, None]
+        terms = G[:, :m]
+        terms *= weight[days, None, None]
         for k in range(m):   # in day order, whatever the batch's shape
-            total += quad[k]
+            total += terms[:, k]
         Q[0] = Q[m]
         B[0] = B[m]
 
     var = A[T] * uncond + B[0, :, None, :]
     c = np.clip(Q[0, 2] / np.sqrt(Q[0, 0] * Q[0, 1]), -_RHO_CLAMP, _RHO_CLAMP)
     beta = c * np.sqrt(var[0]) / np.sqrt(var[1])
-    return total.reshape(shape), beta.reshape(shape)
+    hs, hi, hr, hsi, hsr, hir = total[4:]
+    hess = np.stack([hs, hsi, hsr, hsi, hi, hir, hsr, hir, hr])
+    return (total[0].reshape(shape), beta.reshape(shape),
+            total[1:4].reshape((3,) + shape), hess.reshape((3, 3) + shape))
+
+
+def _sensitivity_drives(q, e):
+    """Write the drives of the nine sensitivity rows of ``q`` (rows 3-11)
+    from the drives ``alpha xi**2`` and ``kappa xi_s xi_i`` of rows 0-2,
+    before their constants are added, and ``e = d log var / d log sigma``.
+
+    Rows: ``dq_s/du_s, dq_i/du_i, dq_c/du_s, dq_c/du_i, d2q_s/du_s2,
+    d2q_i/du_i2, d2q_c/du_s2, d2q_c/du_i2, d2q_c/du_s du_i`` with ``u``
+    the log vols. ``d xi**2/du = -e xi**2`` and ``de/du = e (2 - e)``.
+    """
+    q[3:5] = -q[:2] * e
+    q[5:7] = -0.5 * q[2] * e
+    q[7:9] = -2.0 * q[3:5] * (e - 1.0)
+    q[9:11] = -2.0 * q[5:7] * (0.75 * e - 1.0)
+    q[11] = -0.5 * q[5] * e[1]
+
+
+def _derivative_terms(out, e, sq, cc, rho, om, R, rho_free, q, K):
+    """Write each day's unweighted score (rows 0-2) and Hessian (rows
+    ``ss, ii, rr, si, sr, ir``) of ``f = log(var_s var_i (1 - rho**2))
+    + (xi_s**2 - 2 rho xi_s xi_i + xi_i**2) / (1 - rho**2)`` in ``(u_s,
+    u_i, rho_bar)``; the weights turn them into the likelihood's. ``sq``
+    holds the squared shocks, ``cc = xi_s xi_i``, and ``R = 1/sqrt(q_s
+    q_i)`` and ``rho_free`` are zero where the clamp holds rho."""
+    q2, sens, cross, curv, cross2, cross_si = q[:2], q[3:5], q[5:7], q[7:9], q[9:11], q[11]
+    # rho = q_c / sqrt(q_s q_i): its first and second derivatives
+    s = sens / q2
+    half = 0.5 * rho_free
+    r1 = R * cross - half * s
+    rr = R * K
+    r2 = R * (cross2 - s * cross) + half * (1.5 * s * s - curv / q2)
+    rsi = R * (cross_si - 0.5 * (s[1] * cross[0] + s[0] * cross[1])) + 0.5 * half * s[0] * s[1]
+    # f's partial derivatives at fixed rho (j), in rho (p) and mixed
+    inv = 1.0 / om
+    rc = rho * cc
+    k = (sq - rc) * inv
+    kk = k[0] + k[1]        # the quadratic form over 1 - rho**2
+    fj = e * (1.0 - k)
+    fjj = 2.0 * fj + e * e * (2.0 * (sq - 0.75 * rc) * inv - 1.0)
+    fsi = -0.5 * rc * e[0] * e[1] * inv
+    fp = 2.0 * (rho * (kk - 1.0) - cc) * inv
+    r2sq = rho * rho
+    fpp = 2.0 * (kk * (1.0 + 3.0 * r2sq) - 1.0 - r2sq - 4.0 * rc) * inv * inv
+    fjp = e * (cc - 2.0 * rho * k) * inv
+    u = fjp + fpp * r1
+    out[0:2] = fj + fp * r1
+    out[2] = fp * rr
+    out[3:5] = fjj + (fjp + u) * r1 + fp * r2
+    out[5] = fpp * rr * rr
+    out[6] = fsi + fjp[0] * r1[1] + u[1] * r1[0] + fp * rsi
+    out[7:9] = rr * (u - 0.5 * fp * s)
 
 
 @dataclass(frozen=True)
 class DccCalibration:
+    """Per-path result of :func:`dcc_calibrate`."""
+
     sigma_stock: np.ndarray | float
     sigma_index: np.ndarray | float
     rho_bar: np.ndarray | float
     loglik: np.ndarray | float
+    beta: np.ndarray | float
     converged: np.ndarray | bool
+    at_bound: np.ndarray | bool
     evaluations: int
+
+
+def _ascent_step(g, h):
+    """Per path, the Newton step ``d`` solving ``-h d = g`` through a
+    closed-form LDL' factorization of the 3x3 ``-h``, and the predicted
+    gain ``g.d``. A pivot that is not positive is replaced by its
+    magnitude (at least 1e-10 of the trace), so that ``d`` still ascends
+    where ``h`` is not negative definite."""
+    floor = 1e-10 * np.abs(h[0, 0] + h[1, 1] + h[2, 2])
+
+    def pivot(value):
+        return np.maximum(np.abs(value), floor)
+
+    d0 = pivot(-h[0, 0])
+    l10, l20 = -h[1, 0] / d0, -h[2, 0] / d0
+    d1 = pivot(-h[1, 1] + l10 * h[1, 0])
+    l21 = (-h[2, 1] + l20 * h[1, 0]) / d1
+    d2 = pivot(-h[2, 2] + l20 * h[2, 0] - l21 * l21 * d1)
+    y0 = g[0]
+    y1 = g[1] - l10 * y0
+    y2 = g[2] - l20 * y0 - l21 * y1
+    x2 = y2 / d2
+    x1 = y1 / d1 - l21 * x2
+    x0 = y0 / d0 - l10 * x1 - l20 * x2
+    step = np.stack([x0, x1, x2])
+    step *= np.minimum(1.0, _MAX_STEP / np.max(np.abs(step), axis=0))
+    return step, y0 * y0 / d0 + y1 * y1 / d1 + y2 * y2 / d2
 
 
 def dcc_calibrate(r_stock: np.ndarray, r_index: np.ndarray,
@@ -491,20 +611,24 @@ def dcc_calibrate(r_stock: np.ndarray, r_index: np.ndarray,
     """Fit the three unconditional parameters by weighted quasi maximum
     likelihood, keeping the dynamics coefficients fixed.
 
-    Runs a derivative-free compass search (one coordinate moves per
-    accepted step) from moment-based initial guesses, with multiplicative
-    steps for the two vols and additive steps for the correlation, under
-    box constraints ``sigma > 0`` and ``|rho| < 0.999``. Paths whose step
-    sizes did not shrink below tolerance within ``_MAX_SWEEPS`` sweeps are
-    flagged unconverged and carry the best point found.
+    Newton ascent in ``(log sigma_stock, log sigma_index, rho_bar)`` from
+    moment-based initial guesses, on the exact score and Hessian of
+    :func:`_dcc_filter`, under the box ``|rho_bar| <= 0.999``. A step that
+    does not raise the likelihood is halved until one does. A path stops
+    when the gain that its next full Newton step predicts falls to
+    ``_GAIN_TOL`` of the likelihood (``converged``). A path whose
+    ``rho_bar`` reaches the box while the score does not point back
+    inside stops there, with ``at_bound`` set and ``converged`` not.
+    Paths still stepping after ``_MAX_PASSES`` passes are neither.
 
-    Each sweep prices the six candidate points of the paths still
-    searching, and only those, in one pass of :func:`_dcc_filter`;
-    ``evaluations`` counts the points priced. Every step is computed path
-    by path, so a path calibrates to the same bits in any batch. The
-    filter's closed-form variance needs ``1 - a - b - gamma/2`` above the
-    variance floor fraction (``ValueError`` otherwise), and then the
-    variance floor never binds.
+    Every pass prices the paths still stepping, and only those, at one
+    point each, with the derivatives; ``evaluations`` counts those path
+    passes, and ``beta`` is the conditional beta after the last day at
+    the returned point. Every step is computed path by path, so a path
+    calibrates to the same bits in any batch. The filter's closed-form
+    variance needs ``1 - a - b - gamma/2`` above the variance floor
+    fraction (``ValueError`` otherwise), and then the variance floor
+    never binds.
     """
     r_s = np.atleast_2d(np.asarray(r_stock, dtype=float))
     r_i = np.atleast_2d(np.asarray(r_index, dtype=float))
@@ -522,59 +646,59 @@ def dcc_calibrate(r_stock: np.ndarray, r_index: np.ndarray,
     rho = np.clip(np.einsum("ij,ij,j->i", d_s, d_i, w) / (sig_s * sig_i), -0.95, 0.95)
     del d_s, d_i
 
-    def objective(cs, ci, cr, rows=None):
-        return _dcc_filter(cs, ci, cr, r_s, r_i, garch_coeffs, dcc_coeffs,
-                           lam, rows)[0]
+    def evaluate(cs, ci, cr, rows=None):
+        return _dcc_filter(cs, ci, cr, r_s, r_i, garch_coeffs, dcc_coeffs, lam, rows)
 
-    best = objective(sig_s, sig_i, rho)
+    loglik, beta, score, hess = evaluate(sig_s, sig_i, rho)
     evaluations = n
+    step = np.empty((3, n))
+    gain = np.empty(n)
+    scale = np.ones(n)
+    converged = np.zeros(n, dtype=bool)
+    at_bound = np.zeros(n, dtype=bool)
 
-    step_sig = np.full(n, 1.30)   # multiplicative
-    step_rho = np.full(n, 0.15)   # additive
-    tol_sig, tol_rho = 1.0 + 1e-4, 1e-4
-    for _ in range(_MAX_SWEEPS):
-        act = np.flatnonzero((step_sig > tol_sig) | (step_rho > tol_rho))
-        if act.size == 0:
+    def settle(idx):
+        # a new point: its Newton step and its stopping tests
+        step[:, idx], gain[idx] = _ascent_step(score[:, idx], hess[:, :, idx])
+        scale[idx] = 1.0
+        at_bound[idx] = (np.abs(rho[idx]) == _RHO_CLAMP) & (score[2, idx] * rho[idx] >= 0.0)
+        converged[idx] = (gain[idx] <= _GAIN_TOL * np.abs(loglik[idx])) & ~at_bound[idx]
+
+    settle(np.arange(n))
+    live = np.flatnonzero(~(converged | at_bound))
+    for _ in range(_MAX_PASSES - 1):
+        if live.size == 0:
             break
-        s, i, r = sig_s[act], sig_i[act], rho[act]
-        st_s, st_r = step_sig[act], step_rho[act]
-        cand_s = np.stack([s * st_s, s / st_s, s, s, s, s])
-        cand_i = np.stack([i, i, i * st_s, i / st_s, i, i])
-        cand_r = np.stack([r, r, r, r,
-                           np.clip(r + st_r, -_RHO_CLAMP, _RHO_CLAMP),
-                           np.clip(r - st_r, -_RHO_CLAMP, _RHO_CLAMP)])
-        vals = objective(cand_s, cand_i, cand_r, act)
-        evaluations += cand_s.size
-        pick = np.argmax(vals, axis=0), np.arange(act.size)
-        val_best = vals[pick]
-        improved = val_best > best[act] + 1e-12 * np.abs(best[act])
-        take = act[improved]
-        sig_s[take] = cand_s[pick][improved]
-        sig_i[take] = cand_i[pick][improved]
-        rho[take] = cand_r[pick][improved]
-        best[take] = val_best[improved]
-        shrink = act[~improved]
-        step_sig[shrink] = 1.0 + (step_sig[shrink] - 1.0) * 0.5
-        step_rho[shrink] *= 0.5
+        d = step[:, live] * scale[live]
+        cs = sig_s[live] * np.exp(d[0])
+        ci = sig_i[live] * np.exp(d[1])
+        cr = np.clip(rho[live] + d[2], -_RHO_CLAMP, _RHO_CLAMP)
+        val, b_new, s_new, h_new = evaluate(cs, ci, cr, live)
+        evaluations += live.size
+        up = val > loglik[live]
+        take = live[up]
+        sig_s[take], sig_i[take], rho[take] = cs[up], ci[up], cr[up]
+        loglik[take], beta[take] = val[up], b_new[up]
+        score[:, take], hess[:, :, take] = s_new[:, up], h_new[:, :, up]
+        settle(take)
+        scale[live[~up]] *= 0.5
+        live = live[~(converged[live] | at_bound[live])]
 
-    converged = (step_sig <= tol_sig) & (step_rho <= tol_rho)
     return DccCalibration(
-        sigma_stock=sig_s, sigma_index=sig_i, rho_bar=rho,
-        loglik=best, converged=converged, evaluations=evaluations,
+        sigma_stock=sig_s, sigma_index=sig_i, rho_bar=rho, loglik=loglik,
+        beta=beta, converged=converged, at_bound=at_bound, evaluations=evaluations,
     )
 
 
 def dcc_beta_batch(r_stock: np.ndarray, r_index: np.ndarray,
                    asymmetric: bool = False,
                    lam: float = DEFAULT_LOOKBACK):
-    """Calibrate the unconditional parameters, filter the whole path and
-    return the conditional beta at the final time, with a per-path
-    convergence flag."""
+    """Calibrate the unconditional parameters and return the conditional
+    beta at the final time at the fitted point, with the calibration and
+    its per-path ``converged`` and ``at_bound`` flags."""
     r_s = np.atleast_2d(np.asarray(r_stock, dtype=float))
     r_i = np.atleast_2d(np.asarray(r_index, dtype=float))
     gcoef = ASYMMETRIC_GARCH_COEFFS if asymmetric else SYMMETRIC_GARCH_COEFFS
     dcoef = ASYMMETRIC_DCC_COEFFS if asymmetric else SYMMETRIC_DCC_COEFFS
     cal = dcc_calibrate(r_s, r_i, gcoef, dcoef, lam)
-    _, beta = _dcc_filter(cal.sigma_stock, cal.sigma_index, cal.rho_bar,
-                          r_s, r_i, gcoef, dcoef, lam)
-    return beta, cal
+    return cal.beta, cal

@@ -25,7 +25,10 @@ from reactivebeta.estimators import (
     trimean_beta_batch,
     _dcc_filter,
 )
+from reactivebeta.params import DEFAULT_PARAMS
 from reactivebeta.timeseries import exp_weights
+
+DEFAULT_LAM = DEFAULT_PARAMS.lambda_beta
 
 
 def combinatorial_quantile_oracle(x, y, lam, theta):
@@ -435,10 +438,103 @@ class TestDccCalibration:
             b1, c1 = dcc_beta_batch(batch.r_stock[k:k + 1], batch.r_index[k:k + 1],
                                     asymmetric=asymmetric)
             assert b1[0] == beta[k]
-            for field in ("sigma_stock", "sigma_index", "rho_bar", "loglik", "converged"):
+            for field in ("sigma_stock", "sigma_index", "rho_bar", "loglik", "beta",
+                          "converged", "at_bound"):
                 assert getattr(c1, field)[0] == getattr(cal, field)[k], field
             evaluations += c1.evaluations
         assert cal.evaluations == evaluations
+
+    def test_backtracks_when_a_step_does_not_raise_the_likelihood(self, monkeypatch):
+        # the first trial is made to lower the likelihood: the search keeps
+        # its point, retries half the step, and still converges
+        import reactivebeta.estimators as estimators
+        from reactivebeta.montecarlo import McConfig, generate_batch
+        batch = generate_batch(McConfig(model="mc6", T=250, n_paths=3, seed=26))
+        points, filtered = [], estimators._dcc_filter
+
+        def spoiled(cs, ci, cr, *args):
+            out = filtered(cs, ci, cr, *args)
+            points.append(np.stack([np.log(cs), np.log(ci), cr]))
+            if len(points) == 2:
+                return (out[0] - 1e6,) + out[1:]
+            return out
+
+        monkeypatch.setattr(estimators, "_dcc_filter", spoiled)
+        cal = dcc_calibrate(batch.r_stock, batch.r_index,
+                            SYMMETRIC_GARCH_COEFFS, SYMMETRIC_DCC_COEFFS)
+        start, trial, retry = points[:3]
+        np.testing.assert_allclose(retry - start, 0.5 * (trial - start), rtol=1e-9)
+        assert cal.converged.all()
+
+    @pytest.mark.parametrize("asymmetric", [False, True])
+    def test_stopping_certificate(self, asymmetric):
+        # at the returned point no tilt of 1e-6 in log sigma_stock, log
+        # sigma_index or rho_bar raises the likelihood by more than 1e-12
+        # relative; the search spends a few passes per path
+        from reactivebeta.montecarlo import McConfig, generate_batch
+        batch = generate_batch(McConfig(model="mc6", T=1000, n_paths=4, seed=24))
+        gcoef = ASYMMETRIC_GARCH_COEFFS if asymmetric else SYMMETRIC_GARCH_COEFFS
+        dcoef = ASYMMETRIC_DCC_COEFFS if asymmetric else SYMMETRIC_DCC_COEFFS
+        cal = dcc_calibrate(batch.r_stock, batch.r_index, gcoef, dcoef)
+        assert cal.converged.all() and not cal.at_bound.any()
+        assert cal.evaluations <= 12 * batch.n_paths
+        point = np.stack([cal.sigma_stock, cal.sigma_index, cal.rho_bar])
+        for j, sign in itertools.product(range(3), (-1.0, 1.0)):
+            tilted = point.copy()
+            if j < 2:
+                tilted[j] *= math.exp(sign * 1e-6)
+            else:
+                tilted[j] += sign * 1e-6
+            ll = _dcc_filter(*tilted, batch.r_stock, batch.r_index, gcoef, dcoef,
+                             DEFAULT_LAM)[0]
+            assert np.all(ll - cal.loglik <= 1e-12 * np.abs(cal.loglik)), (j, sign)
+
+
+class TestDccDerivatives:
+    @pytest.mark.parametrize("model", ["mc6", "mc7"])
+    @pytest.mark.parametrize("asymmetric", [False, True])
+    def test_score_and_hessian_match_central_differences(self, model, asymmetric):
+        # the score against central differences of the likelihood, and the
+        # Hessian against central differences of the score, in (log
+        # sigma_stock, log sigma_index, rho_bar); the last path's stock is
+        # nearly 1.5 times the index, so its correlation runs near the clamp
+        from reactivebeta.montecarlo import McConfig, generate_batch
+        gcoef = ASYMMETRIC_GARCH_COEFFS if asymmetric else SYMMETRIC_GARCH_COEFFS
+        dcoef = ASYMMETRIC_DCC_COEFFS if asymmetric else SYMMETRIC_DCC_COEFFS
+        batch = generate_batch(McConfig(model=model, T=300, n_paths=4, seed=25))
+        r_s, r_i = batch.r_stock.copy(), batch.r_index
+        noise = np.random.default_rng(25).standard_normal(batch.T)
+        r_s[3] = 1.5 * r_i[3] + 0.1 * np.std(r_i[3]) * noise
+        point = np.array([np.log([0.03, 0.02, 0.025, 0.015]),
+                          np.log([0.011, 0.008, 0.010, 0.010]),
+                          [0.3, -0.2, 0.5, 0.97 if asymmetric else 0.98]])
+
+        def filtered(x):
+            return _dcc_filter(np.exp(x[0]), np.exp(x[1]), x[2], r_s, r_i,
+                               gcoef, dcoef, DEFAULT_LAM)
+
+        gp_s = _gp(math.exp(point[0, 3]), gcoef)
+        gp_i = _gp(math.exp(point[1, 3]), gcoef)
+        dp = DccParams(rho_bar=point[2, 3], **dcoef)
+        state, top = init_dcc_state(gp_s, gp_i, dp), 0.0
+        for t in range(batch.T):
+            top = max(top, abs(float(state.rho)))
+            state = dcc_step(state, r_s[3, t], r_i[3, t], gp_s, gp_i, dp)
+        assert 0.98 < top < 0.999
+
+        _, _, score, hess = filtered(point)
+        h = 1e-6   # near the clamp the curvature in rho_bar changes fast
+        for j in range(3):
+            up, down = point.copy(), point.copy()
+            up[j] += h
+            down[j] -= h
+            ll_up, _, score_up, _ = filtered(up)
+            ll_down, _, score_down, _ = filtered(down)
+            gap = np.abs((ll_up - ll_down) / (2.0 * h) - score[j])
+            assert np.all(gap <= 1e-6 * np.abs(score).max(axis=0)), j
+            gap = np.abs((score_up - score_down) / (2.0 * h) - hess[:, j])
+            assert np.all(gap <= 1e-6 * np.abs(hess).max(axis=(0, 1))), j
+        assert np.array_equal(hess, hess.transpose(1, 0, 2))
 
 
 class TestSharedLookBack:
@@ -464,10 +560,16 @@ class TestSharedLookBack:
 
 class TestDccBeta:
     def test_stock_equals_index(self):
-        # the correlation clamp at 0.999 caps the perfect-dependence case
+        # the correlation clamp at 0.999 caps the perfect-dependence case;
+        # rho_bar runs into its bound, where the search stops and says so
         rng = np.random.default_rng(20)
         r = 0.01 * rng.standard_normal(300)
-        assert dcc_beta_batch(r, r)[0][0] == pytest.approx(1.0, abs=2e-3)
+        for asymmetric in (False, True):
+            beta, cal = dcc_beta_batch(r, r, asymmetric=asymmetric)
+            assert beta[0] == pytest.approx(1.0, abs=2e-3)
+            assert cal.rho_bar[0] == 0.999
+            assert cal.at_bound[0] and not cal.converged[0]
+            assert cal.evaluations <= 20
 
     def test_loglik_consistent_with_step_filter(self):
         # one path: the likelihood filter must see the same conditional

@@ -199,6 +199,37 @@ class TestCli:
         assert table[0].split("\t")[0] == "estimator"
         assert len(table) == 3
 
+    def test_simulate_reports_dcc_diagnostics(self, tmp_path, monkeypatch):
+        # a path whose stock is the index drives rho_bar to its bound; the
+        # (A)DCC counts sit beside the rows, which keep their schema
+        import dataclasses
+
+        import reactivebeta.benchmark as benchmark
+
+        def one_path_is_the_index(config, offset=0, count=None):
+            batch = generate(config, offset, count)
+            r_stock = batch.r_stock.copy()
+            r_stock[0] = batch.r_index[0]
+            return dataclasses.replace(batch, r_stock=r_stock)
+
+        generate = benchmark.generate_batch
+        monkeypatch.setattr(benchmark, "generate_batch", one_path_is_the_index)
+        out = tmp_path / "sim"
+        code = main(["simulate", "--model", "mc6", "--estimator", "ols,dcc,adcc",
+                     "--paths", "6", "--days", "200", "--seed", "3",
+                     "--out", str(out)])
+        assert code == 0
+        payload = json.loads((out / "simulate.json").read_text())["mc6"]
+        assert set(payload["rows"]) == {"ols", "dcc", "adcc"}
+        assert set(payload["diagnostics"]) == {"dcc", "adcc"}
+        for counts in payload["diagnostics"].values():
+            assert counts["paths"] == 6
+            assert counts["at_bound"] >= 1
+            assert counts["converged"] + counts["at_bound"] <= 6
+            assert 6 <= counts["evaluations"] <= 6 * 40
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["diagnostics"] == {"mc6": payload["diagnostics"]}
+
     def test_simulate_dump_paths(self, tmp_path):
         out = tmp_path / "dump"
         code = main(["simulate", "--model", "mc3", "--estimator", "ols",
