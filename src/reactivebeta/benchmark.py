@@ -82,8 +82,10 @@ def _estimate(name: str, batch: McBatch, params: ReactiveParams):
 
 @dataclass(frozen=True)
 class BenchmarkResult:
-    """Per-model, per-estimator statistic rows plus run metadata, and the
-    (A)DCC calibration counts of :func:`_estimate` summed over blocks."""
+    """Per-model, per-estimator statistic rows plus run metadata, the
+    price-floor hits of the stock and of the index side (``clamped`` and
+    ``clamped_index``), and the (A)DCC calibration counts of
+    :func:`_estimate`, all summed over blocks."""
 
     model: str
     n_paths: int
@@ -91,6 +93,7 @@ class BenchmarkResult:
     seed: int
     rows: dict  # estimator name -> StatRow
     clamped: int
+    clamped_index: int
     diagnostics: dict  # estimator name -> (A)DCC counts
 
     def to_dict(self) -> dict:
@@ -100,6 +103,7 @@ class BenchmarkResult:
             "T": self.T,
             "seed": self.seed,
             "clamped": self.clamped,
+            "clamped_index": self.clamped_index,
             "rows": {k: v.to_dict() for k, v in self.rows.items()},
             "diagnostics": self.diagnostics,
         }
@@ -126,13 +130,14 @@ def run_benchmark(model: str, estimators: Sequence[str] = ("ols", "reactive"),
     estimates = {name: [] for name in run_names}
     diagnostics = {}
     true_final, winners, lows = [], [], []
-    clamped = 0
+    clamped = clamped_index = 0
 
     done = 0
     while done < n_paths:
         count = min(_BLOCK_PATHS, n_paths - done)
         batch = generate_batch(config, done, count)
         clamped += batch.clamped
+        clamped_index += batch.clamped_index
         w, lo = path_flags(batch)
         winners.append(w)
         lows.append(lo)
@@ -160,4 +165,5 @@ def run_benchmark(model: str, estimators: Sequence[str] = ("ols", "reactive"),
     reference = ols_row.error_variance
     rows = {name: _row(name, reference) for name in wanted}
     return BenchmarkResult(model=model, n_paths=n_paths, T=T, seed=seed,
-                           rows=rows, clamped=clamped, diagnostics=diagnostics)
+                           rows=rows, clamped=clamped, clamped_index=clamped_index,
+                           diagnostics=diagnostics)

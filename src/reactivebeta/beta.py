@@ -25,8 +25,8 @@ from .timeseries import block_rows, ema_rows
 from .volatility import (
     LevelState,
     VolState,
+    _level_map,
     fast_gap,
-    filter_phi,
     init_levels,
     init_vols,
 )
@@ -247,10 +247,9 @@ class ReactiveBetaEngine:
             ema_rows(e, dec[:, :3])
             slow, fast = e[1:, 0, :k], e[1:, 1, :k]
             fgap = (fast - i) / fast
-            level_i[now] = i * (1.0 + filter_phi((slow - i) / i, p.phi)) * (1.0 + p.ell * fgap)
+            _level_map(i, slow, p.ell, fgap, p.phi, out=level_i[now])
             with np.errstate(invalid="ignore"):
-                hold(level_s, s * (1.0 + filter_phi((e[1:, 2] - s) / s, p.phi))
-                     * (1.0 + p.ell_prime * fgap))
+                hold(level_s, _level_map(s, e[1:, 2], p.ell_prime, fgap, p.phi))
 
             # normalized returns and variances, as update_reactive_vols
             r_i = (i - price_i[before]) / level_i[before]

@@ -148,7 +148,8 @@ def _cmd_simulate(args) -> int:
                         "paths": args.paths, "days": args.days,
                         "seed": args.seed, "params": params.__dict__},
                        outputs=[dest],
-                       diagnostics={m: r.diagnostics for m, r in results.items()})
+                       diagnostics={m: {"clamped": r.clamped, "clamped_index": r.clamped_index,
+                                        **r.diagnostics} for m, r in results.items()})
     for model, result in results.items():
         for name, row in result.rows.items():
             print(f"{model} {name}: bias={row.bias:+.3f}{'*' if row.bias_star else ' '} "

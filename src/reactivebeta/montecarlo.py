@@ -27,7 +27,8 @@ from typing import Optional
 import numpy as np
 
 from .params import DEFAULT_PARAMS, TRADING_DAYS, ReactiveParams
-from .volatility import LevelState, fast_gap, init_levels, update_levels
+from .timeseries import block_rows, ema_rows
+from .volatility import LevelState, _level_map
 from .beta import beta_elasticity
 from .evaluation import NumericalFailure
 from .estimators import (
@@ -118,6 +119,7 @@ class McBatch:
     true_sigma_index: np.ndarray
     true_sigma_stock: np.ndarray
     clamped: int = 0
+    clamped_index: int = 0
 
     @property
     def n_paths(self) -> int:
@@ -155,20 +157,73 @@ def level_price_step(index_price, stock_price, tr_index, tr_stock,
     a single extreme draw cannot push a price non-positive. The index side
     may be a scalar shared by every stock. Returns the new index and stock
     prices, the new levels and the number of stock prices floored. Raises
-    ``NumericalFailure`` once a price falls below the normal floats, as
-    flooring day after day under volatilities far beyond any market's does.
+    ``NumericalFailure`` once a price leaves the normal floats: below them,
+    as flooring day after day under volatilities far beyond any market's
+    does, or above them. This is the one-day form of the generators'
+    kernel, :func:`_level_days`.
     """
-    new_index = np.maximum(index_price + tr_index * levels.index_level,
-                           _PRICE_FLOOR * index_price)
-    new_stock = stock_price + tr_stock * levels.stock_level
-    floor = _PRICE_FLOOR * stock_price
-    n_floored = int(np.count_nonzero(new_stock < floor))
-    new_stock = np.maximum(new_stock, floor)
-    tiny = np.finfo(float).tiny
-    if not (np.all(new_index >= tiny) and np.all(new_stock >= tiny)):
-        raise NumericalFailure("a generated price underflowed under the price floor; "
+    shape = np.shape(stock_price)
+    px, slow, lvl, tr = (np.array([np.broadcast_arrays(i, s)] * 2).reshape(2, 2, -1)
+                         for i, s in ((index_price, stock_price),
+                                      (levels.slow_index, levels.slow_stock),
+                                      (levels.index_level, levels.stock_level),
+                                      (tr_index, tr_stock)))
+    fast = np.array(np.broadcast_to(levels.fast_index, shape), dtype=float).reshape(-1)
+    hits = _level_days(px, slow, lvl, fast, np.empty_like(fast), tr[:1], params)
+
+    def idx(row):       # the index side shaped as given
+        return row.reshape(shape) if np.ndim(index_price) else row[0]
+
+    new_index, new_stock = idx(px[1, 0]), px[1, 1].reshape(shape)
+    return new_index, new_stock, LevelState(
+        slow_index=idx(slow[1, 0]), fast_index=idx(fast), slow_stock=slow[1, 1].reshape(shape),
+        index_level=idx(lvl[1, 0]), stock_level=lvl[1, 1].reshape(shape),
+        last_index=new_index, last_stock=new_stock), int(hits[1])
+
+
+def _level_days(px, slow, lvl, fast, gap, tr, params: ReactiveParams, move=None):
+    """Map a block of days' moves ``tr`` to prices through the levels, in
+    place, as :func:`level_price_step` does day by day; return the floor
+    hits of the index side and of the stock side.
+
+    ``px``, ``slow`` and ``lvl`` (prices, slow price EMAs, levels) are
+    ``(days + 1, 2, n)``: row 0 the day before the block, the index side
+    first (a shared index repeats in every column). ``fast`` and ``gap``,
+    the fast index EMA and its relative gap, step in place. ``move(d,
+    gap)``, if given, first fills day ``d``'s stock moves from yesterday's gap.
+    """
+    lam_s, lam_f = params.lambda_s, params.lambda_f
+    ell = np.array([[params.ell], [params.ell_prime]])
+    raw = np.empty_like(tr)
+    work = np.empty_like(tr[0])
+    # a price out of the normal floats spoils the rest of the block, which
+    # is then refused as a whole
+    with np.errstate(all="ignore"):
+        for d in range(len(tr)):
+            if move is not None:
+                move(d, gap)
+            price, new = px[d], px[d + 1]
+            np.multiply(tr[d], lvl[d], out=raw[d])
+            raw[d] += price
+            np.multiply(price, _PRICE_FLOOR, out=work)
+            np.maximum(raw[d], work, out=new)
+            np.multiply(slow[d], 1.0 - lam_s, out=slow[d + 1])
+            np.multiply(new, lam_s, out=work)
+            slow[d + 1] += work
+            fast *= 1.0 - lam_f
+            np.multiply(new[0], lam_f, out=gap)
+            fast += gap
+            np.subtract(fast, new[0], out=gap)
+            gap /= fast
+            _level_map(new, slow[d + 1], ell, gap, params.phi, out=lvl[d + 1])
+    new = px[1:]
+    normal = (new >= np.finfo(float).tiny) & (new < np.inf)
+    if not normal.all():
+        first = new[np.argmin(normal.all(axis=(1, 2)))]
+        what = "overflowed" if np.any(first == np.inf) else "underflowed under the price floor"
+        raise NumericalFailure(f"a generated price {what}; "
                                "the volatilities are too large for the level map")
-    return new_index, new_stock, update_levels(levels, new_index, new_stock, params), n_floored
+    return np.count_nonzero(raw < _PRICE_FLOOR * px[:-1], axis=(0, 2))
 
 
 def _path_generators(config: McConfig, offset: int, count: int):
@@ -221,108 +276,113 @@ def _gen_market_model(config: McConfig, rngs, path_ids) -> McBatch:
             resid[k] = s_eps * rng.standard_normal(T)
     r_stock = _BETA * r_index + resid
 
-    ones = np.ones((n, T))
     sig_i_tot = config.daily_stock_vol
     rho = _BETA * s_i / sig_i_tot
+    # the constant truth tracks are read-only views of one value each
+    true_beta, true_rho, true_sig_i, true_sig_s = (
+        np.broadcast_to(x, (n, T)) for x in (_BETA, rho, s_i, sig_i_tot))
     return McBatch(
         model=config.model, path_ids=path_ids,
         r_index=r_index, r_stock=r_stock,
-        true_beta=_BETA * ones, true_rho=rho * ones,
-        true_sigma_index=s_i * ones, true_sigma_stock=sig_i_tot * ones,
+        true_beta=true_beta, true_rho=true_rho,
+        true_sigma_index=true_sig_i, true_sigma_stock=true_sig_s,
     )
 
 
 def _gen_level_driven(config: McConfig, rngs, path_ids) -> McBatch:
     n, T = len(rngs), config.T
     stochastic_vol = config.model == "mc5"
-    params = DEFAULT_PARAMS
-    z_index = _draw_matrix(rngs, T, "normal")
+    p = DEFAULT_PARAMS
+    # each draw matrix becomes an output a block of days at a time, once
+    # the block has read it: the moves' draws the returns, and mc5's
+    # log-vol draws the true volatility tracks
+    r_index = _draw_matrix(rngs, T, "normal")
     if config.model == "mc3":
-        z_resid = _draw_matrix(rngs, T, "normal")
+        r_stock = _draw_matrix(rngs, T, "normal")
     else:
-        z_resid = _draw_matrix(rngs, T, "t", config.t_dof) \
-            * np.sqrt((config.t_dof - 2.0) / config.t_dof)
-
+        r_stock = _draw_matrix(rngs, T, "t", config.t_dof)
+        r_stock *= np.sqrt((config.t_dof - 2.0) / config.t_dof)
+    L = block_rows(n, T)
+    # rows as in _level_days: row 0 the day before the block
+    logs = np.zeros((L + 1, 2, n))      # log index vol, log relative vol
     if stochastic_vol:
-        z_ou_index = _draw_matrix(rngs, T, "normal")
-        z_ou_rel = _draw_matrix(rngs, T, "normal")
+        # column 0 seeds the stationary start, column t + 1 steps day t
+        true_sig_i = _draw_matrix(rngs, T, "normal")
+        true_sig_s = _draw_matrix(rngs, T, "normal")
         stat_std = _OU_VOLVOL * np.sqrt(_OU_RELAXATION / 2.0)
-        log_si = stat_std * z_ou_index[:, 0]
-        log_rel = stat_std * z_ou_rel[:, 0]
+        logs[0] = stat_std * true_sig_i[:, 0], stat_std * true_sig_s[:, 0]
     else:
-        log_si = np.zeros(n)
-        log_rel = np.zeros(n)
+        true_sig_i, true_sig_s = np.empty((2, n, T))
+    true_beta, true_rho = np.empty((2, n, T))
 
-    s_index_bar = config.daily_index_vol
-    s_resid_bar = config.daily_residual_vol
+    def vols(lg):       # index and residual vols from the log-vols
+        return (config.daily_index_vol * np.exp(lg[:, 0]),
+                config.daily_residual_vol * np.exp(lg[:, 0] + lg[:, 1]))
 
-    index_price = np.full(n, 100.0)
-    stock_price = np.full(n, 100.0)
-    levels = init_levels(index_price, stock_price)
+    px, slow, lvl = np.full((3, L + 1, 2, n), 100.0)
+    fast, gap = np.full(n, 100.0), np.zeros(n)
+    beta = np.full((L + 1, n), _BETA)   # the normalized beta
+    tr = np.empty((L, 2, n))
+    s_index, s_resid = vols(logs[:1])
+    ratio = np.sqrt(beta[0] ** 2 * s_index[0] ** 2 + s_resid[0] ** 2) / s_index[0]
+    kappa = ratio ** 2
+    lam_b = p.lambda_beta
+    clamped = np.zeros(2, dtype=int)
 
-    s_index = s_index_bar * np.exp(log_si)
-    s_resid = s_resid_bar * np.exp(log_si + log_rel)
-    beta_norm = np.full(n, _BETA)
-    ratio_prev = np.sqrt(beta_norm ** 2 * s_index ** 2 + s_resid ** 2) / s_index
-    kappa = ratio_prev ** 2
-    lam_b = params.lambda_beta
+    def move(d, gap):
+        # mc5's normalized beta from yesterday's state: both corrections of
+        # the estimator, without their floor; 2 f / b * delta is finite and
+        # vanishes with f, so the elasticity needs no guard
+        b = beta[d]
+        ela = 1.0 + (2.0 * beta_elasticity(b, p) / b) * (ratio / np.sqrt(kappa) - 1.0)
+        np.maximum(_BETA * (1.0 + p.ell_diff * gap) * ela, 0.05, out=beta[d + 1])
+        tr[d, 1] = beta[d + 1] * tr[d, 0] + resid[d]
+        # tomorrow's vols give kappa its next squared vol ratio
+        ratio[:] = np.sqrt(beta[d + 1] ** 2 * s_next2[d] + s_resid2[d]) / s_next[d]
+        kappa[:] = (1.0 - lam_b) * kappa + lam_b * ratio ** 2
 
-    r_index = np.empty((n, T))
-    r_stock = np.empty((n, T))
-    true_beta = np.empty((n, T))
-    true_rho = np.empty((n, T))
-    true_sig_i = np.empty((n, T))
-    true_sig_s = np.empty((n, T))
-    clamped = 0
-
-    for t in range(T):
+    for t0 in range(0, T, L):
+        m = min(L, T - t0)
+        days = slice(t0, t0 + m)
         if stochastic_vol:
-            corr_lev = 1.0 + params.ell_diff * fast_gap(levels)
-            f = beta_elasticity(beta_norm, params)
-            delta = ratio_prev / np.sqrt(kappa) - 1.0
-            with np.errstate(invalid="ignore", divide="ignore"):
-                corr_ela = 1.0 + (2.0 * f / beta_norm) * delta
-            corr_ela = np.where(np.isfinite(corr_ela) & (f > 0.0), corr_ela, 1.0)
-            beta_norm = np.maximum(_BETA * corr_lev * corr_ela, 0.05)
+            steps = min(m, T - 1 - t0)      # the last day keeps its vols
+            lg = logs[:steps + 1]
+            lg[1:, 0] = _OU_VOLVOL * true_sig_i[:, t0 + 1:t0 + 1 + steps].T
+            lg[1:, 1] = _OU_VOLVOL * true_sig_s[:, t0 + 1:t0 + 1 + steps].T
+            ema_rows(lg, 1.0 - 1.0 / _OU_RELAXATION)
+            logs[steps + 1:m + 1] = logs[steps]
+        s_index, s_resid = vols(logs[:m + 1])
+        # today's moves use today's vols; the truth and kappa tomorrow's
+        s_next, s_next2, s_resid2 = s_index[1:], s_index[1:] ** 2, s_resid[1:] ** 2
+        tr[:m, 0] = s_index[:m] * r_index[:, days].T
+        resid = s_resid[:m] * r_stock[:, days].T
 
-        tr_index = s_index * z_index[:, t]
-        tr_stock = beta_norm * tr_index + s_resid * z_resid[:, t]
-        new_index, new_stock, levels, n_floored = level_price_step(
-            index_price, stock_price, tr_index, tr_stock, levels, params)
-        clamped += n_floored
+        if not stochastic_vol:
+            tr[:m, 1] = _BETA * tr[:m, 0] + resid
+        clamped += _level_days(px[:m + 1], slow[:m + 1], lvl[:m + 1], fast, gap, tr[:m], p,
+                               move if stochastic_vol else None)
 
-        r_index[:, t] = new_index / index_price - 1.0
-        r_stock[:, t] = new_stock / stock_price - 1.0
-        index_price, stock_price = new_index, new_stock
-
-        if stochastic_vol and t + 1 < T:
-            # draw column 0 seeded the stationary start; steps use 1..T-1
-            log_si = ou_step(log_si, _OU_RELAXATION, _OU_VOLVOL, normal=z_ou_index[:, t + 1])
-            log_rel = ou_step(log_rel, _OU_RELAXATION, _OU_VOLVOL, normal=z_ou_rel[:, t + 1])
-            s_index = s_index_bar * np.exp(log_si)
-            s_resid = s_resid_bar * np.exp(log_si + log_rel)
-
+        price, level, b = px[1:m + 1], lvl[1:m + 1], beta[1:m + 1]
+        ret = price / px[:m] - 1.0
         if stochastic_vol:
-            level_ratio = (levels.stock_level * new_index) / (new_stock * levels.index_level)
-            true_beta[:, t] = beta_norm * level_ratio
+            tb = b * ((level[:, 1] * price[:, 0]) / (price[:, 1] * level[:, 0]))
         else:
-            true_beta[:, t] = beta_norm * levels.slow_stock * new_index \
-                / (levels.slow_index * new_stock)
-        sig_i_tot = np.sqrt(beta_norm ** 2 * s_index ** 2 + s_resid ** 2)
-        true_sig_i[:, t] = s_index * levels.index_level / new_index
-        true_sig_s[:, t] = sig_i_tot * levels.stock_level / new_stock
-        true_rho[:, t] = true_beta[:, t] * true_sig_i[:, t] / true_sig_s[:, t]
-
-        ratio_t = sig_i_tot / s_index
-        kappa = (1.0 - lam_b) * kappa + lam_b * ratio_t ** 2
-        ratio_prev = ratio_t
+            tb = b * slow[1:m + 1, 1] * price[:, 0] / (slow[1:m + 1, 0] * price[:, 1])
+        sig_i = s_next * level[:, 0] / price[:, 0]
+        sig_s = np.sqrt(b ** 2 * s_next2 + s_resid2) * level[:, 1] / price[:, 1]
+        for out, block in ((r_index, ret[:, 0]), (r_stock, ret[:, 1]), (true_beta, tb),
+                           (true_rho, tb * sig_i / sig_s), (true_sig_i, sig_i),
+                           (true_sig_s, sig_s)):
+            out[:, days] = block.T
+        for x in (px, slow, lvl, beta, logs):
+            x[0] = x[m]
 
     return McBatch(
         model=config.model, path_ids=path_ids,
         r_index=r_index, r_stock=r_stock,
         true_beta=true_beta, true_rho=true_rho,
         true_sigma_index=true_sig_i, true_sigma_stock=true_sig_s,
-        clamped=clamped,
+        clamped=int(clamped[1]), clamped_index=int(clamped[0]),
     )
 
 

@@ -20,9 +20,8 @@ import numpy as np
 from .params import TRADING_DAYS, ReactiveParams
 from .beta import ReactiveBetaEngine
 from .evaluation import HedgeReport, strategy_bias_corstd
-from .montecarlo import level_price_step
+from .montecarlo import _level_days
 from .timeseries import block_rows, ema_rows
-from .volatility import init_levels
 
 __all__ = [
     "STRATEGIES",
@@ -445,17 +444,25 @@ def synthetic_universe(n_stocks: int = 100, T: int = 1400, seed: int = 0,
     s_index = 0.15 / np.sqrt(TRADING_DAYS)
     s_resid = np.sqrt(0.40 ** 2 - 0.15 ** 2) / np.sqrt(TRADING_DAYS)
 
+    # the shared index repeats in every column of the level kernel
+    L = block_rows(n_stocks, T - 1)
+    px, slow, lvl = np.full((3, L + 1, 2, n_stocks), 100.0)
+    fast, gap = np.full(n_stocks, 100.0), np.zeros(n_stocks)
+    tr = np.empty((L, 2, n_stocks))
     index_prices = np.empty(T)
     prices = np.empty((T, n_stocks))
     index_prices[0] = 100.0
     prices[0] = 100.0
-    levels = init_levels(100.0, np.full(n_stocks, 100.0))
-
-    for t in range(1, T):
-        tr_index = s_index * rng.standard_normal()
-        tr_stock = tr_index + s_resid * rng.standard_normal(n_stocks)
-        index_prices[t], prices[t], levels, _ = level_price_step(
-            index_prices[t - 1], prices[t - 1], tr_index, tr_stock, levels, params)
+    for t0 in range(1, T, L):
+        m = min(L, T - t0)
+        z = rng.standard_normal((m, 1 + n_stocks))     # each day: index, then stocks
+        tr[:m, 0] = s_index * z[:, :1]
+        tr[:m, 1] = tr[:m, 0] + s_resid * z[:, 1:]
+        _level_days(px[:m + 1], slow[:m + 1], lvl[:m + 1], fast, gap, tr[:m], params)
+        index_prices[t0:t0 + m] = px[1:m + 1, 0, 0]
+        prices[t0:t0 + m] = px[1:m + 1, 1]
+        for x in (px, slow, lvl):
+            x[0] = x[m]
 
     shares = np.exp(rng.normal(0.0, 1.0, n_stocks))
     caps = prices * shares[None, :]

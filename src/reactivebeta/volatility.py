@@ -47,6 +47,21 @@ def filter_phi(z, phi: float):
     return np.tanh(phi * np.asarray(z, dtype=float)) / phi
 
 
+def _level_map(price, slow, ell, gap, phi: float, out=None):
+    """The level ``price * (1 + filter_phi((slow - price) / price, phi)) *
+    (1 + ell * gap)``: the filtered slow gap (retarded effect) times the
+    fast index gap (panic effect), computed in place in ``out`` if given."""
+    if out is None:
+        out = np.empty(np.broadcast_shapes(np.shape(slow), np.shape(price), np.shape(gap)))
+    np.subtract(slow, price, out=out)
+    out /= price
+    out[...] = filter_phi(out, phi)
+    out += 1.0
+    out *= price
+    out *= 1.0 + ell * gap
+    return out[()]
+
+
 def _check_positive(p, what: str) -> None:
     arr = np.asarray(p, dtype=float)
     finite = np.isfinite(arr)
@@ -121,11 +136,9 @@ def update_levels(
     slow_stock = np.where(stock_mask, slow_stock_new, state.slow_stock)
 
     fgap = (fast_index - i) / fast_index
-    index_level = i * (1.0 + filter_phi((slow_index - i) / i, params.phi)) \
-                    * (1.0 + params.ell * fgap)
+    index_level = _level_map(i, slow_index, params.ell, fgap, params.phi)
     s_safe = np.where(stock_mask, s, 1.0)
-    stock_level_new = s_safe * (1.0 + filter_phi((slow_stock - s_safe) / s_safe, params.phi)) \
-                             * (1.0 + params.ell_prime * fgap)
+    stock_level_new = _level_map(s_safe, slow_stock, params.ell_prime, fgap, params.phi)
     stock_level = np.where(stock_mask, stock_level_new, state.stock_level)
 
     return LevelState(

@@ -228,7 +228,39 @@ class TestCli:
             assert counts["converged"] + counts["at_bound"] <= 6
             assert 6 <= counts["evaluations"] <= 6 * 40
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["diagnostics"] == {"mc6": payload["diagnostics"]}
+        assert manifest["diagnostics"] == {"mc6": {"clamped": 0, "clamped_index": 0,
+                                                   **payload["diagnostics"]}}
+
+    def test_simulate_reports_price_floor_hits(self, tmp_path, monkeypatch):
+        # vols far beyond a market's floor both sides of mc3; the hits are
+        # summed over blocks of paths, each side apart
+        import dataclasses
+
+        import reactivebeta.benchmark as benchmark
+
+        batches = []
+
+        def wild_vols(config, offset=0, count=None):
+            config = dataclasses.replace(config, stock_vol=6.0, index_vol=3.0)
+            batches.append(generate(config, offset, count))
+            return batches[-1]
+
+        generate = benchmark.generate_batch
+        monkeypatch.setattr(benchmark, "generate_batch", wild_vols)
+        monkeypatch.setattr(benchmark, "_BLOCK_PATHS", 16)
+        out = tmp_path / "sim"
+        code = main(["simulate", "--model", "mc3", "--estimator", "ols",
+                     "--paths", "40", "--days", "100", "--seed", "0", "--out", str(out)])
+        assert code == 0
+        assert len(batches) == 3
+        clamped = sum(b.clamped for b in batches)
+        clamped_index = sum(b.clamped_index for b in batches)
+        assert clamped > 0 and clamped_index > 0
+        payload = json.loads((out / "simulate.json").read_text())["mc3"]
+        assert (payload["clamped"], payload["clamped_index"]) == (clamped, clamped_index)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["diagnostics"] == {"mc3": {"clamped": clamped,
+                                                   "clamped_index": clamped_index}}
 
     def test_simulate_dump_paths(self, tmp_path):
         out = tmp_path / "dump"

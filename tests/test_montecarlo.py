@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from reactivebeta import montecarlo as mc
+from reactivebeta.beta import beta_elasticity
 from reactivebeta.montecarlo import (
     MODELS,
     McConfig,
@@ -11,8 +13,105 @@ from reactivebeta.montecarlo import (
     student_t_scaled,
 )
 from reactivebeta.evaluation import NumericalFailure
-from reactivebeta.params import ReactiveParams
-from reactivebeta.volatility import init_levels, update_levels
+from reactivebeta.params import DEFAULT_PARAMS, TRADING_DAYS, ReactiveParams
+from reactivebeta.strategies import synthetic_universe
+from reactivebeta.timeseries import block_rows
+from reactivebeta.volatility import fast_gap, init_levels, update_levels
+
+BATCH_ARRAYS = ("r_index", "r_stock", "true_beta", "true_rho", "true_sigma_index",
+                "true_sigma_stock")
+
+
+def reference_level_driven(config):
+    """mc3-mc5 day by day from the per-day forms: the six arrays of the
+    batch and the stock and index price-floor hits."""
+    n, T = config.n_paths, config.T
+    params = DEFAULT_PARAMS
+    stochastic_vol = config.model == "mc5"
+    rngs = mc._path_generators(config, 0, n)
+    z_index = mc._draw_matrix(rngs, T, "normal")
+    if config.model == "mc3":
+        z_resid = mc._draw_matrix(rngs, T, "normal")
+    else:
+        z_resid = mc._draw_matrix(rngs, T, "t", config.t_dof) \
+            * np.sqrt((config.t_dof - 2.0) / config.t_dof)
+    log_si, log_rel = np.zeros(n), np.zeros(n)
+    if stochastic_vol:
+        z_ou_index = mc._draw_matrix(rngs, T, "normal")
+        z_ou_rel = mc._draw_matrix(rngs, T, "normal")
+        stat_std = mc._OU_VOLVOL * np.sqrt(mc._OU_RELAXATION / 2.0)
+        log_si, log_rel = stat_std * z_ou_index[:, 0], stat_std * z_ou_rel[:, 0]
+
+    index_price, stock_price = np.full(n, 100.0), np.full(n, 100.0)
+    levels = init_levels(index_price, stock_price)
+    s_index = config.daily_index_vol * np.exp(log_si)
+    s_resid = config.daily_residual_vol * np.exp(log_si + log_rel)
+    beta_norm = np.full(n, mc._BETA)
+    ratio_prev = np.sqrt(beta_norm ** 2 * s_index ** 2 + s_resid ** 2) / s_index
+    kappa = ratio_prev ** 2
+    lam_b = params.lambda_beta
+    out = {name: np.empty((n, T)) for name in BATCH_ARRAYS}
+    clamped = clamped_index = 0
+    for t in range(T):
+        if stochastic_vol:
+            corr_lev = 1.0 + params.ell_diff * fast_gap(levels)
+            f = beta_elasticity(beta_norm, params)
+            delta = ratio_prev / np.sqrt(kappa) - 1.0
+            with np.errstate(invalid="ignore", divide="ignore"):
+                corr_ela = 1.0 + (2.0 * f / beta_norm) * delta
+            corr_ela = np.where(np.isfinite(corr_ela) & (f > 0.0), corr_ela, 1.0)
+            beta_norm = np.maximum(mc._BETA * corr_lev * corr_ela, 0.05)
+        tr_index = s_index * z_index[:, t]
+        tr_stock = beta_norm * tr_index + s_resid * z_resid[:, t]
+        clamped_index += np.count_nonzero(index_price + tr_index * levels.index_level
+                                          < mc._PRICE_FLOOR * index_price)
+        new_index, new_stock, levels, n_floored = level_price_step(
+            index_price, stock_price, tr_index, tr_stock, levels, params)
+        clamped += n_floored
+        out["r_index"][:, t] = new_index / index_price - 1.0
+        out["r_stock"][:, t] = new_stock / stock_price - 1.0
+        index_price, stock_price = new_index, new_stock
+        if stochastic_vol and t + 1 < T:
+            log_si = ou_step(log_si, mc._OU_RELAXATION, mc._OU_VOLVOL, z_ou_index[:, t + 1])
+            log_rel = ou_step(log_rel, mc._OU_RELAXATION, mc._OU_VOLVOL, z_ou_rel[:, t + 1])
+            s_index = config.daily_index_vol * np.exp(log_si)
+            s_resid = config.daily_residual_vol * np.exp(log_si + log_rel)
+        if stochastic_vol:
+            true_beta = beta_norm * ((levels.stock_level * new_index)
+                                     / (new_stock * levels.index_level))
+        else:
+            true_beta = beta_norm * levels.slow_stock * new_index \
+                / (levels.slow_index * new_stock)
+        sig_i_tot = np.sqrt(beta_norm ** 2 * s_index ** 2 + s_resid ** 2)
+        out["true_beta"][:, t] = true_beta
+        out["true_sigma_index"][:, t] = s_index * levels.index_level / new_index
+        out["true_sigma_stock"][:, t] = sig_i_tot * levels.stock_level / new_stock
+        out["true_rho"][:, t] = true_beta * out["true_sigma_index"][:, t] \
+            / out["true_sigma_stock"][:, t]
+        ratio_prev = sig_i_tot / s_index
+        kappa = (1.0 - lam_b) * kappa + lam_b * ratio_prev ** 2
+    return out, clamped, clamped_index
+
+
+def reference_universe(n_stocks, T, seed):
+    """``synthetic_universe``'s prices day by day through ``level_price_step``."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, 9001])))
+    s_index = 0.15 / np.sqrt(TRADING_DAYS)
+    s_resid = np.sqrt(0.40 ** 2 - 0.15 ** 2) / np.sqrt(TRADING_DAYS)
+    index_prices, prices = np.empty(T), np.empty((T, n_stocks))
+    index_prices[0], prices[0] = 100.0, 100.0
+    levels = init_levels(100.0, np.full(n_stocks, 100.0))
+    for t in range(1, T):
+        tr_index = s_index * rng.standard_normal()
+        tr_stock = tr_index + s_resid * rng.standard_normal(n_stocks)
+        index_prices[t], prices[t], levels, _ = level_price_step(
+            index_prices[t - 1], prices[t - 1], tr_index, tr_stock, levels, DEFAULT_PARAMS)
+    shares = np.exp(rng.normal(0.0, 1.0, n_stocks))
+    return index_prices, prices, prices * shares[None, :]
+
+
+#: (paths, days) whose blocks of days differ, neither dividing the days
+BLOCKINGS = ((7, 600), (300, 70))
 
 
 class TestConfig:
@@ -104,12 +203,14 @@ class TestReproducibility:
         assert np.array_equal(a.true_beta, b.true_beta)
 
     def test_independent_of_blocking(self):
-        cfg = McConfig(model="mc3", T=50, n_paths=8, seed=7)
-        whole = generate_batch(cfg)
-        first = generate_batch(cfg, 0, 5)
-        second = generate_batch(cfg, 5, 3)
-        assert np.array_equal(whole.r_stock[:5], first.r_stock)
-        assert np.array_equal(whole.r_stock[5:], second.r_stock)
+        for model in ("mc3", "mc4", "mc5"):
+            cfg = McConfig(model=model, T=50, n_paths=8, seed=7)
+            whole = generate_batch(cfg)
+            first = generate_batch(cfg, 0, 5)
+            second = generate_batch(cfg, 5, 3)
+            for name in BATCH_ARRAYS:
+                assert np.array_equal(getattr(whole, name)[:5], getattr(first, name)), model
+                assert np.array_equal(getattr(whole, name)[5:], getattr(second, name)), model
 
     def test_seed_changes_paths(self):
         a = generate_batch(McConfig(model="mc1", T=40, n_paths=4, seed=1))
@@ -166,6 +267,15 @@ class TestLevelPriceStep:
         with pytest.raises(NumericalFailure, match="underflowed"):
             generate_batch(cfg)
 
+    @pytest.mark.parametrize("side", ["index", "stock"])
+    def test_overflowing_price_is_numerical_failure(self, side):
+        # 100 + 1e307 * 100 is inf: a numerical failure, on either side,
+        # not a blank stock cell or a bad-input ValueError
+        moves = {"index": (1e307, np.zeros(3)), "stock": (0.0, np.array([0.0, 1e307, 0.0]))}
+        with pytest.raises(NumericalFailure, match="overflowed"):
+            level_price_step(100.0, np.full(3, 100.0), *moves[side],
+                             init_levels(100.0, np.full(3, 100.0)), ReactiveParams())
+
     def test_underflow_check_leaves_small_normal_prices(self):
         tiny = np.finfo(float).tiny
         levels = init_levels(1e6 * tiny, np.full(2, 1e6 * tiny))
@@ -178,7 +288,52 @@ class TestLevelPriceStep:
                              init_levels(10.0 * tiny, np.ones(2)), ReactiveParams())
 
 
+class TestLevelKernel:
+    """The block-wise level-driven generators against the per-day forms."""
+
+    @pytest.mark.parametrize("model", ["mc3", "mc4", "mc5"])
+    @pytest.mark.parametrize("n, T", BLOCKINGS)
+    def test_generate_batch_matches_per_day_reference(self, model, n, T):
+        assert T % block_rows(n, T) != 0
+        cfg = McConfig(model=model, T=T, n_paths=n, seed=3)
+        batch = generate_batch(cfg)
+        expect, clamped, clamped_index = reference_level_driven(cfg)
+        for name in BATCH_ARRAYS:
+            assert np.array_equal(getattr(batch, name), expect[name]), name
+        assert (batch.clamped, batch.clamped_index) == (clamped, clamped_index)
+
+    @pytest.mark.parametrize("model", ["mc3", "mc4", "mc5"])
+    def test_both_floors_counted_apart(self, model):
+        # vols this large floor both sides often within 100 days
+        cfg = McConfig(model=model, T=100, n_paths=60, seed=0, stock_vol=6.0, index_vol=3.0)
+        batch = generate_batch(cfg)
+        expect, clamped, clamped_index = reference_level_driven(cfg)
+        for name in BATCH_ARRAYS:
+            assert np.array_equal(getattr(batch, name), expect[name]), name
+        assert batch.clamped == clamped > 0
+        assert batch.clamped_index == clamped_index > 0
+        # a floored index return is -95%, up to the rounding of the ratio
+        assert batch.clamped_index == np.count_nonzero(batch.r_index < -0.95 + 1e-12)
+
+    @pytest.mark.parametrize("n, T", BLOCKINGS)
+    def test_synthetic_universe_matches_per_day_reference(self, n, T):
+        assert (T - 1) % block_rows(n, T - 1) != 0
+        uni = synthetic_universe(n_stocks=n, T=T, seed=4)
+        index_prices, prices, caps = reference_universe(n, T, seed=4)
+        assert np.array_equal(uni.index_prices, index_prices)
+        assert np.array_equal(uni.prices, prices)
+        assert np.array_equal(uni.caps, caps)
+
+
 class TestMarketModel:
+    def test_constant_truth_is_read_only(self):
+        batch = generate_batch(McConfig(model="mc2", T=30, n_paths=4, seed=0))
+        for name in BATCH_ARRAYS[2:]:
+            track = getattr(batch, name)
+            assert track.shape == (4, 30) and not track.flags.writeable
+            assert np.all(track == track[0, 0])
+        assert batch.true_rho[0, 0] == pytest.approx(0.375)
+
     def test_constant_unit_beta_and_targets(self):
         cfg = McConfig(model="mc1", T=1000, n_paths=2000, seed=0)
         batch = generate_batch(cfg)
