@@ -7,6 +7,9 @@ conditional betas on seven synthetic market models, and applies both
 beta sources to beta-neutral factor backtests with bias diagnostics.
 """
 
+# set before the submodules load: io reads it at import
+__version__ = "0.1.0"
+
 from .params import DEFAULT_PARAMS, TRADING_DAYS, ReactiveParams
 from .timeseries import exp_weighted_moments, rolling_correlation
 from .volatility import (
@@ -57,5 +60,3 @@ from .strategies import (
     synthetic_universe,
 )
 from .benchmark import run_benchmark
-
-__version__ = "0.1.0"

@@ -19,7 +19,8 @@ from .estimators import (
     dcc_beta_batch,
     ols_beta_batch,
     quantile_beta_batch,
-    trimean_beta_batch,
+    trimean,
+    trimean_beta_batch,  # uncalled here; perfbench/spans.py wraps this name
 )
 from .evaluation import ErrorSamples, StatRow, table2_stats
 from .montecarlo import McBatch, McConfig, generate_batch
@@ -55,20 +56,29 @@ def estimate_batch(name: str, batch: McBatch,
                    params: ReactiveParams = DEFAULT_PARAMS) -> np.ndarray:
     """Final-time beta estimates of one estimator over a batch of paths.
     Every estimator looks back over ``params.lambda_beta``."""
-    return _estimate(name, batch, params)[0]
+    return _estimate(name, batch, params, {})[0]
 
 
-def _estimate(name: str, batch: McBatch, params: ReactiveParams):
+def _estimate(name: str, batch: McBatch, params: ReactiveParams, slopes: dict):
     """The estimates and, for (A)DCC, the calibration's counts: paths,
-    converged paths, paths at the ``rho_bar`` bound and filter passes."""
+    converged paths, paths at the ``rho_bar`` bound and filter passes.
+
+    ``slopes`` holds the batch's quantile regression slopes by level, so
+    that ``mad`` and ``trm`` solve the median once between them."""
     r_s, r_i = batch.r_stock, batch.r_index
     lam = params.lambda_beta
+
+    def slope(theta: float) -> np.ndarray:
+        if theta not in slopes:
+            slopes[theta] = quantile_beta_batch(r_i, r_s, theta, lam)[1]
+        return slopes[theta]
+
     if name == "ols":
         return ols_beta_batch(r_i, r_s, lam), None
     if name == "mad":
-        return quantile_beta_batch(r_i, r_s, 0.5, lam)[1], None
+        return slope(0.5), None
     if name == "trm":
-        return trimean_beta_batch(r_i, r_s, lam), None
+        return trimean(slope), None
     if name in ("dcc", "adcc"):
         beta, cal = dcc_beta_batch(r_s, r_i, asymmetric=name == "adcc", lam=lam)
         return beta, {"paths": batch.n_paths,
@@ -142,8 +152,9 @@ def run_benchmark(model: str, estimators: Sequence[str] = ("ols", "reactive"),
         winners.append(w)
         lows.append(lo)
         true_final.append(batch.true_beta[:, -1])
+        slopes = {}
         for name in run_names:
-            est, counts = _estimate(name, batch, params)
+            est, counts = _estimate(name, batch, params, slopes)
             estimates[name].append(est)
             if counts is not None:
                 total = diagnostics.setdefault(name, dict.fromkeys(counts, 0))

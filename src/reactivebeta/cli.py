@@ -115,7 +115,8 @@ def _cmd_estimate(args) -> int:
     inputs = [p for p in (args.prices, args.caps, args.sectors) if p]
     rio.write_manifest(out / "manifest.json", "estimate",
                        {"params": params.__dict__, "burn_in": params.burn_in},
-                       inputs=inputs, outputs=[dest], diagnostics=diagnostics)
+                       inputs=inputs, outputs=[dest], diagnostics=diagnostics,
+                       argv=args.argv)
     print(f"wrote {dest}")
     return 0
 
@@ -149,7 +150,8 @@ def _cmd_simulate(args) -> int:
                         "seed": args.seed, "params": params.__dict__},
                        outputs=[dest],
                        diagnostics={m: {"clamped": r.clamped, "clamped_index": r.clamped_index,
-                                        **r.diagnostics} for m, r in results.items()})
+                                        **r.diagnostics} for m, r in results.items()},
+                       argv=args.argv)
     for model, result in results.items():
         for name, row in result.rows.items():
             print(f"{model} {name}: bias={row.bias:+.3f}{'*' if row.bias_star else ' '} "
@@ -195,7 +197,8 @@ def _cmd_backtest(args) -> int:
                         "synthetic": bool(args.synthetic), "stocks": args.stocks,
                         "days": args.days, "seed": args.seed,
                         "params": params.__dict__},
-                       inputs=inputs, outputs=[dest], diagnostics=diagnostics)
+                       inputs=inputs, outputs=[dest], diagnostics=diagnostics,
+                       argv=args.argv)
     return 0
 
 
@@ -219,7 +222,7 @@ def _cmd_selection_bias(args) -> int:
     dest = out / "selection_bias.json"
     rio.write_json(dest, payload)
     rio.write_manifest(out / "manifest.json", "selection-bias",
-                       payload["inputs"], outputs=[dest])
+                       payload["inputs"], outputs=[dest], argv=args.argv)
     print(f"selection bias B={result.B:.4f} beta_low={result.beta_low_factor:+.4f} "
           f"rho_low={100.0 * result.rho_low_factor:.1f}%")
     return 0
@@ -262,7 +265,7 @@ def _cmd_calibrate_ell(args) -> int:
                         fit=payload, labels=("leverage_variation", "correlation_variation"))
     rio.write_manifest(out / "manifest.json", "calibrate-ell",
                        {"data": str(args.data)}, inputs=[args.data],
-                       outputs=[dest])
+                       outputs=[dest], argv=args.argv)
     print(f"slope={fit.slope:.3f} +/- {fit.stderr:.3f} (t={fit.tstat:.1f}, "
           f"R2={fit.r2:.3f}) -> ell_diff={fit.ell_diff:.3f}")
     return 0
@@ -334,7 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
+    args.argv = argv    # the manifests record the arguments that ran
     try:
         return args.func(args)
     except (rio.IngestError, FileNotFoundError, configparser.Error) as exc:

@@ -22,6 +22,7 @@ __all__ = [
     "quantile_beta",
     "quantile_beta_batch",
     "quantile_objective",
+    "trimean",
     "trimean_beta_batch",
     "GarchParams",
     "DccParams",
@@ -208,12 +209,15 @@ def quantile_beta(problem: WeightedRegressionProblem, theta: float):
     return float(alpha[0]), float(beta[0])
 
 
+def trimean(slope) -> np.ndarray:
+    """Tukey's trimean 0.25 q25 + 0.5 q50 + 0.25 q75 of the quantile
+    regression slopes ``slope(theta)``."""
+    return 0.25 * slope(0.25) + 0.5 * slope(0.5) + 0.25 * slope(0.75)
+
+
 def trimean_beta_batch(x: np.ndarray, y: np.ndarray,
                        lam: float = DEFAULT_LOOKBACK) -> np.ndarray:
-    b25 = quantile_beta_batch(x, y, 0.25, lam)[1]
-    b50 = quantile_beta_batch(x, y, 0.50, lam)[1]
-    b75 = quantile_beta_batch(x, y, 0.75, lam)[1]
-    return 0.25 * b25 + 0.5 * b50 + 0.25 * b75
+    return trimean(lambda theta: quantile_beta_batch(x, y, theta, lam)[1])
 
 
 # ---------------------------------------------------------------------------

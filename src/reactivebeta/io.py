@@ -15,12 +15,12 @@ import datetime as dt
 import hashlib
 import json
 import platform
-import sys
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
+from . import __version__
 from .strategies import Universe, auto_supersectors
 
 __all__ = [
@@ -171,6 +171,8 @@ def ingest_prices(path, index_ticker: Optional[str] = None,
         except ValueError as exc:
             raise IngestError(f"caps file missing ticker: {exc}") from None
         caps = cvalues[:, cols]
+        if np.any(caps[np.isfinite(caps)] <= 0.0):
+            raise IngestError("caps must be strictly positive")
 
     if sectors_path is not None:
         supersector = _read_sectors(sectors_path, stock_tickers)
@@ -248,19 +250,15 @@ def sha256_file(path) -> str:
 
 
 def write_manifest(path, command: str, config: dict, inputs=(), outputs=(),
-                   diagnostics: Optional[dict] = None) -> None:
-    """Reproducibility record: configuration, versions, digests, counts."""
-    try:
-        from importlib.metadata import version
-        pkg_version = version("reactivebeta")
-    except Exception:
-        pkg_version = "unknown"
+                   diagnostics: Optional[dict] = None, *, argv) -> None:
+    """Reproducibility record: configuration, the command-line arguments
+    ``argv`` that ran, versions, digests, counts."""
     manifest = {
         "command": command,
         "config": config,
-        "argv": sys.argv,
+        "argv": argv,
         "versions": {
-            "reactivebeta": pkg_version,
+            "reactivebeta": __version__,
             "numpy": np.__version__,
             "python": platform.python_version(),
         },

@@ -558,6 +558,31 @@ class TestSharedLookBack:
             assert not np.array_equal(estimate_batch(name, batch), want), name
 
 
+class TestSharedMedianFit:
+    @pytest.mark.parametrize("names", [("mad", "trm"), ("trm", "mad")])
+    def test_median_solved_once_per_block(self, monkeypatch, names):
+        # mad and trm read one median fit per block, and their rows are
+        # bit for bit those of runs that score each alone
+        import reactivebeta.benchmark as benchmark
+
+        solve = benchmark.quantile_beta_batch
+        levels = []
+
+        def counting(x, y, theta, lam):
+            levels.append(theta)
+            return solve(x, y, theta, lam)
+
+        monkeypatch.setattr(benchmark, "quantile_beta_batch", counting)
+        monkeypatch.setattr(benchmark, "_BLOCK_PATHS", 4)
+        run = dict(model="mc4", n_paths=10, T=150, seed=3)   # blocks of 4, 4, 2
+        shared = benchmark.run_benchmark(estimators=names, **run)
+        per_block = [0.5, 0.25, 0.75] if names[0] == "mad" else [0.25, 0.5, 0.75]
+        assert levels == 3 * per_block
+        for name in names:
+            alone = benchmark.run_benchmark(estimators=[name], **run)
+            assert repr(shared.rows[name].to_dict()) == repr(alone.rows[name].to_dict())
+
+
 class TestDccBeta:
     def test_stock_equals_index(self):
         # the correlation clamp at 0.999 caps the perfect-dependence case;

@@ -101,6 +101,7 @@ class TestIngest:
         sectors.write_text("ticker,supersector\nAAA,tech\nBBB,energy\nCCC,tech\n")
         uni = ingest_prices(price_file, caps_path=caps, sectors_path=sectors)
         assert uni.caps.shape == (5, 3)
+        assert np.isnan(uni.caps[3, 1])             # a blank cap is allowed
         assert uni.supersector[0] == uni.supersector[2] != uni.supersector[1]
 
     @pytest.mark.parametrize("panel", ["prices", "caps"])
@@ -121,6 +122,13 @@ class TestIngest:
             bad.write_text(_with_cell(token))
             with pytest.raises(IngestError, match="strictly positive"):
                 ingest_prices(bad)
+
+    def test_non_positive_cap_rejected(self, tmp_path, price_file):
+        bad = tmp_path / "caps.csv"
+        for token in ("0", "-5"):
+            bad.write_text(_with_cell(token))
+            with pytest.raises(IngestError, match="caps must be strictly positive"):
+                ingest_prices(price_file, caps_path=bad)
 
     def test_missing_sector_label_rejected(self, tmp_path, price_file):
         sectors = tmp_path / "sectors.csv"
@@ -330,6 +338,14 @@ class TestCli:
         assert main(argv) == 1
         assert "bad.csv line 4" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("token", ["0", "-5"])
+    def test_non_positive_cap_exit_code(self, tmp_path, capsys, price_file, token):
+        caps = tmp_path / "caps.csv"
+        caps.write_text(_with_cell(token))
+        assert main(["estimate", "--prices", str(price_file), "--caps", str(caps),
+                     "--out", str(tmp_path / "o")]) == 1
+        assert "caps must be strictly positive" in capsys.readouterr().err
+
     def test_bad_estimator_exit_code(self, tmp_path, capsys):
         assert main(["simulate", "--estimator", "magic",
                      "--out", str(tmp_path / "o")]) == 1
@@ -351,12 +367,21 @@ class TestCli:
                          "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
 
     def test_manifest_versions(self, tmp_path):
+        import reactivebeta
+
         out = tmp_path / "v"
         main(["selection-bias", "--out", str(out)])
         manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["versions"]["reactivebeta"] == reactivebeta.__version__
         assert "numpy" in manifest["versions"]
         assert "python" in manifest["versions"]
         assert manifest["command"] == "selection-bias"
+
+    def test_manifest_records_the_arguments_main_parsed(self, tmp_path):
+        argv = ["selection-bias", "--p", "0.25", "--out", str(tmp_path / "a")]
+        assert main(argv) == 0
+        manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
+        assert manifest["argv"] == argv
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         # the parser binds the command function at build time, so patching
