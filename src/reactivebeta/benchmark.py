@@ -151,7 +151,8 @@ def run_benchmark(model: str, estimators: Sequence[str] = ("ols", "reactive"),
         w, lo = path_flags(batch)
         winners.append(w)
         lows.append(lo)
-        true_final.append(batch.true_beta[:, -1])
+        # a copy: a view of the column would keep the block's truth alive
+        true_final.append(batch.true_beta[:, -1].copy())
         slopes = {}
         for name in run_names:
             est, counts = _estimate(name, batch, params, slopes)
@@ -161,6 +162,7 @@ def run_benchmark(model: str, estimators: Sequence[str] = ("ols", "reactive"),
                 for key, value in counts.items():
                     total[key] += value
         done += count
+        del batch, slopes   # before the next block is generated
 
     true_final = np.concatenate(true_final)
     winner = np.concatenate(winners)

@@ -232,12 +232,11 @@ SYMMETRIC_DCC_COEFFS = {"a_rho": 0.0079, "b_rho": 0.9261, "gamma_rho": 0.0}
 #: Correlation-process coefficients for the asymmetric model.
 ASYMMETRIC_DCC_COEFFS = {"a_rho": 0.0020, "b_rho": 0.9512, "gamma_rho": 0.0040}
 
-_SIGMA_FLOOR_FRACTION = 1e-12
 _RHO_CLAMP = 0.999
-#: (day, parameter point, path) cells per block of the (A)DCC filter,
-#: which advances at least 8 days per block: long blocks spread numpy's
-#: per-call cost over more cells, while the workspace and temporaries,
-#: some sixty arrays of a block's cells, stay small
+#: (day, path) cells per block of the (A)DCC filter, which advances at
+#: least 8 days per block: long blocks spread numpy's per-call cost over
+#: more cells, while the workspace and temporaries, some sixty arrays of
+#: a block's cells, stay small
 _BLOCK_CELLS = 2048
 #: filter passes a calibration may spend on one path
 _MAX_PASSES = 100
@@ -282,8 +281,10 @@ class DccParams:
     def __post_init__(self) -> None:
         if min(self.a_rho, self.b_rho, self.gamma_rho) < 0.0:
             raise ValueError("correlation coefficients must be non-negative")
-        if self.a_rho + self.b_rho + self.gamma_rho / 4.0 >= 1.0:
-            raise ValueError("stationarity requires a_rho + b_rho + gamma_rho/4 < 1")
+        # q_stock and q_index step with the constant 1 - a_rho - b_rho -
+        # gamma_rho/2, which must be positive; q_cross's then is too
+        if self.a_rho + self.b_rho + self.gamma_rho / 2.0 >= 1.0:
+            raise ValueError("stationarity requires a_rho + b_rho + gamma_rho/2 < 1")
         rb = np.asarray(self.rho_bar)
         if not np.all((rb > -1.0) & (rb < 1.0)):
             raise ValueError("rho_bar must lie in (-1, 1)")
@@ -300,7 +301,6 @@ class DccState:
     q_cross: np.ndarray | float
     rho: np.ndarray | float
     beta: np.ndarray | float
-    floored: np.ndarray | bool = False
 
 
 def init_dcc_state(gp_stock: GarchParams, gp_index: GarchParams,
@@ -316,7 +316,6 @@ def init_dcc_state(gp_stock: GarchParams, gp_index: GarchParams,
         q_cross=dp.rho_bar * ones,
         rho=dp.rho_bar * ones,
         beta=dp.rho_bar * gp_stock.unconditional_sigma / gp_index.unconditional_sigma * ones,
-        floored=np.zeros(shape, dtype=bool) if shape else False,
     )
 
 
@@ -329,7 +328,11 @@ def dcc_step(state: DccState, r_stock, r_index,
     state and today's shocks; the correlation is the normalized cross
     term clamped into (-0.999, 0.999) and the conditional beta is
     ``rho * sigma_stock / sigma_index``. The asymmetry terms charge
-    negative shocks, under which falling prices raise volatility.
+    negative shocks, under which falling prices raise volatility. Each
+    variance stays at least ``1 - a - b - gamma/2`` times its
+    unconditional level and each normalized variance at least ``1 - a_rho
+    - b_rho - gamma_rho/2``, factors that :class:`GarchParams` and
+    :class:`DccParams` keep positive.
     """
     xi_s = np.asarray(r_stock, dtype=float) / state.sigma_stock
     xi_i = np.asarray(r_index, dtype=float) / state.sigma_index
@@ -337,14 +340,11 @@ def dcc_step(state: DccState, r_stock, r_index,
     xm_i = np.where(xi_i < 0.0, xi_i, 0.0)
 
     def _advance_var(sig_prev, xi, xm, gp: GarchParams):
-        var_prev = sig_prev * sig_prev
-        var = (1.0 - gp.a - gp.b - gp.gamma / 2.0) * gp.unconditional_sigma ** 2 \
-            + var_prev * (gp.a * xi * xi + gp.b + gp.gamma * xm * xm)
-        floor = _SIGMA_FLOOR_FRACTION * gp.unconditional_sigma ** 2
-        return np.maximum(var, floor), var < floor
+        return (1.0 - gp.a - gp.b - gp.gamma / 2.0) * gp.unconditional_sigma ** 2 \
+            + sig_prev * sig_prev * (gp.a * xi * xi + gp.b + gp.gamma * xm * xm)
 
-    var_s, fl_s = _advance_var(state.sigma_stock, xi_s, xm_s, gp_stock)
-    var_i, fl_i = _advance_var(state.sigma_index, xi_i, xm_i, gp_index)
+    var_s = _advance_var(state.sigma_stock, xi_s, xm_s, gp_stock)
+    var_i = _advance_var(state.sigma_index, xi_i, xm_i, gp_index)
 
     base = 1.0 - dp.a_rho - dp.b_rho - dp.gamma_rho / 2.0
     q_s = base + dp.a_rho * xi_s * xi_s + dp.b_rho * state.q_stock + dp.gamma_rho * xm_s * xm_s
@@ -358,7 +358,6 @@ def dcc_step(state: DccState, r_stock, r_index,
         sigma_stock=sigma_s, sigma_index=sigma_i,
         q_stock=q_s, q_index=q_i, q_cross=q_c,
         rho=rho, beta=rho * sigma_s / sigma_i,
-        floored=state.floored | fl_s | fl_i,
     )
 
 
@@ -366,27 +365,24 @@ def _dcc_filter(sigma_stock, sigma_index, rho_bar,
                 r_stock: np.ndarray, r_index: np.ndarray,
                 garch_coeffs: dict, dcc_coeffs: dict,
                 lam: float, rows=None):
-    """Run the (A)DCC filter of :func:`dcc_step` over every parameter
-    point and path at once. Return the exponentially weighted Gaussian
+    """Run the (A)DCC filter of :func:`dcc_step` over a batch of paths,
+    each at its own point ``(sigma_stock, sigma_index, rho_bar)``, three
+    ``(n,)`` arrays. ``rows`` selects the ``n`` paths of the return
+    arrays (all when None). Return the exponentially weighted Gaussian
     quasi log-likelihood of the filtered model, up to an additive
-    constant, and the conditional beta after the last day, both shaped
-    like the parameters broadcast against the paths, then the exact
-    score and Hessian of the likelihood in ``(log sigma_stock, log
-    sigma_index, rho_bar)``, shaped ``(3,) + shape`` and ``(3, 3) +
-    shape``. ``rows`` selects the paths of the ``(n, T)`` return arrays
-    (all when None).
+    constant, and the conditional beta after the last day, both ``(n,)``,
+    then the exact score and Hessian of the likelihood in ``(log
+    sigma_stock, log sigma_index, rho_bar)``, ``(3, n)`` and ``(3, 3, n)``.
 
     Since ``var_t * xi_t**2 == r_t**2``, the variance recursion is linear:
     ``var_t = U * A_t + B_t`` with ``U`` the unconditional variance, ``A_t``
-    a scalar sequence and ``B_t`` a filter of the returns alone. As
-    ``var_t >= (1 - a - b - gamma/2) * U``, the variance floor of
-    :func:`dcc_step` never binds once that factor exceeds the floor
-    fraction, which is checked here. The three normalized terms are AR(1)
-    filters with the constant coefficient ``b_rho``, driven by the
-    shocks. So only those filters (and ``B``) step day by day; the rest
-    runs vectorised over blocks of days in a workspace reused from block
-    to block. Day t adds ``-w_t/2 * (log(var_s var_i (1 - rho**2))
-    + (xi_s**2 - 2 rho xi_s xi_i + xi_i**2) / (1 - rho**2))``.
+    a scalar sequence and ``B_t`` a filter of the returns alone. The three
+    normalized terms are AR(1) filters with the constant coefficient
+    ``b_rho``, driven by the shocks. So only those filters (and ``B``)
+    step day by day; the rest runs vectorised over blocks of days in a
+    workspace reused from block to block. Day t adds ``-w_t/2 * (log(var_s
+    var_i (1 - rho**2)) + (xi_s**2 - 2 rho xi_s xi_i + xi_i**2) / (1 -
+    rho**2))``.
 
     The derivatives come from the same structure: ``d log var_t / d log
     sigma = 2 U A_t / var_t``. The first and second derivatives of the
@@ -398,10 +394,6 @@ def _dcc_filter(sigma_stock, sigma_index, rho_bar,
     correlation, it has no derivative.
     """
     a, b, g = garch_coeffs["a"], garch_coeffs["b"], garch_coeffs["gamma"]
-    omega = 1.0 - a - b - g / 2.0
-    if omega <= _SIGMA_FLOOR_FRACTION:
-        raise ValueError("the variance filter needs 1 - a - b - gamma/2 "
-                         f"above {_SIGMA_FLOOR_FRACTION}, got {omega}")
     ar, br, gr = dcc_coeffs["a_rho"], dcc_coeffs["b_rho"], dcc_coeffs["gamma_rho"]
     n, T = r_stock.shape
     if rows is None:
@@ -410,12 +402,9 @@ def _dcc_filter(sigma_stock, sigma_index, rho_bar,
         n = rows.size
     sig_s = np.asarray(sigma_stock, dtype=float)
     sig_i = np.asarray(sigma_index, dtype=float)
+    uncond = np.stack([sig_s * sig_s, sig_i * sig_i])
     rho0 = np.asarray(rho_bar, dtype=float)
-    shape = np.broadcast_shapes(sig_s.shape, sig_i.shape, rho0.shape, (n,))
-    points = (-1, shape[-1])   # (parameter points, paths)
-    uncond = np.stack([np.broadcast_to(sig_s * sig_s, shape).reshape(points),
-                       np.broadcast_to(sig_i * sig_i, shape).reshape(points)])
-    rho0 = np.broadcast_to(rho0, shape).reshape(points)
+    omega = 1.0 - a - b - g / 2.0
     base_q = 1.0 - ar - br - gr / 2.0
     base_qc = 1.0 - ar - br - gr / 4.0
     powers = b ** np.arange(T + 1.0)
@@ -425,24 +414,23 @@ def _dcc_filter(sigma_stock, sigma_index, rho_bar,
     base_qc = base_qc * rho0
     weight = -0.5 * (1.0 - lam) ** np.arange(T - 1.0, -1.0, -1.0)
 
-    C, p = uncond.shape[1:]
-    L = min(max(8, _BLOCK_CELLS // (C * p)), T)
+    L = min(max(8, _BLOCK_CELLS // n), T)
     B = np.zeros((L + 1, 2, n))          # B_t of the block's days, then the carry
     step_b = np.empty((2, n))
-    V = np.empty((2, L, C, p))           # variances, then squared shocks
-    E = np.empty((2, L, C, p))           # d log var / d log sigma
-    P = np.empty((L, C, p))
-    X = np.empty((L, C, p))              # 2 xi_s xi_i
-    rho = np.empty((L, C, p))
-    one_m = np.empty((L, C, p))
+    V = np.empty((2, L, n))              # variances, then squared shocks
+    E = np.empty((2, L, n))              # d log var / d log sigma
+    P = np.empty((L, n))
+    X = np.empty((L, n))                 # 2 xi_s xi_i
+    rho = np.empty((L, n))
+    one_m = np.empty((L, n))
     # q_s, q_i, q_c and their nine sensitivities (see _sensitivity_drives)
     # of the block's days, then the carry
-    Q = np.zeros((L + 1, 12, C, p))
+    Q = np.zeros((L + 1, 12, n))
     Q[0, :2] = 1.0
     Q[0, 2] = rho0
-    step_q = np.empty((12, C, p))
-    G = np.empty((10, L, C, p))          # each day's weighted terms
-    total = np.zeros((10, C, p))
+    step_q = np.empty((12, n))
+    G = np.empty((10, L, n))             # each day's weighted terms
+    total = np.zeros((10, n))
     for t0 in range(0, T, L):
         m = min(L, T - t0)
         days = slice(t0, t0 + m)
@@ -457,19 +445,18 @@ def _dcc_filter(sigma_stock, sigma_index, rho_bar,
             B[k] += step_b
 
         # variances, shocks, and the drives of q written one day ahead
-        v, e, q = V[:, :m], E[:, :m], Q[1:m + 1].transpose(1, 0, 2, 3)
-        np.multiply(A[None, days, None, None], uncond[:, None], out=v)
+        v, e, q = V[:, :m], E[:, :m], Q[1:m + 1].transpose(1, 0, 2)
+        np.multiply(A[None, days, None], uncond[:, None], out=v)
         np.multiply(v, 2.0, out=e)
-        v += B[:m, :, None, :].transpose(1, 0, 2, 3)
+        v += B[:m].transpose(1, 0, 2)
         np.multiply(v[0], v[1], out=P[:m])
         e /= v
-        np.divide(r2[:, :, None, :], v, out=v)
-        np.multiply(v, np.where(h, ar + gr, ar)[:, :, None, :], out=q[:2])
+        np.divide(r2, v, out=v)
+        np.multiply(v, np.where(h, ar + gr, ar), out=q[:2])
         xx = X[:m]
         np.sqrt(P[:m], out=xx)
-        np.divide(x[:, None, :], xx, out=xx)
-        np.multiply(xx, np.where(h[0] & h[1], (ar + gr) / 2.0, ar / 2.0)[:, None, :],
-                    out=q[2])
+        np.divide(x, xx, out=xx)
+        np.multiply(xx, np.where(h[0] & h[1], (ar + gr) / 2.0, ar / 2.0), out=q[2])
         _sensitivity_drives(q, e)
         q[:2] += base_q
         q[2] += base_qc
@@ -490,7 +477,7 @@ def _dcc_filter(sigma_stock, sigma_index, rho_bar,
         np.subtract(1.0, om, out=om)
         _derivative_terms(G[1:, :m], e, v, 0.5 * xx, c, om,
                           np.where(free, R, 0.0), np.where(free, c, 0.0),
-                          Q[:m].transpose(1, 0, 2, 3), K[days, None, None])
+                          Q[:m].transpose(1, 0, 2), K[days, None])
         lg = P[:m]
         lg *= om
         np.log(lg, out=lg)
@@ -501,19 +488,18 @@ def _dcc_filter(sigma_stock, sigma_index, rho_bar,
         quad /= om
         quad += lg
         terms = G[:, :m]
-        terms *= weight[days, None, None]
+        terms *= weight[days, None]
         for k in range(m):   # in day order, whatever the batch's shape
             total += terms[:, k]
         Q[0] = Q[m]
         B[0] = B[m]
 
-    var = A[T] * uncond + B[0, :, None, :]
+    var = A[T] * uncond + B[0]
     c = np.clip(Q[0, 2] / np.sqrt(Q[0, 0] * Q[0, 1]), -_RHO_CLAMP, _RHO_CLAMP)
     beta = c * np.sqrt(var[0]) / np.sqrt(var[1])
     hs, hi, hr, hsi, hsr, hir = total[4:]
-    hess = np.stack([hs, hsi, hsr, hsi, hi, hir, hsr, hir, hr])
-    return (total[0].reshape(shape), beta.reshape(shape),
-            total[1:4].reshape((3,) + shape), hess.reshape((3, 3) + shape))
+    hess = np.stack([hs, hsi, hsr, hsi, hi, hir, hsr, hir, hr]).reshape(3, 3, n)
+    return total[0], beta, total[1:4], hess
 
 
 def _sensitivity_drives(q, e):
@@ -629,11 +615,12 @@ def dcc_calibrate(r_stock: np.ndarray, r_index: np.ndarray,
     point each, with the derivatives; ``evaluations`` counts those path
     passes, and ``beta`` is the conditional beta after the last day at
     the returned point. Every step is computed path by path, so a path
-    calibrates to the same bits in any batch. The filter's closed-form
-    variance needs ``1 - a - b - gamma/2`` above the variance floor
-    fraction (``ValueError`` otherwise), and then the variance floor
-    never binds.
+    calibrates to the same bits in any batch. The coefficient dicts must
+    pass :class:`GarchParams` and :class:`DccParams` (``ValueError``
+    otherwise).
     """
+    GarchParams(unconditional_sigma=1.0, **garch_coeffs)
+    DccParams(rho_bar=0.0, **dcc_coeffs)
     r_s = np.atleast_2d(np.asarray(r_stock, dtype=float))
     r_i = np.atleast_2d(np.asarray(r_index, dtype=float))
     if r_s.shape != r_i.shape:
@@ -700,9 +687,7 @@ def dcc_beta_batch(r_stock: np.ndarray, r_index: np.ndarray,
     """Calibrate the unconditional parameters and return the conditional
     beta at the final time at the fitted point, with the calibration and
     its per-path ``converged`` and ``at_bound`` flags."""
-    r_s = np.atleast_2d(np.asarray(r_stock, dtype=float))
-    r_i = np.atleast_2d(np.asarray(r_index, dtype=float))
     gcoef = ASYMMETRIC_GARCH_COEFFS if asymmetric else SYMMETRIC_GARCH_COEFFS
     dcoef = ASYMMETRIC_DCC_COEFFS if asymmetric else SYMMETRIC_DCC_COEFFS
-    cal = dcc_calibrate(r_s, r_i, gcoef, dcoef, lam)
+    cal = dcc_calibrate(r_stock, r_index, gcoef, dcoef, lam)
     return cal.beta, cal

@@ -348,6 +348,20 @@ class TestDccStep:
         with pytest.raises(ValueError):
             DccParams(a_rho=0.1, b_rho=0.1, gamma_rho=0.0, rho_bar=1.5)
 
+    def test_normalized_variances_stay_positive(self):
+        # q_stock and q_index step with the constant 1 - a_rho - b_rho -
+        # gamma_rho/2, so stationarity counts half the asymmetry; the first
+        # coefficients' constant is -0.025, and zero returns would drive
+        # q_stock to -0.167
+        with pytest.raises(ValueError):
+            DccParams(a_rho=0.1, b_rho=0.85, gamma_rho=0.15, rho_bar=0.3)
+        gp = _gp(0.02, SYMMETRIC_GARCH_COEFFS)
+        dp = DccParams(a_rho=0.1, b_rho=0.85, gamma_rho=0.09, rho_bar=0.3)
+        state = init_dcc_state(gp, gp, dp)
+        for _ in range(500):
+            state = dcc_step(state, 0.0, 0.0, gp, gp, dp)
+        assert float(state.q_stock) > 0.0 and float(state.q_index) > 0.0
+
 
 class TestDccCalibration:
     def test_moment_matching_without_dynamics(self):
@@ -415,15 +429,22 @@ class TestDccCalibration:
             dcc_calibrate(rng.standard_normal((2, 50)), rng.standard_normal((2, 50)),
                           SYMMETRIC_GARCH_COEFFS, SYMMETRIC_DCC_COEFFS)
 
-    def test_floor_binding_coefficients_rejected(self):
-        # the closed-form variance of the filter holds while
-        # 1 - a - b - gamma/2 keeps the variance above its floor
+    @pytest.mark.parametrize("garch, dcc", [
+        (dict(a=0.1, b=0.9, gamma=0.0), SYMMETRIC_DCC_COEFFS),
+        (dict(a=0.099, b=0.89, gamma=-0.1), SYMMETRIC_DCC_COEFFS),
+        (SYMMETRIC_GARCH_COEFFS, dict(a_rho=0.0, b_rho=1.0, gamma_rho=0.0)),
+        (SYMMETRIC_GARCH_COEFFS, dict(a_rho=-0.01, b_rho=0.9261, gamma_rho=0.0)),
+        (SYMMETRIC_GARCH_COEFFS, dict(a_rho=0.2, b_rho=0.85, gamma_rho=0.0)),
+        (ASYMMETRIC_GARCH_COEFFS, dict(a_rho=0.1, b_rho=0.85, gamma_rho=0.15)),
+    ], ids=["garch_unit_root", "garch_negative_gamma", "dcc_unit_b_rho",
+            "dcc_negative_a_rho", "dcc_nonstationary", "dcc_half_asymmetry"])
+    def test_invalid_coefficients_rejected(self, garch, dcc):
+        # the coefficient dicts pass the GarchParams and DccParams checks,
+        # or the calibration refuses them before it filters anything
         rng = np.random.default_rng(19)
-        coeffs = dict(a=0.1, b=0.9 - 1e-13, gamma=0.0)
         with pytest.raises(ValueError):
             dcc_calibrate(0.01 * rng.standard_normal((2, 120)),
-                          0.01 * rng.standard_normal((2, 120)),
-                          coeffs, SYMMETRIC_DCC_COEFFS)
+                          0.01 * rng.standard_normal((2, 120)), garch, dcc)
 
     @pytest.mark.parametrize("asymmetric", [False, True])
     def test_batch_matches_single_paths_bitwise(self, asymmetric):
@@ -583,6 +604,36 @@ class TestSharedMedianFit:
             assert repr(shared.rows[name].to_dict()) == repr(alone.rows[name].to_dict())
 
 
+class TestBlockRelease:
+    @pytest.mark.parametrize("model", ["mc3", "mc6"])
+    def test_no_earlier_block_alive_at_generation(self, monkeypatch, model):
+        # run_benchmark keeps a copy of each block's final true beta, so
+        # when a block is generated no earlier block, and none of its
+        # arrays or the arrays they view, is still alive
+        import weakref
+        import reactivebeta.benchmark as benchmark
+
+        generate, made, starts = benchmark.generate_batch, [], []
+
+        def tracking(config, start, count):
+            starts.append(start)
+            alive = [ref() for ref in made if ref() is not None]
+            assert not alive, f"{len(alive)} objects of earlier blocks alive at path {start}"
+            batch = generate(config, start, count)
+            made.append(weakref.ref(batch))
+            for array in (batch.r_index, batch.r_stock, batch.true_beta, batch.true_rho,
+                          batch.true_sigma_index, batch.true_sigma_stock):
+                while isinstance(array, np.ndarray):
+                    made.append(weakref.ref(array))
+                    array = array.base
+            return batch
+
+        monkeypatch.setattr(benchmark, "generate_batch", tracking)
+        monkeypatch.setattr(benchmark, "_BLOCK_PATHS", 4)
+        result = benchmark.run_benchmark(model, ("ols",), n_paths=10, T=150, seed=3)
+        assert starts == [0, 4, 8] and result.rows["ols"].n == 10
+
+
 class TestDccBeta:
     def test_stock_equals_index(self):
         # the correlation clamp at 0.999 caps the perfect-dependence case;
@@ -629,26 +680,6 @@ class TestDccBeta:
                               r_s[None, :], r_i[None, :], gcoef, dcoef, lam)[0]
             assert float(got[0]) == pytest.approx(0.5 * total, rel=1e-12)
 
-    def test_candidate_block_matches_single_points(self):
-        from reactivebeta.montecarlo import McConfig, generate_batch
-        batch = generate_batch(McConfig(model="mc7", T=137, n_paths=5, seed=4))
-        rng = np.random.default_rng(22)
-        cs = 0.025 * np.exp(0.3 * rng.standard_normal((6, 5)))
-        ci = 0.009 * np.exp(0.3 * rng.standard_normal((6, 5)))
-        cr = rng.uniform(-0.9, 0.9, (6, 5))
-        args = (batch.r_stock, batch.r_index, ASYMMETRIC_GARCH_COEFFS,
-                ASYMMETRIC_DCC_COEFFS, 1.0 / 90.0)
-        block = _dcc_filter(cs, ci, cr, *args)[0]
-        # every day's term is elementwise and the days are added in order,
-        # so the block holds the bits of each point priced alone
-        for c in range(6):
-            assert np.array_equal(_dcc_filter(cs[c], ci[c], cr[c], *args)[0], block[c])
-            for k in range(5):
-                alone = _dcc_filter(cs[c, k:k + 1], ci[c, k:k + 1], cr[c, k:k + 1],
-                                    batch.r_stock[k:k + 1], batch.r_index[k:k + 1],
-                                    *args[2:])[0]
-                assert alone[0] == block[c, k]
-
     @pytest.mark.parametrize("asymmetric", [False, True])
     def test_final_beta_matches_step_filter(self, asymmetric):
         from reactivebeta.montecarlo import McConfig, generate_batch
@@ -663,5 +694,4 @@ class TestDccBeta:
         for t in range(batch.T):
             state = dcc_step(state, batch.r_stock[:, t], batch.r_index[:, t],
                              gp_s, gp_i, dp)
-        assert not np.asarray(state.floored).any()
         np.testing.assert_allclose(beta, state.beta, rtol=1e-12, atol=0.0)
