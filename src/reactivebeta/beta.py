@@ -26,6 +26,7 @@ from .volatility import (
     LevelState,
     VolState,
     _level_map,
+    _vol_map,
     fast_gap,
     init_levels,
     init_vols,
@@ -41,18 +42,40 @@ __all__ = [
     "reactive_beta_from_returns",
 ]
 
-# Correction factors divide the regression increments, so they are kept
-# away from zero; values this small never occur on sane price data.
+# Both correction factors divide the regression increments, so they are
+# kept away from zero; values this small never occur on sane price data.
+# mc5's model multiplies by them, so its leverage factor takes no floor.
 _CORRECTION_FLOOR = 0.05
 
 
-def beta_elasticity(tilde_beta, params: ReactiveParams):
+def beta_elasticity(tilde_beta, params: ReactiveParams, out=None):
     """Sensitivity of the normalized beta to its log squared relative
-    volatility: zero below ``elasticity_lo``, then rising linearly until
-    it saturates at ``elasticity_cap``. Continuous everywhere."""
+    volatility: zero below ``elasticity_lo``, then rising linearly until it
+    saturates at ``elasticity_cap``. Continuous; in place in ``out`` if given."""
     b = np.asarray(tilde_beta, dtype=float)
-    lo, slope = params.elasticity_lo, params.elasticity_slope
-    return np.clip(slope * (b - lo), 0.0, params.elasticity_cap)
+    out = np.empty(b.shape) if out is None else out
+    np.subtract(b, params.elasticity_lo, out=out)
+    out *= params.elasticity_slope
+    np.maximum(out, 0.0, out=out)
+    return np.minimum(out, params.elasticity_cap, out=out)[()]
+
+
+def _leverage_map(gap, params: ReactiveParams):
+    """``max(1 + (ell - ell_prime) * gap, _CORRECTION_FLOOR)``."""
+    return np.maximum(1.0 + params.ell_diff * gap, _CORRECTION_FLOOR)
+
+
+def _elasticity_map(b, delta, params: ReactiveParams, out, bad):
+    """``max(1 + 2 f(b) / b * delta, _CORRECTION_FLOOR)``, one where not
+    finite, in place in ``out`` with the boolean workspace ``bad``."""
+    beta_elasticity(b, params, out=out)
+    out *= 2.0
+    out /= b
+    out *= delta
+    out += 1.0
+    np.logical_not(np.isfinite(out, out=bad), out=bad)
+    np.copyto(out, 1.0, where=bad)
+    return np.maximum(out, _CORRECTION_FLOOR, out=out)
 
 
 def leverage_correction(level: LevelState, params: ReactiveParams):
@@ -62,8 +85,7 @@ def leverage_correction(level: LevelState, params: ReactiveParams):
     ``gap`` the relative distance of the fast index EMA from the price.
     Above one when the index sits below its fast EMA (falling market).
     """
-    corr = 1.0 + params.ell_diff * fast_gap(level)
-    return np.maximum(corr, _CORRECTION_FLOOR)
+    return _leverage_map(fast_gap(level), params)
 
 
 def elasticity_correction(state: "BetaState", vol: VolState, params: ReactiveParams):
@@ -76,16 +98,12 @@ def elasticity_correction(state: "BetaState", vol: VolState, params: ReactivePar
     yet warmed up.
     """
     b = np.asarray(state.tilde_beta, dtype=float)
-    f = beta_elasticity(b, params)
     with np.errstate(invalid="ignore", divide="ignore"):
         rel = np.sqrt(np.asarray(vol.tilde_var_stock, dtype=float)
                       / np.asarray(vol.tilde_var_index, dtype=float))
-        root_kappa = np.sqrt(np.asarray(state.kappa, dtype=float))
-        delta = rel / root_kappa - 1.0
-        corr = 1.0 + (2.0 * f / b) * delta
-    corr = np.where(np.isfinite(corr) & (f > 0.0), corr, 1.0)
-    corr = np.where(state.kappa_seeded, corr, 1.0)
-    return np.maximum(corr, _CORRECTION_FLOOR)
+        delta = np.where(state.kappa_seeded, rel / np.sqrt(state.kappa) - 1.0, np.nan)
+        out = np.empty(np.broadcast_shapes(b.shape, delta.shape))
+        return _elasticity_map(b, delta, params, out, np.empty(out.shape, dtype=bool))[()]
 
 
 @dataclass(frozen=True)
@@ -170,8 +188,8 @@ class ReactiveBetaEngine:
         """Consume the days of ``index_prices`` and ``stock_prices`` (days on
         the first axis, each day shaped like the prices given to
         :meth:`start`). Each day's reactive beta and reactive stock
-        volatility go to the matching rows of ``beta_out`` and
-        ``sigma_out`` when they are given.
+        volatility, NaN for a stock without a return yet, go to the
+        matching rows of ``beta_out`` and ``sigma_out`` when they are given.
         """
         if self.levels is None:
             raise RuntimeError("engine not started; call start() first")
@@ -210,7 +228,6 @@ class ReactiveBetaEngine:
         f, c = np.empty((2, n))
         bad = np.empty(n, dtype=bool)
         cols = np.arange(n)
-        lo, slope2, cap2 = p.elasticity_lo, 2.0 * p.elasticity_slope, 2.0 * p.elasticity_cap
 
         for t0 in range(0, T, L):
             m = min(L, T - t0)
@@ -261,11 +278,11 @@ class ReactiveBetaEngine:
             if not index_seeded:        # seeded with the first value
                 v[1, 0] = r_i[0] * r_i[0]
                 index_seeded = True
-            seeded = np.logical_or.accumulate(np.vstack([s_seeded, has_ret[:-1]]), axis=0)
-            v[1:, 1] = np.where(seeded, lam_v * r_s_sq, r_s_sq)
+            seeded = np.logical_or.accumulate(np.vstack([s_seeded, has_ret]), axis=0)
+            v[1:, 1] = np.where(seeded[:-1], lam_v * r_s_sq, r_s_sq)
             dec[:, 4] = np.where(has_ret, 1.0 - lam_v, 1.0)
             ema_rows(v, dec[:, 3:5])
-            s_seeded |= has_ret.any(axis=0)
+            s_seeded[:] = seeded[-1]
             tv_i, tv_s = v[:, 0, :k], v[:, 1]
 
             # regression moments and kappa, as the per-day update of the
@@ -298,8 +315,7 @@ class ReactiveBetaEngine:
 
                 # both corrections from yesterday's state; delta is NaN
                 # while kappa is unseeded, which sets the elasticity to one
-                lev = np.maximum(1.0 + p.ell_diff * ((ema[:m, 1, :k] - price_i[before])
-                                                     / ema[:m, 1, :k]), _CORRECTION_FLOOR)
+                lev = _leverage_map((ema[:m, 1, :k] - price_i[before]) / ema[:m, 1, :k], p)
                 delta = np.sqrt(tv_s[:m] / tv_i[:m]) / np.sqrt(reg[:m, 3]) - 1.0
                 np.copyto(delta, np.nan, where=~k_before)
                 var_pos = np.where(r[1:, 0] > 0.0, r[1:, 0], np.nan)
@@ -307,17 +323,7 @@ class ReactiveBetaEngine:
                 # the feedback: corrected cross moment and normalized beta
                 for d in range(m):
                     b = tb[d]
-                    np.subtract(b, lo, out=f)
-                    f *= slope2
-                    np.maximum(f, 0.0, out=f)
-                    np.minimum(f, cap2, out=f)          # twice the elasticity
-                    np.divide(f, b, out=c)
-                    c *= delta[d]
-                    c += 1.0
-                    np.isfinite(c, out=bad)
-                    np.logical_not(bad, out=bad)
-                    np.copyto(c, 1.0, where=bad)
-                    np.maximum(c, _CORRECTION_FLOOR, out=c)
+                    _elasticity_map(b, delta[d], p, c, bad)
                     np.multiply(c, lev[d], out=den[d])
                     np.divide(gain_cc[d], den[d], out=f)
                     np.multiply(cc[d], dec[d, 6], out=cc[d + 1])
@@ -329,8 +335,8 @@ class ReactiveBetaEngine:
             if beta_out is not None:
                 beta_out[t0:t0 + m] = beta[now].reshape((m,) + stock_shape)
             if sigma_out is not None:
-                sigma_out[t0:t0 + m] = (np.sqrt(tv_s[1:]) * level_s[now]
-                                        / price_s[now]).reshape((m,) + stock_shape)
+                sigma_out[t0:t0 + m] = _vol_map(tv_s[1:], seeded[1:], level_s[now],
+                                                price_s[now]).reshape((m,) + stock_shape)
             for x in (ema, tv, reg, price_i, level_i, price_s, level_s, cc, tb, beta):
                 x[0] = x[m]
 
@@ -346,8 +352,8 @@ class ReactiveBetaEngine:
             last_index=idx(price_i[0]), last_stock=stk(price_s[0]))
         self.vols = VolState(
             tilde_var_index=idx(tv[0, 0]), tilde_var_stock=stk(tv[0, 1]),
-            sigma_index=idx(np.sqrt(tv[0, 0, :k]) * level_i[0] / price_i[0]),
-            sigma_stock=stk(np.sqrt(tv[0, 1]) * level_s[0] / price_s[0]),
+            sigma_index=idx(_vol_map(tv[0, 0, :k], index_seeded, level_i[0], price_i[0])),
+            sigma_stock=stk(_vol_map(tv[0, 1], s_seeded, level_s[0], price_s[0])),
             index_seeded=index_seeded, stock_seeded=stk(s_seeded))
         self.beta_state = BetaState(
             cross=stk(reg[0, 1]), cross_corrected=stk(cc[0]), var_index=idx(reg[0, 0]),

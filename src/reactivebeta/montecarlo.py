@@ -28,8 +28,8 @@ import numpy as np
 
 from .params import DEFAULT_PARAMS, TRADING_DAYS, ReactiveParams
 from .timeseries import block_rows, ema_rows
-from .volatility import LevelState, _level_map
-from .beta import beta_elasticity
+from .volatility import LevelState, _level_map, _vol_map
+from .beta import _elasticity_map
 from .evaluation import NumericalFailure
 from .estimators import (
     ASYMMETRIC_DCC_COEFFS,
@@ -56,7 +56,8 @@ MODELS = ("mc1", "mc2", "mc3", "mc4", "mc5", "mc6", "mc7")
 _MODEL_IDS = {name: i for i, name in enumerate(MODELS, start=1)}
 
 # generated prices are floored at this fraction of the previous price so a
-# single extreme fat-tailed draw cannot push a price non-positive
+# single extreme fat-tailed draw cannot push a price non-positive: mc3-mc5
+# floor each price, the other models each return at _PRICE_FLOOR - 1
 _PRICE_FLOOR = 0.05
 # the protocol's normalized (mc3-mc5) or constant (mc1/mc2) beta, and the
 # relaxation time in days and daily vol of vol of mc5's log-vol processes
@@ -226,6 +227,14 @@ def _level_days(px, slow, lvl, fast, gap, tr, params: ReactiveParams, move=None)
     return np.count_nonzero(raw < _PRICE_FLOOR * px[:-1], axis=(0, 2))
 
 
+def _floor_returns(r) -> int:
+    """Floor the returns ``r`` in place at ``_PRICE_FLOOR - 1``, a price
+    at ``_PRICE_FLOOR`` of the previous one; return how many it floored."""
+    hits = np.count_nonzero(r < _PRICE_FLOOR - 1.0)
+    np.maximum(r, _PRICE_FLOOR - 1.0, out=r)
+    return hits
+
+
 def _path_generators(config: McConfig, offset: int, count: int):
     root = np.random.SeedSequence([int(config.seed), _MODEL_IDS[config.model]])
     children = root.spawn(offset + count)[offset:]
@@ -275,6 +284,7 @@ def _gen_market_model(config: McConfig, rngs, path_ids) -> McBatch:
         else:
             resid[k] = s_eps * rng.standard_normal(T)
     r_stock = _BETA * r_index + resid
+    clamped_index, clamped = _floor_returns(r_index), _floor_returns(r_stock)
 
     sig_i_tot = config.daily_stock_vol
     rho = _BETA * s_i / sig_i_tot
@@ -286,6 +296,7 @@ def _gen_market_model(config: McConfig, rngs, path_ids) -> McBatch:
         r_index=r_index, r_stock=r_stock,
         true_beta=true_beta, true_rho=true_rho,
         true_sigma_index=true_sig_i, true_sigma_stock=true_sig_s,
+        clamped=clamped, clamped_index=clamped_index,
     )
 
 
@@ -328,13 +339,14 @@ def _gen_level_driven(config: McConfig, rngs, path_ids) -> McBatch:
     kappa = ratio ** 2
     lam_b = p.lambda_beta
     clamped = np.zeros(2, dtype=int)
+    ela, bad = np.empty(n), np.empty(n, dtype=bool)
 
     def move(d, gap):
-        # mc5's normalized beta from yesterday's state: both corrections of
-        # the estimator, without their floor; 2 f / b * delta is finite and
-        # vanishes with f, so the elasticity needs no guard
+        # mc5's normalized beta from yesterday's state: the estimator's
+        # elasticity map (>= 0.2 as b >= 0.05, 2 f / b <= 0.8, delta >= -1) and
+        # leverage factor, unfloored as it multiplies and divides nothing
         b = beta[d]
-        ela = 1.0 + (2.0 * beta_elasticity(b, p) / b) * (ratio / np.sqrt(kappa) - 1.0)
+        _elasticity_map(b, ratio / np.sqrt(kappa) - 1.0, p, ela, bad)
         np.maximum(_BETA * (1.0 + p.ell_diff * gap) * ela, 0.05, out=beta[d + 1])
         tr[d, 1] = beta[d + 1] * tr[d, 0] + resid[d]
         # tomorrow's vols give kappa its next squared vol ratio
@@ -368,8 +380,8 @@ def _gen_level_driven(config: McConfig, rngs, path_ids) -> McBatch:
             tb = b * ((level[:, 1] * price[:, 0]) / (price[:, 1] * level[:, 0]))
         else:
             tb = b * slow[1:m + 1, 1] * price[:, 0] / (slow[1:m + 1, 0] * price[:, 1])
-        sig_i = s_next * level[:, 0] / price[:, 0]
-        sig_s = np.sqrt(b ** 2 * s_next2 + s_resid2) * level[:, 1] / price[:, 1]
+        sig_i = _vol_map(s_next2, True, level[:, 0], price[:, 0])
+        sig_s = _vol_map(b ** 2 * s_next2 + s_resid2, True, level[:, 1], price[:, 1])
         for out, block in ((r_index, ret[:, 0]), (r_stock, ret[:, 1]), (true_beta, tb),
                            (true_rho, tb * sig_i / sig_s), (true_sig_i, sig_i),
                            (true_sig_s, sig_s)):
@@ -400,6 +412,7 @@ def _gen_dcc(config: McConfig, rngs, path_ids) -> McBatch:
     z2 = _draw_matrix(rngs, T, "normal")
 
     state = init_dcc_state(gp_s, gp_i, dp, shape=(n,))
+    clamped = clamped_index = 0
     r_index = np.empty((n, T))
     r_stock = np.empty((n, T))
     true_beta = np.empty((n, T))
@@ -413,6 +426,8 @@ def _gen_dcc(config: McConfig, rngs, path_ids) -> McBatch:
         xi_s = rho_prev * xi_i + np.sqrt(1.0 - rho_prev ** 2) * z2[:, t]
         r_index[:, t] = np.asarray(state.sigma_index) * xi_i
         r_stock[:, t] = np.asarray(state.sigma_stock) * xi_s
+        clamped_index += _floor_returns(r_index[:, t])
+        clamped += _floor_returns(r_stock[:, t])
         state = dcc_step(state, r_stock[:, t], r_index[:, t], gp_s, gp_i, dp)
         true_beta[:, t] = state.beta
         true_rho[:, t] = state.rho
@@ -424,6 +439,7 @@ def _gen_dcc(config: McConfig, rngs, path_ids) -> McBatch:
         r_index=r_index, r_stock=r_stock,
         true_beta=true_beta, true_rho=true_rho,
         true_sigma_index=true_sig_i, true_sigma_stock=true_sig_s,
+        clamped=clamped, clamped_index=clamped_index,
     )
 
 

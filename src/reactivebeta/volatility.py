@@ -171,9 +171,14 @@ def fast_gap(state: LevelState):
     return (state.fast_index - state.last_index) / state.fast_index
 
 
+def _vol_map(tilde_var, seeded, level, price):
+    """The reactive volatility ``sqrt(tilde_var) * level / price``, NaN unless seeded."""
+    return np.where(seeded, np.sqrt(tilde_var) * level / price, np.nan)[()]
+
+
 @dataclass(frozen=True)
 class VolState:
-    """Normalized variances and the reactive volatilities derived from them."""
+    """Normalized variances and their reactive volatilities, NaN until seeded."""
 
     tilde_var_index: np.ndarray | float
     tilde_var_stock: np.ndarray | float
@@ -188,7 +193,7 @@ def init_vols(index_shape=(), stock_shape=()) -> VolState:
     z_s = np.zeros(stock_shape) if stock_shape else 0.0
     seeded = np.zeros(stock_shape, dtype=bool) if stock_shape else False
     return VolState(tilde_var_index=z_i, tilde_var_stock=z_s,
-                    sigma_index=z_i, sigma_stock=z_s,
+                    sigma_index=z_i + np.nan, sigma_stock=z_s + np.nan,
                     index_seeded=False, stock_seeded=seeded)
 
 
@@ -203,9 +208,9 @@ def update_reactive_vols(
 
     The normalized variances are EMAs (weight ``lambda_sigma``) of squared
     normalized returns, each seeded with its first finite observation.
-    Reactive vols restore the level ratio: ``sigma_index =
-    tilde_sigma_index * L / I`` and likewise per stock, so the identity
-    ``sigma * price == tilde_sigma * level`` holds exactly at every step.
+    Reactive vols restore the level ratio, NaN until a first return:
+    ``sigma_index = tilde_sigma_index * L / I`` and likewise per stock, so
+    the identity ``sigma * price == tilde_sigma * level`` holds exactly.
     """
     lam = params.lambda_sigma
     r_i = np.asarray(r_index, dtype=float)
@@ -225,13 +230,12 @@ def update_reactive_vols(
         vol.tilde_var_stock,
     )
 
-    sigma_index = np.sqrt(tv_index) * level.index_level / level.last_index
-    sigma_stock = np.sqrt(tv_stock) * level.stock_level / level.last_stock
+    stock_seeded = vol.stock_seeded | stock_mask
     return VolState(
         tilde_var_index=tv_index,
         tilde_var_stock=tv_stock,
-        sigma_index=sigma_index,
-        sigma_stock=sigma_stock,
+        sigma_index=_vol_map(tv_index, True, level.index_level, level.last_index),
+        sigma_stock=_vol_map(tv_stock, stock_seeded, level.stock_level, level.last_stock),
         index_seeded=True,
-        stock_seeded=vol.stock_seeded | stock_mask,
+        stock_seeded=stock_seeded,
     )

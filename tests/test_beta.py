@@ -3,6 +3,7 @@ import pytest
 
 from reactivebeta.params import ReactiveParams
 from reactivebeta.beta import (
+    _CORRECTION_FLOOR,
     BetaState,
     ReactiveBetaEngine,
     beta_elasticity,
@@ -294,13 +295,13 @@ def _update_beta_reference(state, r_index, r_stock, prev_tilde_var_index,
 
 
 def _reference_run(index, stocks, params):
-    """Per-day beta, normalized beta and stock volatility (days 1..T-1),
-    and the final states, from the per-day functions."""
+    """Per-day beta, normalized beta, stock volatility and both correction
+    factors (days 1..T-1), and the final states, from the per-day functions."""
     levels = init_levels(index[0], stocks[0])
     vols = init_vols(np.shape(index[0]), np.shape(stocks[0]))
     state = init_beta_state(np.shape(index[0]), np.shape(stocks[0]))
     tracks = {name: np.full(stocks.shape, np.nan)
-              for name in ("beta", "tilde_beta", "sigma_stock")}
+              for name in ("beta", "tilde_beta", "sigma_stock", "leverage", "elasticity")}
     for t in range(1, len(stocks)):
         s = stocks[t]
         r_i, r_s = normalized_returns(levels, index[t], s)
@@ -314,6 +315,7 @@ def _reference_run(index, stocks, params):
                                        levels, vols, index[t], s, params, np.isfinite(r_s))
         tracks["beta"][t], tracks["tilde_beta"][t] = state.beta, state.tilde_beta
         tracks["sigma_stock"][t] = vols.sigma_stock
+        tracks["leverage"][t], tracks["elasticity"][t] = corr_lev, corr_ela
     return tracks, (levels, vols, state)
 
 
@@ -357,6 +359,12 @@ def _frozen_panel(seed, n=12, T=203):
                     index_prices=uni.index_prices, supersector=uni.supersector)
 
 
+def _assert_states_equal(engine, states):
+    for got, want in zip((engine.levels, engine.vols, engine.beta_state), states):
+        for name, value in vars(want).items():
+            assert np.array_equal(getattr(got, name), value, equal_nan=True), name
+
+
 class TestBlockwiseEngine:
     @pytest.mark.parametrize("block", [7, 32])      # neither divides 202 days
     @pytest.mark.parametrize("hat", [True, False])
@@ -385,10 +393,42 @@ class TestBlockwiseEngine:
         for t in range(1, uni.n_days):
             out = engine.step(uni.index_prices[t], uni.prices[t])
             assert np.array_equal(out.tilde_beta, expect["tilde_beta"][t], equal_nan=True)
-        for got, want in ((engine.levels, levels), (engine.vols, vols),
-                          (engine.beta_state, state)):
-            for name, value in vars(want).items():
-                assert np.array_equal(getattr(got, name), value, equal_nan=True), name
+        _assert_states_equal(engine, (levels, vols, state))
+
+    @pytest.mark.parametrize("floor, changes", [
+        ("leverage", {"ell_prime": 0.0}),
+        ("elasticity", {"elasticity_slope": 20.0, "elasticity_cap": 20.0}),
+    ])
+    def test_correction_floor_binds(self, floor, changes):
+        # a 30-day index rally drives the fast gap far below zero, and a
+        # steep elasticity turns small drops of the relative vol into
+        # factors below the floor
+        params = PARAMS.replace(**changes)
+        uni = _frozen_panel(seed=5)
+        index = uni.index_prices.copy()
+        index[100:] *= np.concatenate([1.023 ** np.arange(1, 31), np.full(73, 1.023 ** 30)])
+        expect, states = _reference_run(index, uni.prices, params)
+        assert np.any(expect[floor] == _CORRECTION_FLOOR)
+        engine = ReactiveBetaEngine(params)
+        engine.start(index[0], uni.prices[0])
+        beta, sigma = np.full((2,) + uni.prices.shape, np.nan)
+        engine.advance(index[1:], uni.prices[1:], beta_out=beta[1:], sigma_out=sigma[1:])
+        assert np.array_equal(beta, expect["beta"], equal_nan=True)
+        assert np.array_equal(sigma, expect["sigma_stock"], equal_nan=True)
+        _assert_states_equal(engine, states)
+
+    def test_sigma_blank_until_first_return(self):
+        uni = synthetic_universe(n_stocks=4, T=60, seed=0)
+        prices = uni.prices.copy()
+        prices[:3, 0] = np.nan      # first priced on day 3, first return on day 4
+        prices[1, 1] = np.nan       # first return on day 2, against day 0
+        uni = Universe(dates=uni.dates, tickers=uni.tickers, prices=prices,
+                       index_prices=uni.index_prices, supersector=uni.supersector)
+        assert np.isnan(init_vols((), (4,)).sigma_stock).all()
+        expect, _ = _reference_run(uni.index_prices, prices, PARAMS)
+        for sigma in (expect["sigma_stock"], compute_panels(uni, PARAMS).re_sigma):
+            assert np.isnan(sigma[:4, 0]).all() and np.isnan(sigma[:2, 1]).all()
+            assert (sigma[4:, 0] > 0.0).all() and (sigma[2:, 1] > 0.0).all()
 
     def test_path_alone_matches_block_and_composition(self):
         from reactivebeta.montecarlo import McConfig, generate_batch

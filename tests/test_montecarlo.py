@@ -12,6 +12,7 @@ from reactivebeta.montecarlo import (
     ou_step,
     student_t_scaled,
 )
+from reactivebeta.benchmark import ESTIMATORS, estimate_batch
 from reactivebeta.evaluation import NumericalFailure
 from reactivebeta.params import DEFAULT_PARAMS, TRADING_DAYS, ReactiveParams
 from reactivebeta.strategies import synthetic_universe
@@ -355,6 +356,29 @@ class TestMarketModel:
 
         assert abs(excess_kurtosis(g.r_stock)) < 0.1
         assert excess_kurtosis(t.r_stock) > 3.0
+
+
+class TestReturnFloor:
+    """mc1, mc2, mc6 and mc7 floor each return at -95%, as mc3-mc5 floor
+    each price at 5% of the previous one."""
+
+    @pytest.mark.parametrize("model", ["mc1", "mc2", "mc6", "mc7"])
+    def test_returns_floored_and_counted(self, model):
+        # vols this large take both sides below -95% often within 50 days
+        batch = generate_batch(McConfig(model=model, T=50, n_paths=20, seed=0,
+                                        stock_vol=30.0, index_vol=20.0))
+        floor = mc._PRICE_FLOOR - 1.0
+        assert batch.r_index.min() == batch.r_stock.min() == floor
+        assert batch.clamped == np.count_nonzero(batch.r_stock == floor) > 0
+        assert batch.clamped_index == np.count_nonzero(batch.r_index == floor) > 0
+
+    def test_floored_path_runs_every_estimator(self):
+        # mc2's path 59 at seed 0 is the first whose residual draw takes a
+        # stock return below -100%, which unfloored leaves no price to use
+        batch = generate_batch(McConfig(model="mc2", T=1000, n_paths=60, seed=0), 59, 1)
+        assert (batch.clamped, batch.clamped_index) == (1, 0)
+        for name in ESTIMATORS:
+            assert np.isfinite(estimate_batch(name, batch)).all(), name
 
 
 class TestReducedReactiveModel:
