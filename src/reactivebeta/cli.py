@@ -17,6 +17,7 @@ import configparser
 import csv
 import io
 import sys
+import time
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
@@ -78,6 +79,20 @@ def _csv_field(value) -> str:
     return buf.getvalue()[:-3]
 
 
+class _Laps:
+    """Wall seconds of a command's stages, each timed from the end of the
+    one before (the first from construction)."""
+
+    def __init__(self):
+        self.seconds: dict[str, float] = {}
+        self._last = time.perf_counter()
+
+    def __call__(self, stage: str) -> None:
+        now = time.perf_counter()
+        self.seconds[stage] = now - self._last
+        self._last = now
+
+
 def _reactive_diagnostics(panels, burn_in: int) -> dict:
     """The manifest's counts for the reactive panel; NumericalFailure when
     days follow the burn-in and no stock has a finite beta on any."""
@@ -92,14 +107,17 @@ def _cmd_estimate(args) -> int:
     params = _load_params(args.config)
     if args.burn_in is not None:
         params = params.replace(burn_in=args.burn_in)
+    lap = _Laps()
     universe = rio.ingest_prices(args.prices, index_ticker=args.index,
                                  caps_path=args.caps, sectors_path=args.sectors)
+    lap("ingest")
     start = max(1, params.burn_in)
     if universe.n_days <= start:
         raise rio.IngestError(f"{args.prices}: {universe.n_days} days leave none "
                               f"after the burn-in of {params.burn_in}")
     panels = compute_panels(universe, params)
     diagnostics = _reactive_diagnostics(panels, params.burn_in)
+    lap("panels")
     out = _out_dir(args)
     dest = out / "betas.csv"
     # csv.writer's bytes, one write per day: each date and ticker is
@@ -112,6 +130,8 @@ def _cmd_estimate(args) -> int:
             rows = zip([_csv_field(universe.dates[t])] * len(tickers), tickers,
                        *(c[t].tolist() for c in columns))
             fh.write("".join(["%s,%s,%.8g,%.8g,%.8g,%.8g\r\n" % row for row in rows]))
+    lap("write")
+    diagnostics["stage_seconds"] = lap.seconds
     inputs = [p for p in (args.prices, args.caps, args.sectors) if p]
     rio.write_manifest(out / "manifest.json", "estimate",
                        {"params": params.__dict__, "burn_in": params.burn_in},
@@ -129,6 +149,7 @@ def _cmd_simulate(args) -> int:
             raise rio.IngestError(f"unknown estimator {e!r}; pick from {ESTIMATORS}")
     out = _out_dir(args)
     results = {}
+    lap = _Laps()
     for model in args.model.split(","):
         model = model.strip()
         result = run_benchmark(model, estimators, n_paths=args.paths,
@@ -141,17 +162,18 @@ def _cmd_simulate(args) -> int:
                                             n_paths=min(args.paths, args.dump_paths),
                                             seed=args.seed))
             dump_batch(batch, out / f"paths_{model}.csv")
+        lap(model)
     payload = {m: r.to_dict() for m, r in results.items()}
     dest = out / "simulate.json"
     rio.write_json(dest, payload)
+    diagnostics = {m: {"clamped": r.clamped, "clamped_index": r.clamped_index,
+                       **r.diagnostics} for m, r in results.items()}
+    diagnostics["stage_seconds"] = lap.seconds
     rio.write_manifest(out / "manifest.json", "simulate",
                        {"model": args.model, "estimators": estimators,
                         "paths": args.paths, "days": args.days,
                         "seed": args.seed, "params": params.__dict__},
-                       outputs=[dest],
-                       diagnostics={m: {"clamped": r.clamped, "clamped_index": r.clamped_index,
-                                        **r.diagnostics} for m, r in results.items()},
-                       argv=args.argv)
+                       outputs=[dest], diagnostics=diagnostics, argv=args.argv)
     for model, result in results.items():
         for name, row in result.rows.items():
             print(f"{model} {name}: bias={row.bias:+.3f}{'*' if row.bias_star else ' '} "
@@ -161,6 +183,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_backtest(args) -> int:
     params = _load_params(args.config)
+    lap = _Laps()
     if args.synthetic:
         universe = synthetic_universe(n_stocks=args.stocks, T=args.days,
                                       seed=args.seed, params=params)
@@ -171,8 +194,10 @@ def _cmd_backtest(args) -> int:
         universe = rio.ingest_prices(args.prices, index_ticker=args.index,
                                      caps_path=args.caps, sectors_path=args.sectors)
         inputs = [p for p in (args.prices, args.caps, args.sectors) if p]
+    lap("ingest")
     panels = compute_panels(universe, params)
     diagnostics = _reactive_diagnostics(panels, params.burn_in)
+    lap("panels")
     strategies = list(STRATEGIES) if args.strategy == "all" else [args.strategy]
     sources = ["ols", "reactive"] if args.beta_source == "both" else [args.beta_source]
 
@@ -190,6 +215,8 @@ def _cmd_backtest(args) -> int:
             }
             print(f"{strat:<10} {source:<9} bias={result.report.bias:+.4f} "
                   f"corstd={result.report.corstd:.4f}")
+    lap("backtests")
+    diagnostics["stage_seconds"] = lap.seconds
     dest = out / "backtest.json"
     rio.write_json(dest, report)
     rio.write_manifest(out / "manifest.json", "backtest",

@@ -15,6 +15,7 @@ import datetime as dt
 import hashlib
 import json
 import platform
+import re
 from pathlib import Path
 from typing import Optional
 
@@ -45,14 +46,74 @@ def _parse_date(token: str, line_no: int) -> dt.date:
         raise IngestError(f"line {line_no}: unparseable date {token!r}") from exc
 
 
+#: a blank cell (empty or whitespace only) after its leading comma, in a
+#: line that starts and ends with a comma
+_BLANK = re.compile(r",\s*(?=,)")
+
+
+def _numbers(texts: list[str], width: int) -> np.ndarray:
+    """The ``(len(texts), width)`` numbers of comma-separated lines, NaN in
+    the blank cells; ValueError when a cell is neither blank nor a finite
+    number."""
+    # no finite number holds an n, while nan, inf and Infinity all do; so
+    # once no cell does, the NaNs np.loadtxt returns are the blank cells
+    if any("n" in text or "N" in text for text in texts):
+        raise ValueError("a cell spells no finite number")
+    # from a generator, each filled line lives only while it is parsed
+    values = np.loadtxt((_BLANK.sub(",nan", f",{text},")[1:-1] for text in texts),
+                        delimiter=",", comments=None, ndmin=2)
+    if values.shape != (len(texts), width) or np.isinf(values).any():
+        raise ValueError("a cell spells no finite number")
+    return values
+
+
+def _bad_cell(path: Path, width: int, exc: ValueError) -> IngestError:
+    """The error naming the first cell of ``path`` that ``_numbers`` cannot
+    read; ``exc`` is what it raised."""
+    with path.open(newline="") as fh:
+        next(csv.reader(fh))
+        for line_no, line in enumerate(fh, start=2):
+            cells = next(csv.reader([line]), [])[1:]
+            try:
+                _numbers([",".join(cells)], width)
+                continue
+            except ValueError:
+                pass
+            for col, cell in enumerate(cells, start=2):
+                if not cell.strip():
+                    continue
+                try:
+                    (value,) = np.loadtxt([cell], delimiter=",", comments=None, ndmin=1)
+                except ValueError:
+                    return IngestError(f"{path.name} line {line_no}: bad number "
+                                       f"{cell.strip()!r} in column {col}")
+                if not np.isfinite(value):
+                    return IngestError(f"{path.name} line {line_no}: non-finite "
+                                       f"number ({value}) in column {col}")
+    return IngestError(f"{path.name}: {exc}")
+
+
+def _split_line(line: str) -> Optional[tuple[str, str, int]]:
+    """A data line's date cell, its other cells joined by commas, and its
+    number of fields; None when every cell is blank."""
+    if '"' in line:     # quoted cells: csv.reader unquotes them
+        cells = next(csv.reader([line]))
+        if all(not cell.strip() for cell in cells):
+            return None
+        return cells[0], ",".join(cells[1:]), len(cells)
+    line = line.rstrip("\r\n")
+    date, _, text = line.partition(",")
+    if not date.strip() and not text.replace(",", "").strip():
+        return None
+    return date, text, line.count(",") + 1
+
+
 def _read_panel(path) -> tuple[list[dt.date], list[str], np.ndarray]:
     path = Path(path)
     with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestError(f"{path.name}: empty file") from None
+        header = next(csv.reader(fh), None)
+        if header is None:
+            raise IngestError(f"{path.name}: empty file")
         if len(header) < 2 or header[0].strip().lower() != "date":
             raise IngestError(
                 f"{path.name}: header must be 'date,<ticker>,...', got {header!r}")
@@ -60,18 +121,20 @@ def _read_panel(path) -> tuple[list[dt.date], list[str], np.ndarray]:
         if len(set(tickers)) != len(tickers):
             raise IngestError(f"{path.name}: duplicate ticker columns")
 
+        # the lines' checks run here, their numbers in one np.loadtxt call
         dates: list[dt.date] = []
-        rows: list[list[float]] = []
-        blank: list[int] = []   # flat positions of the empty cells
+        texts: list[str] = []
         seen: dict[dt.date, int] = {}
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
+        for line_no, line in enumerate(fh, start=2):
+            split = _split_line(line)
+            if split is None:
                 continue
-            if len(row) != len(tickers) + 1:
+            token, text, fields = split
+            if fields != len(tickers) + 1:
                 raise IngestError(
                     f"{path.name} line {line_no}: expected {len(tickers) + 1} "
-                    f"fields, got {len(row)}")
-            date = _parse_date(row[0], line_no)
+                    f"fields, got {fields}")
+            date = _parse_date(token, line_no)
             if date in seen:
                 raise IngestError(
                     f"{path.name} line {line_no}: duplicate date {date} "
@@ -81,34 +144,14 @@ def _read_panel(path) -> tuple[list[dt.date], list[str], np.ndarray]:
                     f"{path.name} line {line_no}: dates must be strictly "
                     f"increasing ({date} after {dates[-1]})")
             seen[date] = line_no
-            values = []
-            offset = len(rows) * len(tickers) - 2
-            for col, cell in enumerate(row[1:], start=2):
-                cell = cell.strip()
-                if cell == "":
-                    values.append(np.nan)
-                    blank.append(offset + col)
-                    continue
-                try:
-                    values.append(float(cell))
-                except ValueError:
-                    raise IngestError(
-                        f"{path.name} line {line_no}: bad number {cell!r} "
-                        f"in column {col}") from None
             dates.append(date)
-            rows.append(values)
-    if not rows:
+            texts.append(text)
+    if not texts:
         raise IngestError(f"{path.name}: no data rows")
-    values = np.asarray(rows, dtype=float)
-    # float() also reads "nan", "inf" and overflowing literals; only an
-    # empty cell may hold a NaN
-    bad = ~np.isfinite(values)
-    bad.flat[blank] = False
-    if bad.any():
-        row, col = divmod(int(np.argmax(bad)), len(tickers))
-        raise IngestError(
-            f"{path.name} line {seen[dates[row]]}: non-finite number "
-            f"({values[row, col]}) in column {col + 2}")
+    try:
+        values = _numbers(texts, len(tickers))
+    except ValueError as exc:
+        raise _bad_cell(path, len(tickers), exc) from None
     return dates, tickers, values
 
 
@@ -166,11 +209,11 @@ def ingest_prices(path, index_ticker: Optional[str] = None,
         cdates, ctickers, cvalues = _read_panel(caps_path)
         if cdates != dates:
             raise IngestError("caps file dates do not match the price panel")
-        try:
-            cols = [ctickers.index(t) for t in stock_tickers]
-        except ValueError as exc:
-            raise IngestError(f"caps file missing ticker: {exc}") from None
-        caps = cvalues[:, cols]
+        col = {ticker: j for j, ticker in enumerate(ctickers)}
+        for ticker in stock_tickers:
+            if ticker not in col:
+                raise IngestError(f"caps file missing ticker {ticker!r}")
+        caps = cvalues[:, [col[t] for t in stock_tickers]]
         if np.any(caps[np.isfinite(caps)] <= 0.0):
             raise IngestError("caps must be strictly positive")
 

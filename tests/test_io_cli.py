@@ -1,12 +1,15 @@
 import csv
 import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from reactivebeta.cli import main
-from reactivebeta.io import IngestError, ingest_prices, sha256_file
+from reactivebeta.io import IngestError, _read_panel, ingest_prices, sha256_file
 from reactivebeta.params import ReactiveParams
 from reactivebeta.strategies import compute_panels, synthetic_universe
 
@@ -36,6 +39,28 @@ def price_file(tmp_path):
     return path
 
 
+#: the stages whose wall seconds a command's manifest records
+STAGES = {"estimate": {"ingest", "panels", "write"},
+          "backtest": {"ingest", "panels", "backtests"}}
+
+
+def _diagnostics(out):
+    """The diagnostics of the manifest in ``out``, and apart from them
+    their ``stage_seconds``."""
+    diagnostics = json.loads((out / "manifest.json").read_text())["diagnostics"]
+    return diagnostics, diagnostics.pop("stage_seconds")
+
+
+def _assert_same_bits(values, expected):
+    """Equal shapes, NaN at the same cells, the same bits everywhere else."""
+    expected = np.asarray(expected, dtype=float)
+    assert values.shape == expected.shape
+    blank = np.isnan(expected)
+    np.testing.assert_array_equal(np.isnan(values), blank)
+    np.testing.assert_array_equal(values[~blank].view(np.int64),
+                                  expected[~blank].view(np.int64))
+
+
 def _write_panel(path, panel):
     """A price CSV of ``panel`` (index first, blank cells for NaN)."""
     dates = np.busday_offset("2020-01-01", np.arange(len(panel)), roll="forward")
@@ -43,6 +68,59 @@ def _write_panel(path, panel):
             for d, row in zip(dates.astype(str), panel)]
     header = ",".join(["date", "IDX"] + [f"S{j}" for j in range(panel.shape[1] - 1)])
     path.write_text(header + "\n" + "\n".join(rows) + "\n")
+
+
+#: the spellings of a finite double the property test writes
+SPELLINGS = (repr, "%.12g".__mod__, "%.17g".__mod__, "%e".__mod__)
+
+HEAD = "date,IDX,AAA,BBB"
+
+#: how the reader takes each spelling of a panel: the values of its data
+#: rows, or the text of the IngestError it raises
+READ_CONTRACT = {
+    "lf": (HEAD + "\n2020-01-01,1,2,3\n2020-01-02,4,5,6\n", [[1, 2, 3], [4, 5, 6]]),
+    "crlf": (HEAD + "\r\n2020-01-01,1,2,3\r\n2020-01-02,4,5,6\r\n", [[1, 2, 3], [4, 5, 6]]),
+    "bare cr": (HEAD + "\r2020-01-01,1,2,3\r2020-01-02,4,5,6\r", [[1, 2, 3], [4, 5, 6]]),
+    "no final newline": (HEAD + "\n2020-01-01,1,2,3\n2020-01-02,4,5,6", [[1, 2, 3], [4, 5, 6]]),
+    "leading blank": (HEAD + "\n2020-01-01,,2,3\n", [[np.nan, 2, 3]]),
+    "trailing blank": (HEAD + "\n2020-01-01,1,2,\n", [[1, 2, np.nan]]),
+    "adjacent blanks": (HEAD + "\n2020-01-01,1,,\n", [[1, np.nan, np.nan]]),
+    "whitespace cell": (HEAD + "\n2020-01-01,1,  ,3\n", [[1, np.nan, 3]]),
+    "tab cell": (HEAD + "\n2020-01-01,1,\t,3\n", [[1, np.nan, 3]]),
+    "padded": (HEAD + "\n2020-01-01, 1 ,\t2.5\t,  3\n", [[1, 2.5, 3]]),
+    "quoted number": (HEAD + '\n2020-01-01,1,"1",3\n', [[1, 1, 3]]),
+    "quoted date": (HEAD + '\n"2020-01-01",1,2,3\n', [[1, 2, 3]]),
+    "quoted comma": (HEAD + '\n2020-01-01,1,"1,5",3\n',
+                     "p.csv line 2: bad number '1,5' in column 3"),
+    "signs and points": (HEAD + "\n2020-01-01,+1.5,.5,5.\n", [[1.5, 0.5, 5]]),
+    "exponent": (HEAD + "\n2020-01-01,1E5,1e-5,3\n", [[1e5, 1e-5, 3]]),
+    "hash": (HEAD + "\n2020-01-01,1,#2,3\n", "p.csv line 2: bad number '#2' in column 3"),
+    "hex": (HEAD + "\n2020-01-01,1,0x10,3\n", "p.csv line 2: bad number '0x10' in column 3"),
+    "word": (HEAD + "\n2020-01-01,1,abc,3\n", "p.csv line 2: bad number 'abc' in column 3"),
+    "none": (HEAD + "\n2020-01-01,1,none,3\n", "p.csv line 2: bad number 'none' in column 3"),
+    "nan": (HEAD + "\n2020-01-01,1,nan,3\n",
+            "p.csv line 2: non-finite number (nan) in column 3"),
+    "padded NaN": (HEAD + "\n2020-01-01,1, NaN ,3\n",
+                   "p.csv line 2: non-finite number (nan) in column 3"),
+    "Infinity": (HEAD + "\n2020-01-01,1,2,Infinity\n",
+                 "p.csv line 2: non-finite number (inf) in column 4"),
+    "overflow": (HEAD + "\n2020-01-01,1,2,3\n2020-01-02,4,-1e999,6\n",
+                 "p.csv line 3: non-finite number (-inf) in column 3"),
+    "blank line": (HEAD + "\n2020-01-01,1,2,3\n\n2020-01-02,4,5,6\n", [[1, 2, 3], [4, 5, 6]]),
+    "line of commas": (HEAD + "\n2020-01-01,1,2,3\n,,,\n2020-01-02,4,5,6\n",
+                       [[1, 2, 3], [4, 5, 6]]),
+    "short row": (HEAD + "\n2020-01-01,1,2,3\n2020-01-02,4,5\n",
+                  "p.csv line 3: expected 4 fields, got 3"),
+    "one row": (HEAD + "\n2020-01-01,1,2,3\n", [[1, 2, 3]]),
+    # float() read these as 10 and 1; numpy's text parser takes neither
+    "underscore": (HEAD + "\n2020-01-01,1,1_0,3\n", "p.csv line 2: bad number '1_0' in column 3"),
+    "non-ascii digit": (HEAD + "\n2020-01-01,1,\uff11,3\n",
+                        "p.csv line 2: bad number '\uff11' in column 3"),
+    # csv.reader carried a quoted cell over the line end; each line now
+    # stands alone
+    "quoted line end": (HEAD + '\n2020-01-01,1,"2\n",3\n',
+                        "p.csv line 2: expected 4 fields, got 3"),
+}
 
 
 class TestIngest:
@@ -57,6 +135,53 @@ class TestIngest:
         uni = ingest_prices(price_file)
         assert np.isnan(uni.prices[3, 1])
         assert np.isfinite(uni.prices[3, 0])
+
+    @pytest.mark.parametrize("text, expected", READ_CONTRACT.values(), ids=READ_CONTRACT)
+    def test_read_contract(self, tmp_path, text, expected):
+        path = tmp_path / "p.csv"
+        path.write_bytes(text.encode())
+        if isinstance(expected, str):
+            with pytest.raises(IngestError) as info:
+                _read_panel(path)
+            assert str(info.value) == expected
+        else:
+            dates, tickers, values = _read_panel(path)
+            assert tickers == ["IDX", "AAA", "BBB"]
+            assert [str(d) for d in dates] == ["2020-01-01", "2020-01-02"][:len(expected)]
+            np.testing.assert_array_equal(values, expected)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_reads_every_double_bit_for_bit(self, data):
+        # each cell reads as float() reads it, NaN exactly at the blanks
+        width = data.draw(st.integers(1, 5))
+        number = st.builds(lambda x, spell: spell(x),
+                           st.floats(allow_nan=False, allow_infinity=False),
+                           st.sampled_from(SPELLINGS))
+        cell = st.one_of(number, st.sampled_from(["", " ", "\t"]))
+        rows = data.draw(st.lists(st.lists(cell, min_size=width, max_size=width),
+                                  min_size=1, max_size=6))
+        ends = data.draw(st.lists(st.sampled_from(["\n", "\r\n"]),
+                                  min_size=len(rows) + 1, max_size=len(rows) + 1))
+        lines = ["date," + ",".join(f"C{j}" for j in range(width))]
+        lines += [f"2020-01-{t + 1:02d}," + ",".join(row) for t, row in enumerate(rows)]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "p.csv"
+            path.write_bytes("".join(map(str.__add__, lines, ends)).encode())
+            _, _, values = _read_panel(path)
+        _assert_same_bits(values, [[float(c) if c.strip() else np.nan for c in row]
+                                   for row in rows])
+
+    def test_reads_csv_writer_panel_bit_for_bit(self, csv_panel):
+        for path, expected in ((csv_panel.prices, csv_panel.values),
+                               (csv_panel.caps, csv_panel.cap_values)):
+            dates, tickers, values = _read_panel(path)
+            assert len(dates) == len(values) == 300 and len(tickers) == values.shape[1]
+            _assert_same_bits(values, expected)
+        uni = ingest_prices(csv_panel.prices, caps_path=csv_panel.caps)
+        _assert_same_bits(uni.index_prices, csv_panel.values[:, 0])
+        _assert_same_bits(uni.prices, csv_panel.values[:, 1:])
+        _assert_same_bits(uni.caps, csv_panel.cap_values)
 
     def test_duplicate_date_names_line(self, tmp_path):
         bad = tmp_path / "dup.csv"
@@ -129,6 +254,12 @@ class TestIngest:
             bad.write_text(_with_cell(token))
             with pytest.raises(IngestError, match="caps must be strictly positive"):
                 ingest_prices(price_file, caps_path=bad)
+
+    def test_caps_missing_ticker_named(self, tmp_path, price_file):
+        caps = tmp_path / "caps.csv"
+        caps.write_text(PRICES_CSV.replace("BBB", "ZZZ"))
+        with pytest.raises(IngestError, match="caps file missing ticker 'BBB'"):
+            ingest_prices(price_file, caps_path=caps)
 
     def test_missing_sector_label_rejected(self, tmp_path, price_file):
         sectors = tmp_path / "sectors.csv"
@@ -235,9 +366,10 @@ class TestCli:
             assert counts["at_bound"] >= 1
             assert counts["converged"] + counts["at_bound"] <= 6
             assert 6 <= counts["evaluations"] <= 6 * 40
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["diagnostics"] == {"mc6": {"clamped": 0, "clamped_index": 0,
-                                                   **payload["diagnostics"]}}
+        diagnostics, seconds = _diagnostics(out)
+        assert diagnostics == {"mc6": {"clamped": 0, "clamped_index": 0,
+                                       **payload["diagnostics"]}}
+        assert set(seconds) == {"mc6"}
 
     def test_simulate_reports_price_floor_hits(self, tmp_path, monkeypatch):
         # vols far beyond a market's floor both sides of mc3; the hits are
@@ -266,9 +398,9 @@ class TestCli:
         assert clamped > 0 and clamped_index > 0
         payload = json.loads((out / "simulate.json").read_text())["mc3"]
         assert (payload["clamped"], payload["clamped_index"]) == (clamped, clamped_index)
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["diagnostics"] == {"mc3": {"clamped": clamped,
-                                                   "clamped_index": clamped_index}}
+        diagnostics, seconds = _diagnostics(out)
+        assert diagnostics == {"mc3": {"clamped": clamped, "clamped_index": clamped_index}}
+        assert set(seconds) == {"mc3"}
 
     def test_simulate_dump_paths(self, tmp_path):
         out = tmp_path / "dump"
@@ -337,6 +469,33 @@ class TestCli:
             argv += [flag, str(path)]
         assert main(argv) == 1
         assert "bad.csv line 4" in capsys.readouterr().err
+
+    def test_file_with_two_faults_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(HEAD + "\n2020-01-01,1,abc,3\n2020-01-02,4,nan,6\n")
+        assert main(["estimate", "--prices", str(bad), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert ("bad.csv line 2: bad number 'abc' in column 3" in err
+                or "bad.csv line 3: non-finite number (nan) in column 3" in err)
+
+    @pytest.mark.parametrize("command", ["estimate", "backtest", "simulate"])
+    def test_manifest_stage_seconds(self, tmp_path, csv_panel, command):
+        out = tmp_path / command
+        if command == "simulate":
+            argv = ["simulate", "--model", "mc1,mc3", "--paths", "20", "--days", "100"]
+            stages = {"mc1", "mc3"}
+        else:
+            cfg = tmp_path / "run.ini"
+            cfg.write_text("[reactive]\nburn_in = 100\n")
+            argv = [command, "--prices", str(csv_panel.prices), "--caps", str(csv_panel.caps),
+                    "--config", str(cfg)]
+            stages = STAGES[command]
+            if command == "backtest":
+                argv += ["--strategy", "reversal"]
+        assert main(argv + ["--out", str(out)]) == 0
+        _, seconds = _diagnostics(out)
+        assert set(seconds) == stages
+        assert all(isinstance(s, float) and s >= 0.0 for s in seconds.values())
 
     @pytest.mark.parametrize("token", ["0", "-5"])
     def test_non_positive_cap_exit_code(self, tmp_path, capsys, price_file, token):
@@ -426,9 +585,9 @@ class TestCli:
             if command == "backtest":
                 argv += ["--strategy", "reversal"]
             assert main(argv) == 0
-            manifest = json.loads((out / "manifest.json").read_text())
-            assert manifest["diagnostics"] == {"frozen_stock_days": 10 + 5 + 399,
-                                               "nan_final_betas": 1}
+            diagnostics, seconds = _diagnostics(out)
+            assert diagnostics == {"frozen_stock_days": 10 + 5 + 399, "nan_final_betas": 1}
+            assert set(seconds) == STAGES[command]
         assert "diagnostics" not in json.loads((tmp_path / "backtest" / "backtest.json")
                                                .read_text())
 
