@@ -35,6 +35,8 @@ WINNER_WINDOW = 21
 
 #: paths generated and estimated at once; bounds a block's memory
 _BLOCK_PATHS = 4096
+#: paths per ols or quantile solve (each path's bits hold in any batch)
+_SOLVE_PATHS = 1024
 
 
 def path_flags(batch: McBatch):
@@ -68,13 +70,17 @@ def _estimate(name: str, batch: McBatch, params: ReactiveParams, slopes: dict):
     r_s, r_i = batch.r_stock, batch.r_index
     lam = params.lambda_beta
 
+    def by_parts(solve) -> np.ndarray:
+        return np.concatenate([solve(r_i[k:k + _SOLVE_PATHS], r_s[k:k + _SOLVE_PATHS])
+                               for k in range(0, batch.n_paths, _SOLVE_PATHS)])
+
     def slope(theta: float) -> np.ndarray:
         if theta not in slopes:
-            slopes[theta] = quantile_beta_batch(r_i, r_s, theta, lam)[1]
+            slopes[theta] = by_parts(lambda x, y: quantile_beta_batch(x, y, theta, lam)[1])
         return slopes[theta]
 
     if name == "ols":
-        return ols_beta_batch(r_i, r_s, lam), None
+        return by_parts(lambda x, y: ols_beta_batch(x, y, lam)), None
     if name == "mad":
         return slope(0.5), None
     if name == "trm":

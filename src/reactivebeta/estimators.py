@@ -123,6 +123,35 @@ def _quantile_pick(values: np.ndarray, mass: np.ndarray, target, last) -> np.nda
     return order[np.arange(order.shape[0]), pick]
 
 
+def _rotate(x, y, w, theta, anchor, dx, r):
+    """Per row, the best line through observation ``anchor``: its other
+    observation, intercept, slope and objective; ``r`` keeps the slopes."""
+    rows = np.arange(x.shape[0])
+    xa, ya = x[rows, anchor], y[rows, anchor]
+    np.subtract(x, xa[:, None], out=dx)
+    np.subtract(y, ya[:, None], out=r)
+    tie = dx == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r /= dx
+    # ties in x carry no mass and sort last (a finite input's slope is inf only
+    # by overflow); +inf, unlike NaN, keeps numpy's argsort on its SIMD path
+    r[tie] = np.inf
+    # the slope quantile must reach sum(m) / 2 + (theta - 1/2) sum(w dx)
+    lean = (theta - 0.5) * _weighted_sums(dx, w)
+    np.abs(dx, out=dx)
+    dx *= w
+    nxt = _quantile_pick(r, dx, 0.5 * dx.sum(axis=1) + lean, x.shape[1] - 1 - tie.sum(axis=1))
+    b_new = r[rows, nxt]
+    a_new = ya - b_new * xa
+    # pinball loss theta r^+ + (1 - theta) r^- as |r| / 2 + (theta - 1/2) r
+    np.multiply(x, b_new[:, None], out=dx)
+    np.subtract(y, dx, out=dx)
+    dx -= a_new[:, None]
+    obj = (theta - 0.5) * _weighted_sums(dx, w)
+    obj += 0.5 * _weighted_sums(np.abs(dx, out=dx), w)
+    return nxt, a_new, b_new, obj
+
+
 def quantile_beta_batch(x: np.ndarray, y: np.ndarray, theta: float,
                         lam: float = DEFAULT_LOOKBACK):
     """Weighted quantile regression line fit along the last axis.
@@ -135,12 +164,17 @@ def quantile_beta_batch(x: np.ndarray, y: np.ndarray, theta: float,
     least-squares residuals. Its best slope about ``i`` is a weighted
     quantile of the slopes ``(y_j - y_i) / (x_j - x_i)`` with masses
     ``w_j |x_j - x_i|``, taken at ``theta`` for observations right of
-    ``i`` and at ``1 - theta`` for those left of it. The line then pivots:
-    the other observation it passes through becomes the anchor. A path
-    stops when its objective no longer strictly falls (relative 1e-15);
-    then rotating the line about either of its two observations does not
-    descend, which certifies it optimal. Each path's result is bit for
-    bit the same whichever block it is solved in.
+    ``i`` and at ``1 - theta`` for those left of it; ties in x have no
+    mass and sort last as +inf. The line then pivots: the other
+    observation it passes through becomes the anchor. Once the objective
+    no longer strictly falls (relative 1e-15), the line also rotates
+    about each other observation on it (a degenerate vertex; a slope
+    about the anchor within 1e-9 relative of the line's, as rounding may
+    leave it ulps off) and goes on from the first rotation that strictly
+    lowers the objective. A path stops when none does: the directional
+    derivative is piecewise linear in the direction, with kinks only at
+    rotations about observations on the line, which certifies the line
+    optimal. Each path's result is bit for bit the same in any block.
 
     Returns ``(alpha, beta)`` arrays; paths with a degenerate regressor
     yield NaN.
@@ -164,40 +198,30 @@ def quantile_beta_batch(x: np.ndarray, y: np.ndarray, theta: float,
     b_cur = np.einsum("ij,ij,j->i", dx, y, w) / var[live]
     a_cur = _weighted_sums(y, w) - b_cur * mx[live]
     r = y - a_cur[:, None] - b_cur[:, None] * x
-    anchor = _quantile_pick(r, np.broadcast_to(w, r.shape), theta, T - 1)
+    anchor = prev = _quantile_pick(r, np.broadcast_to(w, r.shape), theta, T - 1)
     obj = np.full(live.size, np.inf)
 
     while live.size:
-        rows = np.arange(live.size)
-        xa, ya = x[rows, anchor], y[rows, anchor]
-        np.subtract(x, xa[:, None], out=dx)
-        np.subtract(y, ya[:, None], out=r)
-        tie = dx == 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r /= dx
-        r[tie] = np.nan  # ties in x carry no mass and sort last
-        # the slope quantile must reach sum(m) / 2 + (theta - 1/2) sum(w dx)
-        lean = (theta - 0.5) * _weighted_sums(dx, w)
-        np.abs(dx, out=dx)
-        dx *= w
-        nxt = _quantile_pick(r, dx, 0.5 * dx.sum(axis=1) + lean, T - 1 - tie.sum(axis=1))
-        b_new = r[rows, nxt]
-        a_new = ya - b_new * xa
-
-        # pinball loss theta r^+ + (1 - theta) r^- as |r| / 2 + (theta - 1/2) r
-        np.multiply(x, b_new[:, None], out=r)
-        np.subtract(y, r, out=r)
-        r -= a_new[:, None]
-        obj_new = (theta - 0.5) * _weighted_sums(r, w)
-        obj_new += 0.5 * _weighted_sums(np.abs(r, out=r), w)
-
+        nxt, a_new, b_new, obj_new = _rotate(x, y, w, theta, anchor, dx, r)
         better = obj_new < obj * (1.0 - 1e-15)
+        stop = np.flatnonzero(~better)
+        on = np.abs(r[stop] - b_cur[stop, None]) <= 1e-9 * np.abs(b_cur[stop, None])
+        on[np.arange(stop.size), prev[stop]] = False   # the line is the best about prev
+        k, pivot = np.nonzero(on)
+        if k.size:
+            _, first = np.unique(np.stack((k, x[stop[k], pivot])), axis=1, return_index=True)
+            k, pivot = stop[k[first]], pivot[first]   # one per x: those on a line coincide
+            got = _rotate(x[k], y[k], w, theta, pivot, *np.empty((2, k.size, T)))
+            g = np.flatnonzero(got[3] < obj[k] * (1.0 - 1e-15))
+            g = g[np.unique(k[g], return_index=True)[1]]   # each path's first
+            nxt[k[g]], a_new[k[g]], b_new[k[g]], obj_new[k[g]] = (v[g] for v in got)
+            anchor[k[g]], better[k[g]] = pivot[g], True   # the new line's other observation
         done = ~better
         alpha[live[done]], beta[live[done]] = a_cur[done], b_cur[done]
         if done.any():
             keep = int(better.sum())
             live, x, y, dx, r = live[better], x[better], y[better], dx[:keep], r[:keep]
-        a_cur, b_cur, obj, anchor = a_new[better], b_new[better], obj_new[better], nxt[better]
+        a_cur, b_cur, obj, prev, anchor = (v[better] for v in (a_new, b_new, obj_new, anchor, nxt))
     return alpha, beta
 
 

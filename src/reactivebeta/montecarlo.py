@@ -28,7 +28,7 @@ import numpy as np
 
 from .params import DEFAULT_PARAMS, TRADING_DAYS, ReactiveParams
 from .timeseries import block_rows, ema_rows
-from .volatility import LevelState, _level_map, _vol_map
+from .volatility import _level_map, _vol_map
 from .beta import _elasticity_map
 from .evaluation import NumericalFailure
 from .estimators import (
@@ -149,43 +149,13 @@ def ou_step(x, relaxation_days: float, volvol: float, normal):
     return np.asarray(x) * (1.0 - 1.0 / relaxation_days) + volvol * np.asarray(normal)
 
 
-def level_price_step(index_price, stock_price, tr_index, tr_stock,
-                     levels: LevelState, params: ReactiveParams):
-    """Map one day's moves on the normalized scale to prices through the
-    levels, ``price' = price + move * level``, and advance the levels.
-
-    Each new price is floored at ``_PRICE_FLOOR`` of the previous one, so
-    a single extreme draw cannot push a price non-positive. The index side
-    may be a scalar shared by every stock. Returns the new index and stock
-    prices, the new levels and the number of stock prices floored. Raises
-    ``NumericalFailure`` once a price leaves the normal floats: below them,
-    as flooring day after day under volatilities far beyond any market's
-    does, or above them. This is the one-day form of the generators'
-    kernel, :func:`_level_days`.
-    """
-    shape = np.shape(stock_price)
-    px, slow, lvl, tr = (np.array([np.broadcast_arrays(i, s)] * 2).reshape(2, 2, -1)
-                         for i, s in ((index_price, stock_price),
-                                      (levels.slow_index, levels.slow_stock),
-                                      (levels.index_level, levels.stock_level),
-                                      (tr_index, tr_stock)))
-    fast = np.array(np.broadcast_to(levels.fast_index, shape), dtype=float).reshape(-1)
-    hits = _level_days(px, slow, lvl, fast, np.empty_like(fast), tr[:1], params)
-
-    def idx(row):       # the index side shaped as given
-        return row.reshape(shape) if np.ndim(index_price) else row[0]
-
-    new_index, new_stock = idx(px[1, 0]), px[1, 1].reshape(shape)
-    return new_index, new_stock, LevelState(
-        slow_index=idx(slow[1, 0]), fast_index=idx(fast), slow_stock=slow[1, 1].reshape(shape),
-        index_level=idx(lvl[1, 0]), stock_level=lvl[1, 1].reshape(shape),
-        last_index=new_index, last_stock=new_stock), int(hits[1])
-
-
 def _level_days(px, slow, lvl, fast, gap, tr, params: ReactiveParams, move=None):
-    """Map a block of days' moves ``tr`` to prices through the levels, in
-    place, as :func:`level_price_step` does day by day; return the floor
-    hits of the index side and of the stock side.
+    """Map a block of days' moves ``tr`` to prices through the levels in
+    place, ``price' = price + move * level`` floored at ``_PRICE_FLOOR`` of
+    the previous price, and advance the levels; return the floor hits of
+    the index side and of the stock side. Raises ``NumericalFailure`` once
+    a price leaves the normal floats: below them, as flooring day after
+    day under volatilities far beyond any market's does, or above them.
 
     ``px``, ``slow`` and ``lvl`` (prices, slow price EMAs, levels) are
     ``(days + 1, 2, n)``: row 0 the day before the block, the index side

@@ -34,16 +34,13 @@ DEFAULT_LAM = DEFAULT_PARAMS.lambda_beta
 def combinatorial_quantile_oracle(x, y, lam, theta):
     """Exhaustive search over lines through pairs of points: an optimal
     solution of the weighted pinball fit interpolates two observations."""
-    best = (np.inf, np.nan, np.nan)
-    for i, j in itertools.combinations(range(len(x)), 2):
-        if x[i] == x[j]:
-            continue
-        b = (y[j] - y[i]) / (x[j] - x[i])
-        a = y[i] - b * x[i]
-        obj = quantile_objective(x, y, lam, theta, a, b)
-        if obj < best[0]:
-            best = (obj, a, b)
-    return best
+    i, j = np.triu_indices(len(x), 1)
+    i, j = i[x[i] != x[j]], j[x[i] != x[j]]
+    b = (y[j] - y[i]) / (x[j] - x[i])
+    a = y[i] - b * x[i]
+    obj = quantile_objective(x, y, lam, theta, a, b)
+    k = np.argmin(obj)
+    return obj[k], a[k], b[k]
 
 
 class TestOls:
@@ -134,6 +131,42 @@ class TestQuantileRegression:
             obj_star = combinatorial_quantile_oracle(x, y, lam, theta)[0]
             assert obj_hat <= obj_star + 1e-8
 
+    @pytest.mark.parametrize("step, most", [(0.01, 60), (0.001, 120)])
+    def test_combinatorial_oracle_gridded_returns(self, step, most):
+        # returns rounded to a grid put three or more observations on one
+        # line, a degenerate vertex, where rotating the line about its last
+        # two anchors alone can stop above the optimum
+        rng = np.random.default_rng(26)
+        for _ in range(300):
+            n = int(rng.integers(most // 3, most + 1))
+            x = np.round(0.02 * rng.standard_normal(n) / step) * step
+            y = np.round((0.8 * x + 0.02 * rng.standard_normal(n)) / step) * step
+            theta = float(rng.choice([0.25, 0.5, 0.75]))
+            lam = float(rng.uniform(0.01, 0.1))
+            a_hat, b_hat = quantile_beta(WeightedRegressionProblem(x, y, lam), theta)
+            obj_hat = quantile_objective(x, y, lam, theta, a_hat, b_hat)
+            assert obj_hat <= combinatorial_quantile_oracle(x, y, lam, theta)[0] * (1.0 + 1e-12)
+
+    def test_slopes_sort_without_nan(self, monkeypatch):
+        # numpy sorts a row holding a NaN off its SIMD path, several times
+        # slower, so observations tied in x with the anchor must not be NaN
+        import reactivebeta.estimators as estimators
+
+        pick, caps = estimators._quantile_pick, []
+
+        def checked(values, mass, target, last):
+            assert not np.isnan(values).any()
+            caps.append(np.min(last, initial=values.shape[1]))
+            return pick(values, mass, target, last)
+
+        monkeypatch.setattr(estimators, "_quantile_pick", checked)
+        rng = np.random.default_rng(27)
+        x = np.round(rng.standard_normal((4, 200)), 1)
+        y = 0.7 * x + rng.standard_normal((4, 200))
+        for theta in (0.25, 0.5, 0.75):
+            assert np.isfinite(quantile_beta_batch(x, y, theta, 0.02)[1]).all()
+        assert min(caps) < 200 - 2   # some anchor had a tie besides itself
+
     def test_degenerate_regressor_marked(self):
         x = np.random.default_rng(22).standard_normal((3, 10))
         x[1] = 1.0
@@ -184,14 +217,18 @@ class TestQuantileRegression:
         assert got < irls_objective * (1.0 - 1e-8)
 
     def test_batch_matches_single_paths_bitwise(self):
+        # also where x repeats values, and where y does too, so that lines
+        # through three or more observations occur
         rng = np.random.default_rng(25)
         x = rng.standard_normal((6, 301))
         y = 0.7 * x + rng.standard_t(4, (6, 301))
-        for theta in (0.25, 0.5, 0.75):
-            alpha, beta = quantile_beta_batch(x, y, theta, 0.02)
-            for k in range(6):
-                a_k, b_k = quantile_beta_batch(x[k], y[k], theta, 0.02)
-                assert (a_k[0], b_k[0]) == (alpha[k], beta[k])
+        x_grid = np.round(x, 1)
+        for x, y in ((x, y), (x_grid, y), (x_grid, np.round(y, 1))):
+            for theta in (0.25, 0.5, 0.75):
+                alpha, beta = quantile_beta_batch(x, y, theta, 0.02)
+                for k in range(6):
+                    a_k, b_k = quantile_beta_batch(x[k], y[k], theta, 0.02)
+                    assert (a_k[0], b_k[0]) == (alpha[k], beta[k])
 
     def test_rejects_bad_theta(self):
         p = WeightedRegressionProblem(np.arange(5.0), np.arange(5.0), 0.1)
@@ -602,6 +639,28 @@ class TestSharedMedianFit:
         for name in names:
             alone = benchmark.run_benchmark(estimators=[name], **run)
             assert repr(shared.rows[name].to_dict()) == repr(alone.rows[name].to_dict())
+
+
+class TestSolveParts:
+    def test_parts_keep_every_bit(self, monkeypatch):
+        # ols and each quantile level are solved over parts of a block of
+        # at most _SOLVE_PATHS paths, which leaves every estimate's bits
+        import reactivebeta.benchmark as benchmark
+        from reactivebeta.montecarlo import McConfig, generate_batch
+
+        batch = generate_batch(McConfig(model="mc4", T=150, n_paths=10, seed=3))
+        whole = {name: benchmark.estimate_batch(name, batch) for name in ("ols", "mad", "trm")}
+        solve, sizes = benchmark.quantile_beta_batch, []
+
+        def counting(x, y, theta, lam):
+            sizes.append(len(x))
+            return solve(x, y, theta, lam)
+
+        monkeypatch.setattr(benchmark, "quantile_beta_batch", counting)
+        monkeypatch.setattr(benchmark, "_SOLVE_PATHS", 4)
+        for name, est in whole.items():
+            assert np.array_equal(benchmark.estimate_batch(name, batch), est)
+        assert sizes == 4 * [4, 4, 2]   # mad's median, then trm's three levels
 
 
 class TestBlockRelease:

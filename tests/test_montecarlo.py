@@ -8,7 +8,6 @@ from reactivebeta.montecarlo import (
     McConfig,
     dump_batch,
     generate_batch,
-    level_price_step,
     ou_step,
     student_t_scaled,
 )
@@ -17,10 +16,38 @@ from reactivebeta.evaluation import NumericalFailure
 from reactivebeta.params import DEFAULT_PARAMS, TRADING_DAYS, ReactiveParams
 from reactivebeta.strategies import synthetic_universe
 from reactivebeta.timeseries import block_rows
-from reactivebeta.volatility import fast_gap, init_levels, update_levels
+from reactivebeta.volatility import LevelState, fast_gap, init_levels, update_levels
 
 BATCH_ARRAYS = ("r_index", "r_stock", "true_beta", "true_rho", "true_sigma_index",
                 "true_sigma_stock")
+
+
+def level_price_step(index_price, stock_price, tr_index, tr_stock,
+                     levels: LevelState, params: ReactiveParams):
+    """One day of the generators' kernel ``_level_days``: map the moves on
+    the normalized scale to prices through the levels and advance them.
+
+    The index side may be a scalar shared by every stock. Returns the new
+    index and stock prices, the new levels and the number of stock prices
+    floored.
+    """
+    shape = np.shape(stock_price)
+    px, slow, lvl, tr = (np.array([np.broadcast_arrays(i, s)] * 2).reshape(2, 2, -1)
+                         for i, s in ((index_price, stock_price),
+                                      (levels.slow_index, levels.slow_stock),
+                                      (levels.index_level, levels.stock_level),
+                                      (tr_index, tr_stock)))
+    fast = np.array(np.broadcast_to(levels.fast_index, shape), dtype=float).reshape(-1)
+    hits = mc._level_days(px, slow, lvl, fast, np.empty_like(fast), tr[:1], params)
+
+    def idx(row):       # the index side shaped as given
+        return row.reshape(shape) if np.ndim(index_price) else row[0]
+
+    new_index, new_stock = idx(px[1, 0]), px[1, 1].reshape(shape)
+    return new_index, new_stock, LevelState(
+        slow_index=idx(slow[1, 0]), fast_index=idx(fast), slow_stock=slow[1, 1].reshape(shape),
+        index_level=idx(lvl[1, 0]), stock_level=lvl[1, 1].reshape(shape),
+        last_index=new_index, last_stock=new_stock), int(hits[1])
 
 
 def reference_level_driven(config):
