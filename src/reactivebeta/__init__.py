@@ -39,7 +39,7 @@ from .estimators import (
     ols_beta,
     quantile_beta,
 )
-from .montecarlo import McBatch, McConfig, generate_batch, ou_step, student_t_scaled
+from .montecarlo import McBatch, McConfig, generate_batch
 from .evaluation import (
     ErrorSamples,
     HedgeReport,

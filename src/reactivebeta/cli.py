@@ -18,7 +18,6 @@ import csv
 import io
 import sys
 import time
-from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
 import numpy as np
@@ -52,17 +51,14 @@ def _load_params(config_path) -> ReactiveParams:
     if not parser.has_section("reactive"):
         return ReactiveParams()
     section = parser["reactive"]
+    defaults = DEFAULT_PARAMS.__dict__
+    # each value parses by the type of its default
+    parse = {bool: section.getboolean, int: section.getint, float: section.getfloat}
     kwargs = {}
-    valid = {f.name: f.type for f in dataclass_fields(ReactiveParams)}
-    for key, raw in section.items():
-        if key not in valid:
+    for key in section:
+        if key not in defaults:
             raise rio.IngestError(f"unknown reactive parameter {key!r} in config")
-        if key == "hat_normalize":
-            kwargs[key] = section.getboolean(key)
-        elif key == "burn_in":
-            kwargs[key] = section.getint(key)
-        else:
-            kwargs[key] = float(raw)
+        kwargs[key] = parse[type(defaults[key])](key)
     return ReactiveParams(**kwargs)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import DEFAULT_PARAMS
-from .timeseries import as_array, exp_weights
+from .timeseries import as_array, block_rows, ema_rows, exp_weights
 
 __all__ = [
     "WeightedRegressionProblem",
@@ -211,11 +211,16 @@ def quantile_beta_batch(x: np.ndarray, y: np.ndarray, theta: float,
         if k.size:
             _, first = np.unique(np.stack((k, x[stop[k], pivot])), axis=1, return_index=True)
             k, pivot = stop[k[first]], pivot[first]   # one per x: those on a line coincide
-            got = _rotate(x[k], y[k], w, theta, pivot, *np.empty((2, k.size, T)))
-            g = np.flatnonzero(got[3] < obj[k] * (1.0 - 1e-15))
-            g = g[np.unique(k[g], return_index=True)[1]]   # each path's first
-            nxt[k[g]], a_new[k[g]], b_new[k[g]], obj_new[k[g]] = (v[g] for v in got)
-            anchor[k[g]], better[k[g]] = pivot[g], True   # the new line's other observation
+        # in slices no taller than the rotation above, skipping the paths
+        # that an earlier slice already moved
+        for s in range(0, k.size, live.size):
+            ks, ps = k[s:s + live.size], pivot[s:s + live.size]
+            ks, ps = ks[~better[ks]], ps[~better[ks]]
+            got = _rotate(x[ks], y[ks], w, theta, ps, *np.empty((2, ks.size, T)))
+            g = np.flatnonzero(got[3] < obj[ks] * (1.0 - 1e-15))
+            g = g[np.unique(ks[g], return_index=True)[1]]   # each path's first
+            nxt[ks[g]], a_new[ks[g]], b_new[ks[g]], obj_new[ks[g]] = (v[g] for v in got)
+            anchor[ks[g]], better[ks[g]] = ps[g], True   # the new line's other observation
         done = ~better
         alpha[live[done]], beta[live[done]] = a_cur[done], b_cur[done]
         if done.any():
@@ -257,11 +262,6 @@ SYMMETRIC_DCC_COEFFS = {"a_rho": 0.0079, "b_rho": 0.9261, "gamma_rho": 0.0}
 ASYMMETRIC_DCC_COEFFS = {"a_rho": 0.0020, "b_rho": 0.9512, "gamma_rho": 0.0040}
 
 _RHO_CLAMP = 0.999
-#: (day, path) cells per block of the (A)DCC filter, which advances at
-#: least 8 days per block: long blocks spread numpy's per-call cost over
-#: more cells, while the workspace and temporaries, some sixty arrays of
-#: a block's cells, stay small
-_BLOCK_CELLS = 2048
 #: filter passes a calibration may spend on one path
 _MAX_PASSES = 100
 #: a path stops once its next Newton step predicts a gain below this
@@ -438,9 +438,8 @@ def _dcc_filter(sigma_stock, sigma_index, rho_bar,
     base_qc = base_qc * rho0
     weight = -0.5 * (1.0 - lam) ** np.arange(T - 1.0, -1.0, -1.0)
 
-    L = min(max(8, _BLOCK_CELLS // n), T)
+    L = block_rows(n, T)
     B = np.zeros((L + 1, 2, n))          # B_t of the block's days, then the carry
-    step_b = np.empty((2, n))
     V = np.empty((2, L, n))              # variances, then squared shocks
     E = np.empty((2, L, n))              # d log var / d log sigma
     P = np.empty((L, n))
@@ -452,7 +451,6 @@ def _dcc_filter(sigma_stock, sigma_index, rho_bar,
     Q = np.zeros((L + 1, 12, n))
     Q[0, :2] = 1.0
     Q[0, 2] = rho0
-    step_q = np.empty((12, n))
     G = np.empty((10, L, n))             # each day's weighted terms
     total = np.zeros((10, n))
     for t0 in range(0, T, L):
@@ -464,9 +462,7 @@ def _dcc_filter(sigma_stock, sigma_index, rho_bar,
         h = r < 0.0
         x = 2.0 * r[0] * r[1]
         np.multiply(np.where(h, a + g, a), r2, out=B[1:m + 1].transpose(1, 0, 2))
-        for k in range(1, m + 1):
-            np.multiply(B[k - 1], b, out=step_b)
-            B[k] += step_b
+        ema_rows(B[:m + 1], b)
 
         # variances, shocks, and the drives of q written one day ahead
         v, e, q = V[:, :m], E[:, :m], Q[1:m + 1].transpose(1, 0, 2)
@@ -484,9 +480,7 @@ def _dcc_filter(sigma_stock, sigma_index, rho_bar,
         _sensitivity_drives(q, e)
         q[:2] += base_q
         q[2] += base_qc
-        for k in range(1, m + 1):
-            np.multiply(Q[k - 1], br, out=step_q)
-            Q[k] += step_q
+        ema_rows(Q[:m + 1], br)
 
         # each day's likelihood term, score and Hessian
         c = rho[:m]

@@ -242,7 +242,7 @@ def write_table_report(path, rows: dict) -> None:
             d = row.to_dict()
             out = [name]
             for c in cols[1:]:
-                v = d.get(c if c != "estimator" else "label")
+                v = d[c]
                 if isinstance(v, bool):
                     out.append("*" if v else "")
                 elif v is None:

@@ -46,8 +46,6 @@ __all__ = [
     "MODELS",
     "McConfig",
     "McBatch",
-    "student_t_scaled",
-    "ou_step",
     "generate_batch",
     "dump_batch",
 ]
@@ -129,24 +127,6 @@ class McBatch:
     @property
     def T(self) -> int:
         return self.r_index.shape[1]
-
-
-def student_t_scaled(dof: float, target_std: float, rng: np.random.Generator,
-                     size=None):
-    """Student-t draws rescaled so their standard deviation is exactly
-    ``target_std`` (the raw variance ``dof / (dof - 2)`` is divided out)."""
-    if dof <= 2.0:
-        raise ValueError("dof must exceed 2 for a finite variance")
-    return rng.standard_t(dof, size=size) * (target_std * np.sqrt((dof - 2.0) / dof))
-
-
-def ou_step(x, relaxation_days: float, volvol: float, normal):
-    """One Euler step of a mean-zero Ornstein-Uhlenbeck process on the
-    daily grid: ``x' = x * (1 - 1/relaxation) + volvol * normal`` with
-    ``normal`` a pre-drawn standard normal."""
-    if relaxation_days <= 0.0:
-        raise ValueError("relaxation_days must be positive")
-    return np.asarray(x) * (1.0 - 1.0 / relaxation_days) + volvol * np.asarray(normal)
 
 
 def _level_days(px, slow, lvl, fast, gap, tr, params: ReactiveParams, move=None):
@@ -245,14 +225,14 @@ def generate_batch(config: McConfig, offset: int = 0,
 def _gen_market_model(config: McConfig, rngs, path_ids) -> McBatch:
     n, T = len(rngs), config.T
     s_i, s_eps = config.daily_index_vol, config.daily_residual_vol
-    r_index = np.empty((n, T))
-    resid = np.empty((n, T))
-    for k, rng in enumerate(rngs):
-        r_index[k] = s_i * rng.standard_normal(T)
-        if config.model == "mc2":
-            resid[k] = student_t_scaled(config.t_dof, s_eps, rng, size=T)
-        else:
-            resid[k] = s_eps * rng.standard_normal(T)
+    r_index = _draw_matrix(rngs, T, "normal")
+    r_index *= s_i
+    if config.model == "mc2":     # Student-t draws scaled to a std of s_eps
+        resid = _draw_matrix(rngs, T, "t", config.t_dof)
+        resid *= s_eps * np.sqrt((config.t_dof - 2.0) / config.t_dof)
+    else:
+        resid = _draw_matrix(rngs, T, "normal")
+        resid *= s_eps
     r_stock = _BETA * r_index + resid
     clamped_index, clamped = _floor_returns(r_index), _floor_returns(r_stock)
 

@@ -91,19 +91,14 @@ class Universe:
         return self.prices.shape[0]
 
 
-def auto_supersectors(caps_or_universe, n_groups: int = N_SUPERSECTORS) -> np.ndarray:
-    """Partition stocks into similarly sized groups by capitalization rank.
+def auto_supersectors(caps, n_groups: int = N_SUPERSECTORS) -> np.ndarray:
+    """Partition stocks into similarly sized groups by the rank of their
+    mean capitalization over the days of ``caps`` (time x stock).
 
     Intended for synthetic universes without real sector data; real data
     should supply its own labels.
     """
-    if isinstance(caps_or_universe, Universe):
-        caps = caps_or_universe.caps
-        if caps is None:
-            caps = caps_or_universe.prices
-    else:
-        caps = np.asarray(caps_or_universe, dtype=float)
-    mean_cap = np.nanmean(np.atleast_2d(caps), axis=0)
+    mean_cap = np.nanmean(np.atleast_2d(np.asarray(caps, dtype=float)), axis=0)
     order = np.argsort(np.argsort(-mean_cap, kind="stable"), kind="stable")
     return (order * n_groups) // mean_cap.size
 

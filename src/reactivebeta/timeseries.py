@@ -38,7 +38,8 @@ def ema_rows(x: np.ndarray, decay) -> np.ndarray:
     row per step (a coefficient of one and an increment of zero hold the
     state for that step, bit for bit).
     """
-    decay = np.broadcast_to(decay, x[1:].shape)
+    # a constant stays a scalar, which numpy multiplies faster than a broadcast row
+    decay = np.broadcast_to(decay, x[1:].shape) if np.ndim(decay) else [decay] * len(x)
     for t in range(1, len(x)):
         x[t] += x[t - 1] * decay[t - 1]
     return x

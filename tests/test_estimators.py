@@ -230,6 +230,25 @@ class TestQuantileRegression:
                     a_k, b_k = quantile_beta_batch(x[k], y[k], theta, 0.02)
                     assert (a_k[0], b_k[0]) == (alpha[k], beta[k])
 
+    def test_degenerate_vertex_scratch_stays_small(self):
+        # returns rounded to 0.01 put many observations on a line, and the
+        # stopping paths then rotate about 1,400 pivots at once: they go
+        # in slices no taller than the batch, and each path keeps its bits
+        import tracemalloc
+        rng = np.random.default_rng(0)
+        x = np.round(0.01 * rng.standard_normal((256, 1000)), 2)
+        y = np.round(0.9 * x + 0.015 * rng.standard_normal(x.shape), 2)
+        tracemalloc.start()
+        try:
+            alpha, beta = quantile_beta_batch(x, y, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * x.nbytes
+        for k in range(0, 256, 16):
+            a_k, b_k = quantile_beta_batch(x[k], y[k], 0.5)
+            assert (a_k[0], b_k[0]) == (alpha[k], beta[k])
+
     def test_rejects_bad_theta(self):
         p = WeightedRegressionProblem(np.arange(5.0), np.arange(5.0), 0.1)
         with pytest.raises(ValueError):
@@ -523,6 +542,22 @@ class TestDccCalibration:
         start, trial, retry = points[:3]
         np.testing.assert_allclose(retry - start, 0.5 * (trial - start), rtol=1e-9)
         assert cal.converged.all()
+
+    @pytest.mark.parametrize("block", [1, 7])
+    @pytest.mark.parametrize("model, n_paths", [("mc7", 1), ("mc6", 3), ("mc7", 60)])
+    def test_filter_block_length_keeps_every_bit(self, monkeypatch, block, model, n_paths):
+        # every map of the filter is elementwise per day and path and the
+        # likelihood sums in day order, so its blocks of days change no bit
+        import reactivebeta.estimators as estimators
+        from reactivebeta.montecarlo import McConfig, generate_batch
+        batch = generate_batch(McConfig(model=model, T=300, n_paths=n_paths, seed=27))
+        gcoef, dcoef = ASYMMETRIC_GARCH_COEFFS, ASYMMETRIC_DCC_COEFFS
+        expect = dcc_calibrate(batch.r_stock, batch.r_index, gcoef, dcoef)
+        monkeypatch.setattr(estimators, "block_rows", lambda width, total: min(block, total))
+        got = dcc_calibrate(batch.r_stock, batch.r_index, gcoef, dcoef)
+        for field in ("sigma_stock", "sigma_index", "rho_bar", "loglik", "beta",
+                      "converged", "at_bound", "evaluations"):
+            assert np.array_equal(getattr(got, field), getattr(expect, field)), field
 
     @pytest.mark.parametrize("asymmetric", [False, True])
     def test_stopping_certificate(self, asymmetric):

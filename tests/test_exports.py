@@ -52,3 +52,68 @@ def test_every_config_field_is_read(module, cls):
     config = getattr(importlib.import_module(f"reactivebeta.{module}"), cls)
     read = _attributes_read(cls)
     assert [f.name for f in dataclasses.fields(config) if f.name not in read] == []
+
+
+#: public names that no module of the package loads, each with the reason
+#: it stays public; any other such name is API that only tests call
+UNLOADED_EXPORTS = {
+    "benchmark.estimate_batch": "entry point: the table of one block of paths",
+    "evaluation.elasticity_diagnostic": "entry point: the elasticity regression",
+    "beta.elasticity_correction": "per-day reference; criterion 8 imports it",
+    "beta.leverage_correction": "per-day reference; criterion 8 imports it",
+    "volatility.normalized_returns": "per-day reference; criterion 8 imports it",
+    "volatility.update_levels": "per-day reference; criterion 8 imports it",
+    "volatility.update_reactive_vols": "per-day reference; criterion 8 imports it",
+    "timeseries.exp_weighted_moments": "criterion 8 imports it",
+    "estimators.ols_beta": "criterion 5 imports it",
+    "estimators.quantile_beta": "criterion 5 imports it",
+    "estimators.quantile_objective": "criterion 5 and the perfbench spans import it",
+    "estimators.trimean_beta_batch": "a perfbench span target",
+    "strategies.build_factor": "a perfbench span target",
+}
+
+
+def _names_loaded() -> set:
+    """Names that the package's modules load: a bare name (or its import
+    alias) that no enclosing function binds, or an attribute of a package
+    module bound by ``from . import``; in either case outside the
+    function or class of that name."""
+    trees = [ast.parse(p.read_text()) for p in Path(reactivebeta.__file__).parent.glob("*.py")]
+    aliases, modules = {}, set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for a in node.names:
+                    if node.module is None:
+                        modules.add(a.asname or a.name)
+                    else:
+                        aliases[a.asname or a.name] = a.name
+    loaded = set()
+    for tree in trees:
+        stack = [(tree, set())]     # a node and the names it cannot load
+        while stack:
+            node, hidden = stack.pop()
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                hidden = hidden | {node.name}
+            if isinstance(node, ast.FunctionDef):
+                hidden = hidden | {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)} \
+                    | {n.id for n in ast.walk(node)
+                       if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) \
+                    and node.id not in hidden:
+                loaded.add(aliases.get(node.id, node.id))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) \
+                    and isinstance(node.value, ast.Name) and node.value.id in modules \
+                    and node.attr not in hidden:
+                loaded.add(node.attr)
+            stack.extend((child, hidden) for child in ast.iter_child_nodes(node))
+    return loaded
+
+
+def test_every_export_is_loaded_or_exempt():
+    loaded = _names_loaded()
+    unloaded = {f"{name}.{n}" for name in MODULES
+                for n in getattr(importlib.import_module(f"reactivebeta.{name}"), "__all__", ())
+                if n not in loaded}
+    assert unloaded - UNLOADED_EXPORTS.keys() == set()
+    assert UNLOADED_EXPORTS.keys() - unloaded == set()    # no stale exemption

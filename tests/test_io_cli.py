@@ -518,6 +518,17 @@ class TestCli:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["params"]["lambda_beta"] == 0.02
 
+    def test_config_values_parse_by_the_type_of_their_default(self, tmp_path, csv_panel):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[reactive]\nhat_normalize = no\nburn_in = 10\nphi = 2\n")
+        out = tmp_path / "typed"
+        assert main(["estimate", "--prices", str(csv_panel.prices),
+                     "--config", str(cfg), "--out", str(out)]) == 0
+        params = json.loads((out / "manifest.json").read_text())["config"]["params"]
+        assert params["hat_normalize"] is False
+        assert params["burn_in"] == 10 and isinstance(params["burn_in"], int)
+        assert params["phi"] == 2.0 and isinstance(params["phi"], float)
+
     def test_unknown_config_key_rejected(self, tmp_path, price_file):
         cfg = tmp_path / "run.ini"
         for key in ("mystery", "elasticity_hi"):    # the latter is no parameter

@@ -8,14 +8,12 @@ from reactivebeta.montecarlo import (
     McConfig,
     dump_batch,
     generate_batch,
-    ou_step,
-    student_t_scaled,
 )
 from reactivebeta.benchmark import ESTIMATORS, estimate_batch
 from reactivebeta.evaluation import NumericalFailure
 from reactivebeta.params import DEFAULT_PARAMS, TRADING_DAYS, ReactiveParams
 from reactivebeta.strategies import synthetic_universe
-from reactivebeta.timeseries import block_rows
+from reactivebeta.timeseries import block_rows, ema_rows
 from reactivebeta.volatility import LevelState, fast_gap, init_levels, update_levels
 
 BATCH_ARRAYS = ("r_index", "r_stock", "true_beta", "true_rho", "true_sigma_index",
@@ -99,9 +97,10 @@ def reference_level_driven(config):
         out["r_index"][:, t] = new_index / index_price - 1.0
         out["r_stock"][:, t] = new_stock / stock_price - 1.0
         index_price, stock_price = new_index, new_stock
-        if stochastic_vol and t + 1 < T:
-            log_si = ou_step(log_si, mc._OU_RELAXATION, mc._OU_VOLVOL, z_ou_index[:, t + 1])
-            log_rel = ou_step(log_rel, mc._OU_RELAXATION, mc._OU_VOLVOL, z_ou_rel[:, t + 1])
+        if stochastic_vol and t + 1 < T:     # one Euler step of each OU log-vol
+            decay = 1.0 - 1.0 / mc._OU_RELAXATION
+            log_si = log_si * decay + mc._OU_VOLVOL * z_ou_index[:, t + 1]
+            log_rel = log_rel * decay + mc._OU_VOLVOL * z_ou_rel[:, t + 1]
             s_index = config.daily_index_vol * np.exp(log_si)
             s_resid = config.daily_residual_vol * np.exp(log_si + log_rel)
         if stochastic_vol:
@@ -163,62 +162,51 @@ class TestConfig:
 
 
 class TestStudentT:
+    """mc2's residuals: Student-t draws scaled to the residual vol."""
+
+    @staticmethod
+    def residuals(seed, t_dof=3.0):
+        cfg = McConfig(model="mc2", T=1000, n_paths=2000, seed=seed, t_dof=t_dof)
+        batch = generate_batch(cfg)
+        return batch, (batch.r_stock - mc._BETA * batch.r_index) / cfg.daily_residual_vol
+
     def test_variance_normalization(self):
-        rng = np.random.default_rng(0)
-        draws = student_t_scaled(3.0, 1.0, rng, size=1_000_000)
-        assert draws.std() == pytest.approx(1.0, abs=0.01)
+        batch, resid = self.residuals(0)
+        assert resid.std() == pytest.approx(1.0, abs=0.01)
+        ann = np.sqrt(255)
+        assert batch.r_stock.std() * ann == pytest.approx(0.40, rel=0.02)
+        assert batch.r_index.std() * ann == pytest.approx(0.15, rel=0.02)
 
     def test_large_dof_is_nearly_gaussian(self):
-        rng = np.random.default_rng(1)
-        draws = student_t_scaled(1e6, 1.0, rng, size=1_000_000)
-        excess = float(((draws - draws.mean()) ** 4).mean() / draws.var() ** 2 - 3.0)
+        _, resid = self.residuals(1, t_dof=1e6)
+        excess = float(((resid - resid.mean()) ** 4).mean() / resid.var() ** 2 - 3.0)
         assert abs(excess) < 0.1
 
     def test_symmetry(self):
-        rng = np.random.default_rng(2)
-        draws = student_t_scaled(3.0, 1.0, rng, size=500_000)
-        se = draws.std() / np.sqrt(draws.size)
-        assert abs(draws.mean()) < 3 * se
-
-    def test_rejects_low_dof(self):
-        with pytest.raises(ValueError):
-            student_t_scaled(2.0, 1.0, np.random.default_rng(0))
+        _, resid = self.residuals(2)
+        se = resid.std() / np.sqrt(resid.size)
+        assert abs(resid.mean()) < 3 * se
 
 
 class TestOuStep:
-    def test_deterministic_decay(self):
-        x = 1.0
-        for _ in range(100):
-            x = ou_step(x, 50.0, 0.0, normal=0.0)
-        assert x == pytest.approx((1 - 1 / 50.0) ** 100)
+    """mc5's log-vols: Ornstein-Uhlenbeck processes stepped by ``ema_rows``
+    with decay ``1 - 1 / _OU_RELAXATION`` and daily vol ``_OU_VOLVOL``."""
+
+    @staticmethod
+    def track(seed, days):
+        rows = mc._OU_VOLVOL * np.random.default_rng(seed).standard_normal(days)
+        rows[0] = 0.0
+        return ema_rows(rows, 1.0 - 1.0 / mc._OU_RELAXATION)
 
     def test_stationary_std(self):
-        normals = np.random.default_rng(3).standard_normal(200_000)
-        relax, volvol = 100.0, 0.04
-        x = 0.0
-        track = np.empty(normals.size)
-        for t in range(track.size):
-            x = ou_step(x, relax, volvol, normal=normals[t])
-            track[t] = x
-        expect = volvol * np.sqrt(relax / 2.0)
-        assert track[5000:].std() == pytest.approx(expect, rel=0.05)
+        # the std mc5 draws its first day's log-vols with
+        expect = mc._OU_VOLVOL * np.sqrt(mc._OU_RELAXATION / 2.0)
+        assert self.track(3, 200_000)[5000:].std() == pytest.approx(expect, rel=0.05)
 
     def test_autocorrelation(self):
-        normals = np.random.default_rng(4).standard_normal(300_000)
-        relax = 100.0
-        x = 0.0
-        track = np.empty(normals.size)
-        for t in range(track.size):
-            x = ou_step(x, relax, 0.04, normal=normals[t])
-            track[t] = x
-        lag = 20
-        a, b = track[5000:-lag], track[5000 + lag:]
-        rho = np.corrcoef(a, b)[0, 1]
-        assert rho == pytest.approx((1 - 1 / relax) ** lag, abs=0.05)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ou_step(0.0, 0.0, 0.04, normal=0.0)
+        track, lag = self.track(4, 300_000), 20
+        rho = np.corrcoef(track[5000:-lag], track[5000 + lag:])[0, 1]
+        assert rho == pytest.approx((1 - 1 / mc._OU_RELAXATION) ** lag, abs=0.05)
 
 
 class TestReproducibility:
