@@ -252,28 +252,14 @@ def _cmd_selection_bias(args) -> int:
 
 
 def _cmd_calibrate_ell(args) -> int:
-    rows = []
-    with Path(args.data).open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise rio.IngestError(f"{args.data}: empty file")
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) < 3:
-                raise rio.IngestError(
-                    f"{args.data} line {line_no}: expected date,correlation,leverage")
-            try:
-                pair = float(row[1]), float(row[2])
-            except ValueError:
-                raise rio.IngestError(
-                    f"{args.data} line {line_no}: bad number") from None
-            if not np.isfinite(pair).all():
-                raise rio.IngestError(f"{args.data} line {line_no}: non-finite number")
-            rows.append(pair)
-    corr = np.array([r[0] for r in rows])
-    lev = np.array([r[1] for r in rows])
+    dates, _, values = rio._read_panel(args.data)
+    name = Path(args.data).name
+    if values.shape[1] < 2:
+        raise rio.IngestError(f"{name}: expected columns date,correlation,leverage")
+    blank = np.isnan(values[:, :2]).any(axis=1)
+    if blank.any():
+        raise rio.IngestError(f"{name}: blank cell on {dates[int(np.argmax(blank))]}")
+    corr, lev = values[:, 0], values[:, 1]
     fit = calibrate_ell_diff(corr, lev)
     out = _out_dir(args)
     payload = {
@@ -353,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate-ell", help="leverage-gap calibration regression")
     common(p)
     p.add_argument("--data", required=True,
-                   help="CSV with columns date,correlation,leverage")
+                   help="CSV date,correlation,leverage; ISO dates, strictly increasing")
     p.set_defaults(func=_cmd_calibrate_ell)
     return parser
 
@@ -365,10 +351,7 @@ def main(argv=None) -> int:
     args.argv = argv    # the manifests record the arguments that ran
     try:
         return args.func(args)
-    except (rio.IngestError, FileNotFoundError, configparser.Error) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (ValueError, FileNotFoundError, configparser.Error) as exc:   # IngestError too
         print(f"input error: {exc}", file=sys.stderr)
         return 1
     except (NumericalFailure, FloatingPointError, np.linalg.LinAlgError) as exc:

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import DEFAULT_PARAMS
-from .timeseries import as_array, block_rows, ema_rows, exp_weights
+from .timeseries import (_weighted_sums, as_array, block_rows, ema_rows,
+                         exp_weighted_moments, exp_weights)
 
 __all__ = [
     "WeightedRegressionProblem",
@@ -72,27 +73,11 @@ def ols_beta(problem: WeightedRegressionProblem) -> float:
     return float(ols_beta_batch(problem.x, problem.y, problem.lam))
 
 
-def _weighted_sums(a: np.ndarray, w: np.ndarray) -> np.ndarray:
-    # row by row rather than through BLAS, whose blocking would make a
-    # path's sums depend on the other paths solved with it
-    return np.einsum("...j,j->...", a, w)
-
-
 def ols_beta_batch(x: np.ndarray, y: np.ndarray,
                    lam: float = DEFAULT_LOOKBACK) -> np.ndarray:
     """Weighted least-squares slopes with an intercept along the last axis:
-    weighted cov(x, y) / var(x). A zero-variance regressor yields NaN."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    w = exp_weights(x.shape[-1], lam)
-    mean_x = _weighted_sums(x, w)
-    x = x - mean_x[..., None]
-    y = y - _weighted_sums(y, w)[..., None]
-    var = _weighted_sums(x * x, w)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        beta = _weighted_sums(x * y, w) / var
-    # a constant regressor keeps a variance of the mean's rounding error
-    return np.where(var > 1e-30 * mean_x * mean_x, beta, np.nan)
+    weighted cov(x, y) / var(x). A constant regressor yields NaN."""
+    return exp_weighted_moments(x, y, lam).slope
 
 
 # ---------------------------------------------------------------------------
@@ -189,15 +174,14 @@ def quantile_beta_batch(x: np.ndarray, y: np.ndarray, theta: float,
     w = exp_weights(T, lam)
     alpha, beta = np.full(n, np.nan), np.full(n, np.nan)
 
-    mx = _weighted_sums(x, w)
-    dx = x - mx[:, None]
-    var = np.einsum("ij,ij,j->i", dx, dx, w)
-    live = np.flatnonzero(var > 1e-30 * np.maximum(np.einsum("ij,ij,j->i", x, x, w), 1e-300))
+    ls = exp_weighted_moments(x, y, lam)
+    live = np.flatnonzero(np.isfinite(ls.slope))
     if live.size < n:
-        x, y, dx = x[live], y[live], dx[live]
-    b_cur = np.einsum("ij,ij,j->i", dx, y, w) / var[live]
-    a_cur = _weighted_sums(y, w) - b_cur * mx[live]
+        x, y = x[live], y[live]
+    b_cur = ls.slope[live]
+    a_cur = ls.mean_y[live] - b_cur * ls.mean_x[live]
     r = y - a_cur[:, None] - b_cur[:, None] * x
+    dx = np.empty_like(x)
     anchor = prev = _quantile_pick(r, np.broadcast_to(w, r.shape), theta, T - 1)
     obj = np.full(live.size, np.inf)
 
@@ -646,14 +630,10 @@ def dcc_calibrate(r_stock: np.ndarray, r_index: np.ndarray,
     n, T = r_s.shape
     if T < 100:
         raise ValueError("calibration needs at least 100 observations")
-    w = exp_weights(T, lam)
-
-    d_s = r_s - _weighted_sums(r_s, w)[:, None]
-    d_i = r_i - _weighted_sums(r_i, w)[:, None]
-    sig_s = np.sqrt(np.maximum(np.einsum("ij,ij,j->i", d_s, d_s, w), 1e-20))
-    sig_i = np.sqrt(np.maximum(np.einsum("ij,ij,j->i", d_i, d_i, w), 1e-20))
-    rho = np.clip(np.einsum("ij,ij,j->i", d_s, d_i, w) / (sig_s * sig_i), -0.95, 0.95)
-    del d_s, d_i
+    guess = exp_weighted_moments(r_s, r_i, lam)
+    sig_s = np.sqrt(np.maximum(guess.var_x, 1e-20))
+    sig_i = np.sqrt(np.maximum(guess.var_y, 1e-20))
+    rho = np.clip(guess.cov / (sig_s * sig_i), -0.95, 0.95)
 
     def evaluate(cs, ci, cr, rows=None):
         return _dcc_filter(cs, ci, cr, r_s, r_i, garch_coeffs, dcc_coeffs, lam, rows)

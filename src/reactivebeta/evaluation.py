@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .params import DEFAULT_PARAMS
-from .timeseries import as_array, rolling_correlation
+from .timeseries import WeightedMoments, as_array, rolling_correlation
 
 __all__ = [
     "NumericalFailure",
@@ -302,6 +302,15 @@ class RegressionFit:
         return self.slope / 2.0
 
 
+def _line(x: np.ndarray, y: np.ndarray) -> WeightedMoments:
+    """Equal-weight moments of the points ``(x, y)``, centered on their
+    pairwise-summed means; ``.slope`` is the least-squares slope."""
+    mean_x, mean_y = float(np.mean(x)), float(np.mean(y))
+    dx, dy = x - mean_x, y - mean_y
+    return WeightedMoments(mean_x, mean_y, *(float(a @ b) / x.size
+                                             for a, b in ((dx, dx), (dy, dy), (dx, dy))))
+
+
 def calibrate_ell_diff(correlation_index, leverage_factor) -> RegressionFit:
     """Regress daily variations of the mean-rescaled correlation index on
     daily variations of the leverage factor.
@@ -322,19 +331,15 @@ def calibrate_ell_diff(correlation_index, leverage_factor) -> RegressionFit:
     y = np.diff(rho / mean_rho)
     x = np.diff(lev)
     n = x.size
-    dx = x - x.mean()
-    dy = y - y.mean()
-    var_x = float(dx @ dx)
-    if var_x <= 0.0:
+    line = _line(x, y)
+    slope = line.slope
+    if math.isnan(slope):
         raise ValueError("leverage factor has zero variance")
-    slope = float(dx @ dy) / var_x
-    intercept = float(y.mean() - slope * x.mean())
-    resid = dy - slope * dx
-    dof = n - 2
-    s2 = float(resid @ resid) / dof
-    stderr = math.sqrt(s2 / var_x)
-    tss = float(dy @ dy)
-    r2 = 1.0 - float(resid @ resid) / tss if tss > 0.0 else float("nan")
+    intercept = line.mean_y - slope * line.mean_x
+    resid = (y - line.mean_y) - slope * (x - line.mean_x)
+    rss = float(resid @ resid)
+    stderr = math.sqrt(rss / (n - 2) / (n * line.var_x))
+    r2 = 1.0 - rss / (n * line.var_y) if line.var_y > 0.0 else float("nan")
     tstat = slope / stderr if stderr > 0.0 else float("inf")
     return RegressionFit(slope=slope, intercept=intercept, stderr=stderr,
                          tstat=tstat, r2=r2, n=n)
@@ -414,20 +419,16 @@ def elasticity_diagnostic(beta_panel, relvol_panel, bucket_size: int = 10_000,
     for k in range(n_buckets):
         lo = k * bucket_size
         hi = raw.size if k == n_buckets - 1 else (k + 1) * bucket_size
-        bx, by, braw = xb[lo:hi], yb[lo:hi], raw[lo:hi]
-        dx = bx - bx.mean()
-        var = float(dx @ dx)
-        if var <= 1e-30 * max(float(bx @ bx), 1e-300):
+        slope = _line(xb[lo:hi], yb[lo:hi]).slope
+        if math.isnan(slope):
             skipped += 1
             continue
-        bucket_beta.append(float(braw.mean()))
-        bucket_slope.append(float(dx @ (by - by.mean())) / var)
+        bucket_beta.append(float(raw[lo:hi].mean()))
+        bucket_slope.append(slope)
         bucket_count.append(hi - lo)
 
-    dxg = xb - xb.mean()
-    varg = float(dxg @ dxg)
     # global slope is quoted against single (not doubled) log relvol
-    global_slope = 2.0 * float(dxg @ (yb - yb.mean())) / varg if varg > 0.0 else float("nan")
+    global_slope = 2.0 * _line(xb, yb).slope
 
     relvol_slope = None
     if index_vol is not None:
@@ -441,9 +442,8 @@ def elasticity_diagnostic(beta_panel, relvol_panel, bucket_size: int = 10_000,
         ok = np.isfinite(ds) & np.isfinite(di)
         xs, ys = di[ok], ds[ok]
         if xs.size >= 2:
-            dxs = xs - xs.mean()
-            vxs = float(dxs @ dxs)
-            relvol_slope = float(dxs @ (ys - ys.mean())) / vxs if vxs > 0.0 else None
+            slope = _line(xs, ys).slope
+            relvol_slope = None if math.isnan(slope) else slope
 
     return ElasticityDiagnostic(
         bucket_beta=np.array(bucket_beta),

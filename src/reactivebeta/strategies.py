@@ -434,6 +434,8 @@ def synthetic_universe(n_stocks: int = 100, T: int = 1400, seed: int = 0,
     drift as each stock's price diverges from its slow average. Caps are
     fixed share counts times prices; supersectors are auto-partitioned.
     """
+    if n_stocks < 1 or T < 2:
+        raise ValueError(f"need at least 1 stock and 2 days, got {n_stocks} and {T}")
     params = params if params is not None else ReactiveParams()
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, 9001])))
     s_index = 0.15 / np.sqrt(TRADING_DAYS)

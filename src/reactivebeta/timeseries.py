@@ -1,7 +1,7 @@
 """Primitive recursions and statistics shared by every other module.
 
-The statistics work on plain one-dimensional float arrays; ``ema_rows``
-runs a recursion down the first axis of an array of any shape.
+The statistics work along the last axis; ``ema_rows`` runs a
+recursion down the first axis of an array of any shape.
 """
 
 from __future__ import annotations
@@ -91,11 +91,23 @@ def rolling_correlation(x, y, window: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WeightedMoments:
-    mean_x: float
-    mean_y: float
-    var_x: float
-    var_y: float
-    cov: float
+    """Weighted means, variances and covariance of ``x`` and ``y``: floats
+    for one pair of series, one value per row for a batch."""
+
+    mean_x: np.ndarray | float
+    mean_y: np.ndarray | float
+    var_x: np.ndarray | float
+    var_y: np.ndarray | float
+    cov: np.ndarray | float
+
+    @property
+    def slope(self) -> np.ndarray | float:
+        """The least-squares slope ``cov / var_x``; NaN where x is constant,
+        its variance then only its mean's rounding, a sliver of its mean square."""
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            constant = self.var_x <= 1e-30 * (self.var_x + self.mean_x * self.mean_x)
+            slope = np.where(constant, np.nan, np.divide(self.cov, self.var_x))
+        return float(slope) if slope.ndim == 0 else slope
 
 
 def exp_weights(n: int, lam: float) -> np.ndarray:
@@ -111,23 +123,27 @@ def exp_weights(n: int, lam: float) -> np.ndarray:
     return w / w.sum()
 
 
-def exp_weighted_moments(x, y, lam: float) -> WeightedMoments:
-    """Exponentially weighted means, variances and covariance.
+def _weighted_sums(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    # row by row rather than through BLAS, whose blocking would make a
+    # row's sums depend on the other rows summed with it
+    return np.einsum("...j,j->...", a, w)
 
-    The most recent observation carries the largest weight; weights are
-    ``(1 - lam)**(T - t)`` normalized to sum one.
-    """
-    xa, ya = as_array(x), as_array(y)
-    if xa.size != ya.size:
-        raise ValueError("series must have equal length")
-    w = exp_weights(xa.size, lam)
-    mx = float(w @ xa)
-    my = float(w @ ya)
-    dx, dy = xa - mx, ya - my
-    return WeightedMoments(
-        mean_x=mx,
-        mean_y=my,
-        var_x=float(w @ (dx * dx)),
-        var_y=float(w @ (dy * dy)),
-        cov=float(w @ (dx * dy)),
-    )
+
+def exp_weighted_moments(x, y, lam: float) -> WeightedMoments:
+    """Exponentially weighted means, variances and covariance along the
+    last axis, one set per row (floats for 1-d series). Weights are
+    ``(1 - lam)**(T - t)`` normalized to sum one. The rows are centered,
+    then summed row by row: a row has the same bits in any batch, and
+    ``cov(x, x) == var_x``."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.ndim == 0 or x.shape != y.shape:
+        raise ValueError("x and y must be series of identical shapes")
+    w = exp_weights(x.shape[-1], lam)
+    mean_x, mean_y = _weighted_sums(x, w), _weighted_sums(y, w)
+    dx, dy = x - mean_x[..., None], y - mean_y[..., None]
+    var_x = _weighted_sums(dx * dx, w)
+    var_y = _weighted_sums(dy * dy, w)
+    dy *= dx    # in place: at most three (n, T) temporaries live at once
+    moments = (mean_x, mean_y, var_x, var_y, _weighted_sums(dy, w))
+    return WeightedMoments(*(map(float, moments) if x.ndim == 1 else moments))

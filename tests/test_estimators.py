@@ -178,6 +178,19 @@ class TestQuantileRegression:
         assert math.isnan(beta)
         assert math.isnan(batch[1]) and np.isfinite(batch[[0, 2]]).all()
 
+    def test_nan_rows_match_least_squares(self):
+        # constant, all-zero and varying regressors: the quantile fit starts
+        # from the least-squares line, so both skip the same rows
+        rng = np.random.default_rng(23)
+        x = rng.standard_normal((5, 50))
+        x[0], x[1], x[3] = 0.01, 0.0, -7.5
+        y = 0.5 * x + rng.standard_normal((5, 50))
+        ols = ols_beta_batch(x, y, 0.05)
+        np.testing.assert_array_equal(np.isnan(ols), [True, True, False, True, False])
+        for theta in (0.25, 0.5):
+            np.testing.assert_array_equal(np.isnan(quantile_beta_batch(x, y, theta, 0.05)[1]),
+                                          np.isnan(ols))
+
     def test_optimal_against_oracle(self):
         rng = np.random.default_rng(7)
         x = rng.standard_normal(120)

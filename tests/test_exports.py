@@ -64,7 +64,6 @@ UNLOADED_EXPORTS = {
     "volatility.normalized_returns": "per-day reference; criterion 8 imports it",
     "volatility.update_levels": "per-day reference; criterion 8 imports it",
     "volatility.update_reactive_vols": "per-day reference; criterion 8 imports it",
-    "timeseries.exp_weighted_moments": "criterion 8 imports it",
     "estimators.ols_beta": "criterion 5 imports it",
     "estimators.quantile_beta": "criterion 5 imports it",
     "estimators.quantile_objective": "criterion 5 and the perfbench spans import it",

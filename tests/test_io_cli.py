@@ -1,4 +1,5 @@
 import csv
+import datetime as dt
 import io
 import json
 import tempfile
@@ -442,11 +443,10 @@ class TestCli:
             lf[t] = 0.85 * lf[t - 1] + 0.006 * rng.standard_normal()
         rho = 0.5 * (1 + 1.82 * lf) + 0.002 * rng.standard_normal(T)
         data = tmp_path / "ici.csv"
+        day = dt.date(2020, 1, 1)
         lines = ["date,correlation,leverage"]
         for t in range(T):
-            lines.append(f"2020-01-{t + 1:02d},{rho[t]:.8f},{lf[t]:.8f}"
-                         .replace(f"-{t + 1:02d}", f"-{(t % 28) + 1:02d}"))
-        # dates only label rows here; the command reads columns 2 and 3
+            lines.append(f"{day + dt.timedelta(days=t)},{rho[t]:.8f},{lf[t]:.8f}")
         data.write_text("\n".join(lines) + "\n")
         out = tmp_path / "ell"
         assert main(["calibrate-ell", "--data", str(data), "--out", str(out)]) == 0
@@ -642,6 +642,34 @@ class TestCli:
         assert main(["calibrate-ell", "--data", str(data), "--out", str(out)]) == 1
         assert "ici.csv line 3: non-finite number" in capsys.readouterr().err
         assert not (out / "calibrate_ell.json").exists()
+
+    @pytest.mark.parametrize("date, fault", [("2020-01-02", "duplicate date"),
+                                             ("2019-12-31", "strictly increasing")])
+    def test_calibrate_ell_date_out_of_order_exit_code(self, tmp_path, capsys, date, fault):
+        data = tmp_path / "ici.csv"
+        data.write_text("date,correlation,leverage\n2020-01-01,0.5,0.01\n"
+                        f"2020-01-02,0.6,0.02\n{date},0.4,0.0\n")
+        out = tmp_path / "ell"
+        assert main(["calibrate-ell", "--data", str(data), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "ici.csv line 4" in err and fault in err
+        assert not (out / "calibrate_ell.json").exists()
+
+    @pytest.mark.parametrize("text, fault", [
+        ("date,correlation\n2020-01-01,0.5\n", "expected columns date,correlation,leverage"),
+        ("date,correlation,leverage\n2020-01-01,0.5,0.01\n2020-01-02,,0.02\n",
+         "blank cell on 2020-01-02"),
+    ])
+    def test_calibrate_ell_malformed_columns_exit_code(self, tmp_path, capsys, text, fault):
+        data = tmp_path / "ici.csv"
+        data.write_text(text)
+        assert main(["calibrate-ell", "--data", str(data), "--out", str(tmp_path / "ell")]) == 1
+        assert f"ici.csv: {fault}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--stocks", "--days"])
+    def test_backtest_empty_synthetic_universe_exit_code(self, tmp_path, capsys, flag):
+        assert main(["backtest", "--synthetic", flag, "0", "--out", str(tmp_path / "o")]) == 1
+        assert "input error" in capsys.readouterr().err
 
     def test_estimator_without_valid_path_exit_code(self, tmp_path, capsys,
                                                     monkeypatch):

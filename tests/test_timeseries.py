@@ -125,6 +125,30 @@ class TestExpWeightedMoments:
         m = exp_weighted_moments(x, x, 0.05)
         assert m.cov == m.var_x
 
+    @pytest.mark.parametrize("T", [2, 33, 1000])
+    def test_batch_rows_match_single_series_bitwise(self, T):
+        rng = np.random.default_rng(T)
+        x = rng.standard_normal((9, T))
+        y = 0.6 * x + rng.standard_normal((9, T))
+        batch = exp_weighted_moments(x, y, 0.02)
+        halves = [exp_weighted_moments(x[k], y[k], 0.02) for k in (slice(0, 4), slice(4, 9))]
+        for field in ("mean_x", "mean_y", "var_x", "var_y", "cov"):
+            values = getattr(batch, field)
+            assert values.shape == (9,)
+            assert [getattr(exp_weighted_moments(x[k], y[k], 0.02), field)
+                    for k in range(9)] == values.tolist()
+            assert np.concatenate([getattr(h, field) for h in halves]).tobytes() \
+                == values.tobytes()
+
+    def test_batch_cov_xx_equals_var(self):
+        x = np.random.default_rng(5).standard_normal((40, 260))
+        m = exp_weighted_moments(x, x, 0.05)
+        assert m.cov.tobytes() == m.var_x.tobytes()
+
+    def test_single_series_gives_floats(self):
+        m = exp_weighted_moments([1.0, 4.0, 2.0], [2.0, 8.0, 5.0], 0.5)
+        assert all(type(v) is float for v in (m.mean_x, m.var_y, m.cov, m.slope))
+
     def test_weights_normalized_and_increasing(self):
         w = exp_weights(100, 1.0 / 90.0)
         assert w.sum() == pytest.approx(1.0)
