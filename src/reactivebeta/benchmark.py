@@ -63,7 +63,8 @@ def estimate_batch(name: str, batch: McBatch,
 
 def _estimate(name: str, batch: McBatch, params: ReactiveParams, slopes: dict):
     """The estimates and, for (A)DCC, the calibration's counts: paths,
-    converged paths, paths at the ``rho_bar`` bound and filter passes.
+    converged paths, paths at the ``rho_bar`` bound, filter passes and
+    the days on which the rho clamp holds at the fitted points.
 
     ``slopes`` holds the batch's quantile regression slopes by level, so
     that ``mad`` and ``trm`` solve the median once between them."""
@@ -90,7 +91,8 @@ def _estimate(name: str, batch: McBatch, params: ReactiveParams, slopes: dict):
         return beta, {"paths": batch.n_paths,
                       "converged": int(np.count_nonzero(cal.converged)),
                       "at_bound": int(np.count_nonzero(cal.at_bound)),
-                      "evaluations": int(cal.evaluations)}
+                      "evaluations": int(cal.evaluations),
+                      "rho_clamped_days": int(np.sum(cal.rho_clamped_days))}
     if name == "reactive":
         return np.asarray(reactive_beta_from_returns(r_i, r_s, params=params)), None
     raise ValueError(f"unknown estimator {name!r}; expected one of {ESTIMATORS}")

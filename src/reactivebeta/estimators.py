@@ -380,7 +380,9 @@ def _dcc_filter(sigma_stock, sigma_index, rho_bar,
     quasi log-likelihood of the filtered model, up to an additive
     constant, and the conditional beta after the last day, both ``(n,)``,
     then the exact score and Hessian of the likelihood in ``(log
-    sigma_stock, log sigma_index, rho_bar)``, ``(3, n)`` and ``(3, 3, n)``.
+    sigma_stock, log sigma_index, rho_bar)``, ``(3, n)`` and ``(3, 3, n)``,
+    and each path's count of days on which the clamp holds the
+    correlation, ``(n,)``.
 
     Since ``var_t * xi_t**2 == r_t**2``, the variance recursion is linear:
     ``var_t = U * A_t + B_t`` with ``U`` the unconditional variance, ``A_t``
@@ -437,6 +439,7 @@ def _dcc_filter(sigma_stock, sigma_index, rho_bar,
     Q[0, 2] = rho0
     G = np.empty((10, L, n))             # each day's weighted terms
     total = np.zeros((10, n))
+    clamped = np.zeros(n, dtype=np.int64)
     for t0 in range(0, T, L):
         m = min(L, T - t0)
         days = slice(t0, t0 + m)
@@ -472,13 +475,14 @@ def _dcc_filter(sigma_stock, sigma_index, rho_bar,
         np.sqrt(c, out=c)
         R = 1.0 / c
         np.divide(Q[:m, 2], c, out=c)
-        free = np.abs(c) < _RHO_CLAMP
+        held = np.abs(c) >= _RHO_CLAMP
+        clamped += np.count_nonzero(held, axis=0)
         np.clip(c, -_RHO_CLAMP, _RHO_CLAMP, out=c)
         om = one_m[:m]
         np.multiply(c, c, out=om)
         np.subtract(1.0, om, out=om)
         _derivative_terms(G[1:, :m], e, v, 0.5 * xx, c, om,
-                          np.where(free, R, 0.0), np.where(free, c, 0.0),
+                          np.where(held, 0.0, R), np.where(held, 0.0, c),
                           Q[:m].transpose(1, 0, 2), K[days, None])
         lg = P[:m]
         lg *= om
@@ -501,7 +505,7 @@ def _dcc_filter(sigma_stock, sigma_index, rho_bar,
     beta = c * np.sqrt(var[0]) / np.sqrt(var[1])
     hs, hi, hr, hsi, hsr, hir = total[4:]
     hess = np.stack([hs, hsi, hsr, hsi, hi, hir, hsr, hir, hr]).reshape(3, 3, n)
-    return total[0], beta, total[1:4], hess
+    return total[0], beta, total[1:4], hess, clamped
 
 
 def _sensitivity_drives(q, e):
@@ -567,6 +571,7 @@ class DccCalibration:
     beta: np.ndarray | float
     converged: np.ndarray | bool
     at_bound: np.ndarray | bool
+    rho_clamped_days: np.ndarray | int
     evaluations: int
 
 
@@ -603,20 +608,25 @@ def dcc_calibrate(r_stock: np.ndarray, r_index: np.ndarray,
     """Fit the three unconditional parameters by weighted quasi maximum
     likelihood, keeping the dynamics coefficients fixed.
 
-    Newton ascent in ``(log sigma_stock, log sigma_index, rho_bar)`` from
-    moment-based initial guesses, on the exact score and Hessian of
-    :func:`_dcc_filter`, under the box ``|rho_bar| <= 0.999``. A step that
-    does not raise the likelihood is halved until one does. A path stops
-    when the gain that its next full Newton step predicts falls to
-    ``_GAIN_TOL`` of the likelihood (``converged``). A path whose
-    ``rho_bar`` reaches the box while the score does not point back
-    inside stops there, with ``at_bound`` set and ``converged`` not.
-    Paths still stepping after ``_MAX_PASSES`` passes are neither.
+    Newton ascent from moment-based initial guesses, on the exact score
+    and Hessian of :func:`_dcc_filter`, under the box ``|rho_bar| <=
+    0.999``. Each step moves ``rho_bar`` and the two vols, each vol
+    relative to its current value: ``sigma * (1 + x)``, the Newton step
+    in the vols themselves. A step that does not raise the likelihood is
+    halved until one does. A path stops when the gain that its next full
+    Newton step predicts falls to ``_GAIN_TOL`` of the likelihood
+    (``converged``). A path whose ``rho_bar`` reaches the box while the
+    score does not point back inside stops there, with ``at_bound`` set
+    and ``converged`` not. Paths still stepping after ``_MAX_PASSES``
+    passes are neither, and so is a path whose starting likelihood is not
+    finite (a NaN return, say): it stops after that first pass, with beta
+    NaN.
 
     Every pass prices the paths still stepping, and only those, at one
     point each, with the derivatives; ``evaluations`` counts those path
-    passes, and ``beta`` is the conditional beta after the last day at
-    the returned point. Every step is computed path by path, so a path
+    passes, ``beta`` is the conditional beta after the last day at the
+    returned point and ``rho_clamped_days`` the days on which the clamp
+    holds its correlation. Every step is computed path by path, so a path
     calibrates to the same bits in any batch. The coefficient dicts must
     pass :class:`GarchParams` and :class:`DccParams` (``ValueError``
     otherwise).
@@ -638,8 +648,9 @@ def dcc_calibrate(r_stock: np.ndarray, r_index: np.ndarray,
     def evaluate(cs, ci, cr, rows=None):
         return _dcc_filter(cs, ci, cr, r_s, r_i, garch_coeffs, dcc_coeffs, lam, rows)
 
-    loglik, beta, score, hess = evaluate(sig_s, sig_i, rho)
+    loglik, beta, score, hess, clamped = evaluate(sig_s, sig_i, rho)
     evaluations = n
+    beta[~np.isfinite(loglik)] = np.nan
     step = np.empty((3, n))
     gain = np.empty(n)
     scale = np.ones(n)
@@ -647,27 +658,31 @@ def dcc_calibrate(r_stock: np.ndarray, r_index: np.ndarray,
     at_bound = np.zeros(n, dtype=bool)
 
     def settle(idx):
-        # a new point: its Newton step and its stopping tests
-        step[:, idx], gain[idx] = _ascent_step(score[:, idx], hess[:, :, idx])
+        # a new point: its Newton step in (sigma_stock, sigma_index) relative
+        # to the point, and rho_bar, and its stopping tests. With sigma =
+        # s (1 + x), d2/dx2 = d2/du2 - d/du at x = 0 for u = log sigma
+        h = hess[:, :, idx]
+        h[[0, 1], [0, 1]] -= score[:2, idx]
+        step[:, idx], gain[idx] = _ascent_step(score[:, idx], h)
         scale[idx] = 1.0
         at_bound[idx] = (np.abs(rho[idx]) == _RHO_CLAMP) & (score[2, idx] * rho[idx] >= 0.0)
         converged[idx] = (gain[idx] <= _GAIN_TOL * np.abs(loglik[idx])) & ~at_bound[idx]
 
     settle(np.arange(n))
-    live = np.flatnonzero(~(converged | at_bound))
+    live = np.flatnonzero(~(converged | at_bound) & np.isfinite(loglik))
     for _ in range(_MAX_PASSES - 1):
         if live.size == 0:
             break
         d = step[:, live] * scale[live]
-        cs = sig_s[live] * np.exp(d[0])
-        ci = sig_i[live] * np.exp(d[1])
+        cs = sig_s[live] * (1.0 + d[0])
+        ci = sig_i[live] * (1.0 + d[1])
         cr = np.clip(rho[live] + d[2], -_RHO_CLAMP, _RHO_CLAMP)
-        val, b_new, s_new, h_new = evaluate(cs, ci, cr, live)
+        val, b_new, s_new, h_new, k_new = evaluate(cs, ci, cr, live)
         evaluations += live.size
         up = val > loglik[live]
         take = live[up]
         sig_s[take], sig_i[take], rho[take] = cs[up], ci[up], cr[up]
-        loglik[take], beta[take] = val[up], b_new[up]
+        loglik[take], beta[take], clamped[take] = val[up], b_new[up], k_new[up]
         score[:, take], hess[:, :, take] = s_new[:, up], h_new[:, :, up]
         settle(take)
         scale[live[~up]] *= 0.5
@@ -675,7 +690,8 @@ def dcc_calibrate(r_stock: np.ndarray, r_index: np.ndarray,
 
     return DccCalibration(
         sigma_stock=sig_s, sigma_index=sig_i, rho_bar=rho, loglik=loglik,
-        beta=beta, converged=converged, at_bound=at_bound, evaluations=evaluations,
+        beta=beta, converged=converged, at_bound=at_bound,
+        rho_clamped_days=clamped, evaluations=evaluations,
     )
 
 

@@ -536,7 +536,8 @@ class TestDccCalibration:
 
     def test_backtracks_when_a_step_does_not_raise_the_likelihood(self, monkeypatch):
         # the first trial is made to lower the likelihood: the search keeps
-        # its point, retries half the step, and still converges
+        # its point, retries half the step, and still converges; the step
+        # moves the vols relative to the point, so it halves in the vols
         import reactivebeta.estimators as estimators
         from reactivebeta.montecarlo import McConfig, generate_batch
         batch = generate_batch(McConfig(model="mc6", T=250, n_paths=3, seed=26))
@@ -544,7 +545,7 @@ class TestDccCalibration:
 
         def spoiled(cs, ci, cr, *args):
             out = filtered(cs, ci, cr, *args)
-            points.append(np.stack([np.log(cs), np.log(ci), cr]))
+            points.append(np.stack([cs, ci, cr]))
             if len(points) == 2:
                 return (out[0] - 1e6,) + out[1:]
             return out
@@ -555,6 +556,66 @@ class TestDccCalibration:
         start, trial, retry = points[:3]
         np.testing.assert_allclose(retry - start, 0.5 * (trial - start), rtol=1e-9)
         assert cal.converged.all()
+
+    @pytest.mark.parametrize("asymmetric", [False, True])
+    def test_path_with_nan_start_stops_after_one_pass(self, asymmetric):
+        # a NaN return makes the starting likelihood NaN, which no step can
+        # beat: the path stops after its first pass, beta NaN and flagged
+        # neither converged nor at the bound, and leaves the others' bits
+        from reactivebeta.montecarlo import McConfig, generate_batch
+        batch = generate_batch(McConfig(model="mc6", T=250, n_paths=8, seed=28))
+        r_s = batch.r_stock.copy()
+        r_s[5, 100] = np.nan
+        beta, cal = dcc_beta_batch(r_s, batch.r_index, asymmetric=asymmetric)
+        keep = np.arange(batch.n_paths) != 5
+        _, ref = dcc_beta_batch(r_s[keep], batch.r_index[keep], asymmetric=asymmetric)
+        assert np.isnan(beta[5]) and not cal.converged[5] and not cal.at_bound[5]
+        assert cal.evaluations == ref.evaluations + 1
+        for field in ("sigma_stock", "sigma_index", "rho_bar", "loglik", "beta",
+                      "converged", "at_bound", "rho_clamped_days"):
+            assert np.array_equal(getattr(cal, field)[keep], getattr(ref, field)), field
+
+    def test_counts_the_days_the_rho_clamp_holds(self):
+        # the last path's stock is nearly 1.5 times the index, so at
+        # rho_bar 0.98 its correlation runs into the clamp: the filter
+        # counts the days on which dcc_step's correlation is clamped. The
+        # calibration keeps the count of its returned point, and a stock
+        # that is the index holds the clamp every day at the bound
+        from reactivebeta.montecarlo import McConfig, generate_batch
+        gcoef, dcoef = ASYMMETRIC_GARCH_COEFFS, ASYMMETRIC_DCC_COEFFS
+        batch = generate_batch(McConfig(model="mc6", T=300, n_paths=4, seed=25))
+        r_s, r_i = batch.r_stock.copy(), batch.r_index
+        noise = np.random.default_rng(25).standard_normal(batch.T)
+        r_s[3] = 1.5 * r_i[3] + 0.1 * np.std(r_i[3]) * noise
+        point = np.array([[0.03, 0.02, 0.025, 0.015], [0.011, 0.008, 0.010, 0.010],
+                          [0.3, -0.2, 0.5, 0.98]])
+        counted = _dcc_filter(*point, r_s, r_i, gcoef, dcoef, DEFAULT_LAM)[4]
+        gp_s, gp_i = _gp(point[0], gcoef), _gp(point[1], gcoef)
+        dp = DccParams(rho_bar=point[2], **dcoef)
+        state = init_dcc_state(gp_s, gp_i, dp, shape=(4,))
+        held = np.zeros(4, dtype=int)
+        for t in range(batch.T):   # day t's likelihood reads the state before it
+            held += np.abs(state.rho) == 0.999
+            state = dcc_step(state, r_s[:, t], r_i[:, t], gp_s, gp_i, dp)
+        assert np.array_equal(counted, held)
+        assert held[3] > 0 and not held[:3].any()
+
+        r_s[2] = r_i[2]
+        cal = dcc_calibrate(r_s, r_i, gcoef, dcoef)
+        fitted = _dcc_filter(cal.sigma_stock, cal.sigma_index, cal.rho_bar, r_s, r_i,
+                             gcoef, dcoef, DEFAULT_LAM)[4]
+        assert np.array_equal(cal.rho_clamped_days, fitted)
+        assert cal.at_bound[2] and cal.rho_clamped_days[2] == batch.T
+
+    def test_evaluations_per_path_on_mc6(self):
+        # Newton steps in the vols, relative to the current vol, close the
+        # gap from the moment start in about 4-4.6 passes per path here
+        from reactivebeta.montecarlo import McConfig, generate_batch
+        batch = generate_batch(McConfig(model="mc6", T=250, n_paths=60, seed=0))
+        for asymmetric in (False, True):
+            _, cal = dcc_beta_batch(batch.r_stock, batch.r_index, asymmetric=asymmetric)
+            assert cal.converged.all()
+            assert cal.evaluations <= 4.8 * batch.n_paths, asymmetric
 
     @pytest.mark.parametrize("block", [1, 7])
     @pytest.mark.parametrize("model, n_paths", [("mc7", 1), ("mc6", 3), ("mc7", 60)])
@@ -628,14 +689,14 @@ class TestDccDerivatives:
             state = dcc_step(state, r_s[3, t], r_i[3, t], gp_s, gp_i, dp)
         assert 0.98 < top < 0.999
 
-        _, _, score, hess = filtered(point)
+        _, _, score, hess, _ = filtered(point)
         h = 1e-6   # near the clamp the curvature in rho_bar changes fast
         for j in range(3):
             up, down = point.copy(), point.copy()
             up[j] += h
             down[j] -= h
-            ll_up, _, score_up, _ = filtered(up)
-            ll_down, _, score_down, _ = filtered(down)
+            ll_up, _, score_up, _, _ = filtered(up)
+            ll_down, _, score_down, _, _ = filtered(down)
             gap = np.abs((ll_up - ll_down) / (2.0 * h) - score[j])
             assert np.all(gap <= 1e-6 * np.abs(score).max(axis=0)), j
             gap = np.abs((score_up - score_down) / (2.0 * h) - hess[:, j])

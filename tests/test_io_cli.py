@@ -340,8 +340,9 @@ class TestCli:
         assert len(table) == 3
 
     def test_simulate_reports_dcc_diagnostics(self, tmp_path, monkeypatch):
-        # a path whose stock is the index drives rho_bar to its bound; the
-        # (A)DCC counts sit beside the rows, which keep their schema
+        # a path whose stock is the index drives rho_bar to its bound, where
+        # the rho clamp holds; the (A)DCC counts sit beside the rows, which
+        # keep their schema
         import dataclasses
 
         import reactivebeta.benchmark as benchmark
@@ -367,6 +368,7 @@ class TestCli:
             assert counts["at_bound"] >= 1
             assert counts["converged"] + counts["at_bound"] <= 6
             assert 6 <= counts["evaluations"] <= 6 * 40
+            assert counts["rho_clamped_days"] >= 1
         diagnostics, seconds = _diagnostics(out)
         assert diagnostics == {"mc6": {"clamped": 0, "clamped_index": 0,
                                        **payload["diagnostics"]}}
