@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .params import DEFAULT_PARAMS
-from .timeseries import WeightedMoments, as_array, rolling_correlation
+from .timeseries import _equal_weighted_moments, as_array, rolling_correlation
 
 __all__ = [
     "NumericalFailure",
@@ -168,22 +168,17 @@ def strategy_bias_corstd(strategy_returns, index_returns,
 
     ``bias`` is the full-sample correlation between the two return
     series; ``corstd`` is the standard deviation of their trailing
-    ``window``-day rolling correlation. Rolling windows with degenerate
-    variance are skipped and counted. A well-hedged strategy has a bias
+    ``window``-day rolling correlation. A constant strategy has a NaN
+    bias; rolling windows in which either series is constant are skipped
+    and counted. A well-hedged strategy has a bias
     near zero and a corstd near the pure-noise level ``1/sqrt(window)``.
     """
     s = as_array(strategy_returns)
     i = as_array(index_returns)
-    if s.size != i.size:
-        raise ValueError("series must have equal length")
     if s.size <= window:
         raise ValueError(f"need more than {window} observations")
-
-    ds, di = s - s.mean(), i - i.mean()
-    denom = math.sqrt(float(ds @ ds) * float(di @ di))
-    bias = float("nan") if denom == 0.0 else float(ds @ di) / denom
-
     roll = rolling_correlation(s, i, window)
+    bias = _equal_weighted_moments(s, i).correlation
     defined = np.isfinite(roll)
     n_undef = int(np.count_nonzero(~defined))
     corstd = float(np.std(roll[defined], ddof=1)) if defined.sum() > 1 else float("nan")
@@ -302,15 +297,6 @@ class RegressionFit:
         return self.slope / 2.0
 
 
-def _line(x: np.ndarray, y: np.ndarray) -> WeightedMoments:
-    """Equal-weight moments of the points ``(x, y)``, centered on their
-    pairwise-summed means; ``.slope`` is the least-squares slope."""
-    mean_x, mean_y = float(np.mean(x)), float(np.mean(y))
-    dx, dy = x - mean_x, y - mean_y
-    return WeightedMoments(mean_x, mean_y, *(float(a @ b) / x.size
-                                             for a, b in ((dx, dx), (dy, dy), (dx, dy))))
-
-
 def calibrate_ell_diff(correlation_index, leverage_factor) -> RegressionFit:
     """Regress daily variations of the mean-rescaled correlation index on
     daily variations of the leverage factor.
@@ -331,7 +317,7 @@ def calibrate_ell_diff(correlation_index, leverage_factor) -> RegressionFit:
     y = np.diff(rho / mean_rho)
     x = np.diff(lev)
     n = x.size
-    line = _line(x, y)
+    line = _equal_weighted_moments(x, y)
     slope = line.slope
     if math.isnan(slope):
         raise ValueError("leverage factor has zero variance")
@@ -339,7 +325,7 @@ def calibrate_ell_diff(correlation_index, leverage_factor) -> RegressionFit:
     resid = (y - line.mean_y) - slope * (x - line.mean_x)
     rss = float(resid @ resid)
     stderr = math.sqrt(rss / (n - 2) / (n * line.var_x))
-    r2 = 1.0 - rss / (n * line.var_y) if line.var_y > 0.0 else float("nan")
+    r2 = line.correlation ** 2
     tstat = slope / stderr if stderr > 0.0 else float("inf")
     return RegressionFit(slope=slope, intercept=intercept, stderr=stderr,
                          tstat=tstat, r2=r2, n=n)
@@ -391,7 +377,7 @@ def elasticity_diagnostic(beta_panel, relvol_panel, bucket_size: int = 10_000,
         raise ValueError("bucket_size must be >= 2")
 
     with np.errstate(invalid="ignore", divide="ignore"):
-        logrel = np.where(relvol > 0.0, np.log(np.maximum(relvol, 1e-300)), np.nan)
+        logrel = np.where(relvol > 0.0, np.log(relvol), np.nan)
     valid = np.isfinite(beta) & np.isfinite(logrel)
 
     def _demean(panel, ok):
@@ -419,7 +405,7 @@ def elasticity_diagnostic(beta_panel, relvol_panel, bucket_size: int = 10_000,
     for k in range(n_buckets):
         lo = k * bucket_size
         hi = raw.size if k == n_buckets - 1 else (k + 1) * bucket_size
-        slope = _line(xb[lo:hi], yb[lo:hi]).slope
+        slope = _equal_weighted_moments(xb[lo:hi], yb[lo:hi]).slope
         if math.isnan(slope):
             skipped += 1
             continue
@@ -428,7 +414,7 @@ def elasticity_diagnostic(beta_panel, relvol_panel, bucket_size: int = 10_000,
         bucket_count.append(hi - lo)
 
     # global slope is quoted against single (not doubled) log relvol
-    global_slope = 2.0 * _line(xb, yb).slope
+    global_slope = 2.0 * _equal_weighted_moments(xb, yb).slope
 
     relvol_slope = None
     if index_vol is not None:
@@ -442,7 +428,7 @@ def elasticity_diagnostic(beta_panel, relvol_panel, bucket_size: int = 10_000,
         ok = np.isfinite(ds) & np.isfinite(di)
         xs, ys = di[ok], ds[ok]
         if xs.size >= 2:
-            slope = _line(xs, ys).slope
+            slope = _equal_weighted_moments(xs, ys).slope
             relvol_slope = None if math.isnan(slope) else slope
 
     return ElasticityDiagnostic(

@@ -192,7 +192,7 @@ def ingest_prices(path, index_ticker: Optional[str] = None,
     if index_ticker not in tickers:
         raise IngestError(f"index column {index_ticker!r} not in {tickers}")
     idx_col = tickers.index(index_ticker)
-    index_prices = values[:, idx_col]
+    index_prices = values[:, idx_col].copy()   # a view would keep every column alive
     if not np.all(np.isfinite(index_prices)):
         bad = int(np.argmax(~np.isfinite(index_prices)))
         raise IngestError(f"index column {index_ticker!r} has a missing value "

@@ -21,7 +21,7 @@ from .params import TRADING_DAYS, ReactiveParams
 from .beta import ReactiveBetaEngine
 from .evaluation import HedgeReport, strategy_bias_corstd
 from .montecarlo import _level_days
-from .timeseries import block_rows, ema_rows
+from .timeseries import WeightedMoments, block_rows, ema_rows
 
 __all__ = [
     "STRATEGIES",
@@ -127,19 +127,21 @@ def compute_panels(universe: Universe,
     """Run both beta estimators over the whole panel once.
 
     The reactive track is :meth:`ReactiveBetaEngine.advance` over days
-    1..T-1. The least-squares track is a set of linear recursions with
-    per-stock weight masses, so frozen (missing-price) stocks keep exact
-    exponentially weighted moments; they step in place a block of days
-    at a time, and the slopes and volatilities are computed per block.
+    1..T-1. The least-squares track carries per-stock weight masses and
+    centered means and co-moments (West's weighted update), so a frozen
+    (missing-price) stock keeps the exact exponentially weighted moments
+    of its returns, and its first return gives a NaN slope. Both step in
+    place a block of days at a time.
     """
     params = params if params is not None else ReactiveParams()
     prices = universe.prices
     index = universe.index_prices
     T, n = prices.shape
 
+    returns = np.full((T, n), np.nan)   # in place: an estimate run peaks in memory here
     with np.errstate(invalid="ignore"):
-        returns = prices[1:] / prices[:-1] - 1.0
-    returns = np.vstack([np.full((1, n), np.nan), returns])
+        np.divide(prices[1:], prices[:-1], out=returns[1:])
+    returns[1:] -= 1.0
     index_returns = np.concatenate([[np.nan], index[1:] / index[:-1] - 1.0])
 
     ols_beta = np.full((T, n), np.nan)
@@ -153,10 +155,13 @@ def compute_panels(universe: Universe,
 
     lam_b, lam_s = params.lambda_beta, params.lambda_sigma
     L = block_rows(n, T - 1)
-    # mass, x, y, xx, xy with weight lam_b; mass and yy with lam_s; row 0
-    # carries the moments of the day before the block
-    beta_moments = np.zeros((L + 1, 5, n))
-    vol_moments = np.zeros((L + 1, 2, n))
+    # row 0 carries the day before the block: the masses of weight lam_b
+    # and lam_s and the lam_s-weighted y*y; the means of x and y; the
+    # co-moments of x with x and y. A return moves each mean by its share of
+    # the mass and adds lam_b (x - old mean x)(z - new mean z) to a co-moment.
+    masses = np.zeros((L + 1, 3, n))
+    means = np.zeros((L + 1, 2, n))
+    comoments = np.zeros((L + 1, 2, n))
     for t0 in range(1, T, L):
         m = min(L, T - t0)
         days = slice(t0, t0 + m)
@@ -164,26 +169,28 @@ def compute_panels(universe: Universe,
         y = returns[days]
         ok = np.isfinite(y)
         y0 = np.where(ok, y, 0.0)
-        gain = np.where(ok, lam_b, 0.0)
-        gx = gain * x
-        bm = beta_moments[:m + 1]
-        bm[1:] = np.stack([gain, gx, gain * y0, gx * x, gx * y0], axis=1)
-        ema_rows(bm, np.where(ok, 1.0 - lam_b, 1.0)[:, None])
-        gain_s = np.where(ok, lam_s, 0.0)
-        vm = vol_moments[:m + 1]
-        vm[1:] = np.stack([gain_s, gain_s * y0 * y0], axis=1)
-        ema_rows(vm, np.where(ok, 1.0 - lam_s, 1.0)[:, None])
+        gain, gain_s = np.where(ok, lam_b, 0.0), np.where(ok, lam_s, 0.0)
+        decay, decay_s = 1.0 - gain, 1.0 - gain_s
+        ms = masses[:m + 1]
+        ms[1:] = np.stack([gain, gain_s, gain_s * y0 * y0], axis=1)
+        ema_rows(ms, np.stack([decay, decay_s, decay_s], axis=1))
+        mass = ms[1:, 0]
+        share = np.divide(gain, mass, out=np.zeros_like(gain), where=ok)
+        mu = means[:m + 1]
+        mu[1:] = np.stack([share * x, share * y0], axis=1)
+        ema_rows(mu, (1.0 - share)[:, None])
+        mean_x, mean_y = mu[1:, 0], mu[1:, 1]
+        cm = comoments[:m + 1]
+        cm[1:] = (gain * (x - mu[:-1, 0]))[:, None] * np.stack([x - mean_x, y0 - mean_y], axis=1)
+        ema_rows(cm, decay[:, None])
 
-        mass, ex, ey, exx, exy = bm[1:].transpose(1, 0, 2)
         with np.errstate(invalid="ignore", divide="ignore"):
-            mean_x = ex / mass
-            mean_y = ey / mass
-            var_x = exx / mass - mean_x * mean_x
-            cov = exy / mass - mean_x * mean_y
-            ols_beta[days] = np.where(var_x > 0.0, cov / var_x, np.nan)
-            mean_yy = vm[1:, 1] / vm[1:, 0]
+            # no var_y: the slope does not read it
+            ols_beta[days] = WeightedMoments(mean_x, mean_y, cm[1:, 0] / mass, np.nan,
+                                             cm[1:, 1] / mass).slope
+            mean_yy = ms[1:, 2] / ms[1:, 1]
         ols_sigma[days] = np.sqrt(np.maximum(mean_yy - mean_y * mean_y, 0.0))
-        beta_moments[0], vol_moments[0] = bm[m], vm[m]
+        masses[0], means[0], comoments[0] = ms[m], mu[m], cm[m]
 
     return UniversePanels(returns=returns, index_returns=index_returns,
                           ols_beta=ols_beta, ols_sigma=ols_sigma,

@@ -52,10 +52,11 @@ def block_rows(width: int, total: int) -> int:
 
 
 def rolling_correlation(x, y, window: int) -> np.ndarray:
-    """Pearson correlation over each trailing window.
+    """Pearson correlation over each trailing window, each window centered
+    on its own means.
 
     Returns an array of length ``len(x) - window + 1``. Windows in which
-    either input has zero variance yield NaN, the explicit marker for an
+    either input is constant yield NaN, the explicit marker for an
     undefined correlation; downstream aggregates skip and count those.
     """
     xa, ya = as_array(x), as_array(y)
@@ -65,28 +66,8 @@ def rolling_correlation(x, y, window: int) -> np.ndarray:
         raise ValueError("window must be >= 2")
     if xa.size < window:
         raise ValueError("series shorter than window")
-
-    def _win_sums(a: np.ndarray) -> np.ndarray:
-        c = np.concatenate(([0.0], np.cumsum(a)))
-        return c[window:] - c[:-window]
-
-    n = float(window)
-    sx, sy = _win_sums(xa), _win_sums(ya)
-    sxx, syy, sxy = _win_sums(xa * xa), _win_sums(ya * ya), _win_sums(xa * ya)
-    var_x = sxx / n - (sx / n) ** 2
-    var_y = syy / n - (sy / n) ** 2
-    cov = sxy / n - (sx / n) * (sy / n)
-    # cumulative sums cancel imperfectly on constant windows; treat any
-    # variance below the attainable rounding floor as zero
-    floor_x = 1e-14 * np.maximum(sxx / n, 1e-300)
-    floor_y = 1e-14 * np.maximum(syy / n, 1e-300)
-    ok = (var_x > floor_x) & (var_y > floor_y)
-    out = np.full(var_x.shape, np.nan)
-    np.divide(cov, np.sqrt(np.maximum(var_x, 1e-300) * np.maximum(var_y, 1e-300)),
-              out=out, where=ok)
-    np.clip(out, -1.0, 1.0, out=out)
-    out[~ok] = np.nan
-    return out
+    windows = np.lib.stride_tricks.sliding_window_view
+    return _equal_weighted_moments(windows(xa, window), windows(ya, window)).correlation
 
 
 @dataclass(frozen=True)
@@ -102,12 +83,28 @@ class WeightedMoments:
 
     @property
     def slope(self) -> np.ndarray | float:
-        """The least-squares slope ``cov / var_x``; NaN where x is constant,
-        its variance then only its mean's rounding, a sliver of its mean square."""
+        """The least-squares slope ``cov / var_x``; NaN where x is constant."""
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            constant = self.var_x <= 1e-30 * (self.var_x + self.mean_x * self.mean_x)
-            slope = np.where(constant, np.nan, np.divide(self.cov, self.var_x))
-        return float(slope) if slope.ndim == 0 else slope
+            return _unless_constant(np.divide(self.cov, self.var_x), (self.var_x, self.mean_x))
+
+    @property
+    def correlation(self) -> np.ndarray | float:
+        """The correlation ``cov / sqrt(var_x * var_y)``, clipped to [-1, 1];
+        NaN where x or y is constant."""
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            corr = np.clip(np.divide(self.cov, np.sqrt(self.var_x * self.var_y)), -1.0, 1.0)
+            return _unless_constant(corr, (self.var_x, self.mean_x), (self.var_y, self.mean_y))
+
+
+def _unless_constant(value, *series) -> np.ndarray | float:
+    """``value``, NaN where one of ``series``, (variance, mean) pairs, is
+    constant: its variance then only its mean's rounding, a sliver of its
+    mean square."""
+    constant = False
+    for var, mean in series:
+        constant = constant | (var <= 1e-30 * (var + mean * mean))
+    out = np.where(constant, np.nan, value)
+    return float(out) if out.ndim == 0 else out
 
 
 def exp_weights(n: int, lam: float) -> np.ndarray:
@@ -146,4 +143,14 @@ def exp_weighted_moments(x, y, lam: float) -> WeightedMoments:
     var_y = _weighted_sums(dy * dy, w)
     dy *= dx    # in place: at most three (n, T) temporaries live at once
     moments = (mean_x, mean_y, var_x, var_y, _weighted_sums(dy, w))
+    return WeightedMoments(*(map(float, moments) if x.ndim == 1 else moments))
+
+
+def _equal_weighted_moments(x, y) -> WeightedMoments:
+    """Equal-weight means, variances and covariance along the last axis,
+    one set per row (floats for 1-d series), centered on ``np.mean``."""
+    mean_x, mean_y = np.mean(x, axis=-1), np.mean(y, axis=-1)
+    dx, dy = x - mean_x[..., None], y - mean_y[..., None]
+    moments = (mean_x, mean_y) + tuple(np.einsum("...j,...j->...", a, b) / x.shape[-1]
+                                       for a, b in ((dx, dx), (dy, dy), (dx, dy)))
     return WeightedMoments(*(map(float, moments) if x.ndim == 1 else moments))

@@ -13,7 +13,7 @@ from reactivebeta.beta import (
     reactive_beta_from_returns,
 )
 from reactivebeta.strategies import Universe, compute_panels, synthetic_universe
-from reactivebeta.timeseries import exp_weights
+from reactivebeta.timeseries import WeightedMoments, exp_weights
 from reactivebeta.volatility import (
     LevelState,
     VolState,
@@ -320,10 +320,11 @@ def _reference_run(index, stocks, params):
 
 
 def _ols_reference(returns, index_returns, params):
-    """The EW least-squares track, one day at a time, with per-stock masses."""
+    """The EW least-squares track, one day at a time, with per-stock masses
+    and West's centered update of the means and co-moments."""
     T, n = returns.shape
     lam_b, lam_s = params.lambda_beta, params.lambda_sigma
-    mass, ex, ey, exx, exy, vol_mass, eyy = np.zeros((7, n))
+    mass, mean_x, mean_y, cxx, cxy, vol_mass, eyy = np.zeros((7, n))
     beta, sigma = np.full((2, T, n), np.nan)
     for t in range(1, T):
         x, y = index_returns[t], returns[t]
@@ -331,17 +332,17 @@ def _ols_reference(returns, index_returns, params):
         y0 = np.where(ok, y, 0.0)
         decay, gain = np.where(ok, 1.0 - lam_b, 1.0), np.where(ok, lam_b, 0.0)
         mass = decay * mass + gain
-        ex = decay * ex + gain * x
-        ey = decay * ey + gain * y0
-        exx = decay * exx + gain * x * x
-        exy = decay * exy + gain * x * y0
+        share = np.divide(gain, mass, out=np.zeros(n), where=ok)
+        prev_x = mean_x
+        mean_x = (1.0 - share) * mean_x + share * x
+        mean_y = (1.0 - share) * mean_y + share * y0
+        cxx = decay * cxx + gain * (x - prev_x) * (x - mean_x)
+        cxy = decay * cxy + gain * (x - prev_x) * (y0 - mean_y)
         decay_s, gain_s = np.where(ok, 1.0 - lam_s, 1.0), np.where(ok, lam_s, 0.0)
         vol_mass = decay_s * vol_mass + gain_s
         eyy = decay_s * eyy + gain_s * y0 * y0
         with np.errstate(invalid="ignore", divide="ignore"):
-            mean_x, mean_y = ex / mass, ey / mass
-            var_x = exx / mass - mean_x * mean_x
-            beta[t] = np.where(var_x > 0.0, (exy / mass - mean_x * mean_y) / var_x, np.nan)
+            beta[t] = WeightedMoments(mean_x, mean_y, cxx / mass, np.nan, cxy / mass).slope
             sigma[t] = np.sqrt(np.maximum(eyy / vol_mass - mean_y * mean_y, 0.0))
     return beta, sigma
 

@@ -114,6 +114,12 @@ class TestStrategyBiasCorstd:
         assert a.bias == pytest.approx(b.bias, rel=1e-12)
         assert a.corstd == pytest.approx(b.corstd, rel=1e-12)
 
+    def test_constant_strategy_has_no_bias(self):
+        i = 0.01 * np.random.default_rng(7).standard_normal(200)
+        report = strategy_bias_corstd(np.full(200, 0.001), i)
+        assert np.isnan(report.bias) and np.isnan(report.corstd)
+        assert report.n_undefined_windows == report.n_windows == 111
+
     def test_needs_enough_data(self):
         with pytest.raises(ValueError):
             strategy_bias_corstd(np.zeros(90), np.zeros(90))

@@ -131,6 +131,7 @@ class TestIngest:
         assert uni.n_days == 5
         assert uni.index_prices[0] == 100.0
         assert uni.prices[1, 1] == 20.5
+        assert uni.index_prices.base is None     # it does not keep the parsed panel alive
 
     def test_missing_cell_is_nan(self, price_file):
         uni = ingest_prices(price_file)

@@ -15,6 +15,7 @@ from reactivebeta.strategies import (
     indicator,
     synthetic_universe,
 )
+from reactivebeta.timeseries import exp_weighted_moments
 
 PARAMS = ReactiveParams()
 
@@ -314,6 +315,31 @@ class TestPanels:
             x = np.broadcast_to(panels.index_returns[1:t + 1], (40, t))
             expect = ols_beta_batch(x, panels.returns[1:t + 1].T, PARAMS.lambda_beta)
             np.testing.assert_allclose(panels.ols_beta[t], expect, rtol=1e-12, atol=0.0)
+
+    def test_ols_track_matches_centered_moments_every_day(self):
+        # from the second return on, each day's running slope is the slope
+        # of the exponentially weighted moments of returns 1..t
+        uni = synthetic_universe(n_stocks=12, T=400, seed=4)
+        panels = compute_panels(uni, PARAMS)
+        assert np.isnan(panels.ols_beta[:2]).all()
+        for t in range(2, uni.n_days):
+            x = np.broadcast_to(panels.index_returns[1:t + 1], (12, t))
+            expect = exp_weighted_moments(x, panels.returns[1:t + 1].T, PARAMS.lambda_beta)
+            np.testing.assert_allclose(panels.ols_beta[t], expect.slope, rtol=1e-12, atol=0.0)
+
+    def test_late_listed_stock_has_no_slope_from_one_return(self):
+        # stock j is first priced on day 300 + j: one return the next day,
+        # whose slope is undefined, and a slope from the day after
+        uni = synthetic_universe(n_stocks=40, T=600, seed=0)
+        prices = uni.prices.copy()
+        for j in range(40):
+            prices[:300 + j, j] = np.nan
+        panels = compute_panels(Universe(dates=uni.dates, tickers=uni.tickers, prices=prices,
+                                         index_prices=uni.index_prices,
+                                         supersector=uni.supersector), PARAMS)
+        j = np.arange(40)
+        assert np.isnan(panels.ols_beta[301 + j, j]).all()
+        assert np.isfinite(panels.ols_beta[302 + j, j]).all()
 
 
 class TestSyntheticUniverse:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reactivebeta.timeseries import (
+    _equal_weighted_moments,
     ema_rows,
     exp_weighted_moments,
     exp_weights,
@@ -88,6 +89,16 @@ class TestRollingCorrelation:
         assert a == pytest.approx(b, rel=1e-12)
         assert np.all(np.abs(a[np.isfinite(a)]) <= 1.0)
 
+    @pytest.mark.parametrize("shift", [1.0, 10.0, 100.0, 1000.0])
+    def test_shift_invariance(self, shift):
+        # each window is centered on its own means, so an offset far above
+        # the returns' scale costs no digits
+        rng = np.random.default_rng(11)
+        x = 0.01 * rng.standard_normal(600)
+        y = 0.5 * x + 0.01 * rng.standard_normal(600)
+        np.testing.assert_allclose(rolling_correlation(x + shift, y, 90),
+                                   rolling_correlation(x, y, 90), rtol=0.0, atol=1e-9)
+
     def test_length_and_validation(self):
         x = np.arange(10.0)
         assert rolling_correlation(x, x, 4).shape == (7,)
@@ -95,6 +106,25 @@ class TestRollingCorrelation:
             rolling_correlation(x, x[:5], 3)
         with pytest.raises(ValueError):
             rolling_correlation(x, x, 1)
+
+
+class TestCorrelation:
+    def test_matches_corrcoef_and_is_symmetric(self):
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((30, 250))
+        y = rng.uniform(-1.0, 1.0, (30, 1)) * x + rng.standard_normal((30, 250))
+        corr = _equal_weighted_moments(x, y).correlation
+        expect = [np.corrcoef(a, b)[0, 1] for a, b in zip(x, y)]
+        np.testing.assert_allclose(corr, expect, rtol=0.0, atol=1e-12)
+        assert corr.tobytes() == _equal_weighted_moments(y, x).correlation.tobytes()
+        weighted = exp_weighted_moments(x, y, 0.05).correlation
+        assert weighted.tobytes() == exp_weighted_moments(y, x, 0.05).correlation.tobytes()
+
+    def test_constant_side_gives_nan(self):
+        ramp, flat = np.arange(50.0), np.full(50, 3.0)
+        assert np.isnan(exp_weighted_moments(flat, ramp, 0.1).correlation)
+        assert np.isnan(exp_weighted_moments(ramp, flat, 0.1).correlation)
+        assert exp_weighted_moments(ramp, 2.0 * ramp, 0.1).correlation == 1.0
 
 
 class TestExpWeightedMoments:
