@@ -35,7 +35,7 @@ WINNER_WINDOW = 21
 
 #: paths generated and estimated at once; bounds a block's memory
 _BLOCK_PATHS = 4096
-#: paths per ols or quantile solve (each path's bits hold in any batch)
+#: paths per ols, quantile or (A)DCC solve (each path's bits hold in any batch)
 _SOLVE_PATHS = 1024
 
 
@@ -87,12 +87,18 @@ def _estimate(name: str, batch: McBatch, params: ReactiveParams, slopes: dict):
     if name == "trm":
         return trimean(slope), None
     if name in ("dcc", "adcc"):
-        beta, cal = dcc_beta_batch(r_s, r_i, asymmetric=name == "adcc", lam=lam)
+        cals = []
+
+        def dcc_part(x, y):
+            beta, cal = dcc_beta_batch(y, x, asymmetric=name == "adcc", lam=lam)
+            cals.append(cal)
+            return beta
+
+        beta = by_parts(dcc_part)
+        summed = ("converged", "at_bound", "evaluations", "rho_clamped_days")
         return beta, {"paths": batch.n_paths,
-                      "converged": int(np.count_nonzero(cal.converged)),
-                      "at_bound": int(np.count_nonzero(cal.at_bound)),
-                      "evaluations": int(cal.evaluations),
-                      "rho_clamped_days": int(np.sum(cal.rho_clamped_days))}
+                      **{key: int(sum(np.sum(getattr(cal, key)) for cal in cals))
+                         for key in summed}}
     if name == "reactive":
         return np.asarray(reactive_beta_from_returns(r_i, r_s, params=params)), None
     raise ValueError(f"unknown estimator {name!r}; expected one of {ESTIMATORS}")
@@ -102,7 +108,8 @@ def _estimate(name: str, batch: McBatch, params: ReactiveParams, slopes: dict):
 class BenchmarkResult:
     """Per-model, per-estimator statistic rows plus run metadata, the
     price-floor hits of the stock and of the index side (``clamped`` and
-    ``clamped_index``), and the (A)DCC calibration counts of
+    ``clamped_index``), the path-days on which the generator's rho clamp
+    holds (``clamped_rho``), and the (A)DCC calibration counts of
     :func:`_estimate`, all summed over blocks."""
 
     model: str
@@ -112,6 +119,7 @@ class BenchmarkResult:
     rows: dict  # estimator name -> StatRow
     clamped: int
     clamped_index: int
+    clamped_rho: int
     diagnostics: dict  # estimator name -> (A)DCC counts
 
     def to_dict(self) -> dict:
@@ -122,6 +130,7 @@ class BenchmarkResult:
             "seed": self.seed,
             "clamped": self.clamped,
             "clamped_index": self.clamped_index,
+            "clamped_rho": self.clamped_rho,
             "rows": {k: v.to_dict() for k, v in self.rows.items()},
             "diagnostics": self.diagnostics,
         }
@@ -148,14 +157,16 @@ def run_benchmark(model: str, estimators: Sequence[str] = ("ols", "reactive"),
     estimates = {name: [] for name in run_names}
     diagnostics = {}
     true_final, winners, lows = [], [], []
-    clamped = clamped_index = 0
+    clamped = clamped_index = clamped_rho = 0
 
     done = 0
     while done < n_paths:
         count = min(_BLOCK_PATHS, n_paths - done)
-        batch = generate_batch(config, done, count)
+        # the table reads the returns and the final day's true beta only
+        batch = generate_batch(config, done, count, tracks=False)
         clamped += batch.clamped
         clamped_index += batch.clamped_index
+        clamped_rho += batch.clamped_rho
         w, lo = path_flags(batch)
         winners.append(w)
         lows.append(lo)
@@ -187,4 +198,4 @@ def run_benchmark(model: str, estimators: Sequence[str] = ("ols", "reactive"),
     rows = {name: _row(name, reference) for name in wanted}
     return BenchmarkResult(model=model, n_paths=n_paths, T=T, seed=seed,
                            rows=rows, clamped=clamped, clamped_index=clamped_index,
-                           diagnostics=diagnostics)
+                           clamped_rho=clamped_rho, diagnostics=diagnostics)

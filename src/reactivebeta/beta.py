@@ -108,14 +108,16 @@ def elasticity_correction(state: "BetaState", vol: VolState, params: ReactivePar
 
 @dataclass(frozen=True)
 class BetaState:
-    """Regression EMAs and the betas derived from them.
+    """Regression EMAs and the betas derived from them, one per stock.
 
     ``cross`` and the two ``var_*`` fields are plain second moments of
     the renormalized returns; ``cross_corrected`` carries the same cross
     product divided by both correction factors. All four start at zero so
-    their ratio is an exactly exponentially weighted regression. ``kappa``
-    tracks the squared relative volatility and is seeded with its first
-    observation.
+    their ratio is an exactly exponentially weighted regression. A stock's
+    ``var_index`` advances from the day after its first price, as its
+    cross moments do, so a stock listed late is not scaled down by index
+    days it never saw. ``kappa`` tracks the squared relative volatility
+    and is seeded with its first observation.
     """
 
     cross: np.ndarray | float
@@ -129,13 +131,14 @@ class BetaState:
 
 
 def init_beta_state(index_shape=(), stock_shape=()) -> BetaState:
-    zi = np.zeros(index_shape) if index_shape else 0.0
+    """The state before any return; every field is stock-shaped (the
+    shapes are given as to ``init_vols``)."""
     zs = np.zeros(stock_shape) if stock_shape else 0.0
     nan_s = np.full(stock_shape, np.nan) if stock_shape else np.nan
     seeded = np.zeros(stock_shape, dtype=bool) if stock_shape else False
     return BetaState(
         cross=zs + 0.0, cross_corrected=zs + 0.0,
-        var_index=zi + 0.0, var_stock=zs + 0.0,
+        var_index=zs + 0.0, var_stock=zs + 0.0,
         kappa=zs + 0.0, kappa_seeded=seeded,
         tilde_beta=nan_s, beta=nan_s,
     )
@@ -255,7 +258,8 @@ class ReactiveBetaEngine:
             # levels, as update_levels: a stock's first price seeds its slow
             # EMA (decay 0); only a stock priced today and before has a return
             hold(price_s, s)
-            has_ret = ok & np.isfinite(price_s[before])
+            listed = np.isfinite(price_s[before])
+            has_ret = ok & listed
             no_ret = ~has_ret
             e, dec = ema[:m + 1], decay[:m]
             e[1:, 0], e[1:, 1] = lam_s * i, p.lambda_f * i
@@ -302,13 +306,14 @@ class ReactiveBetaEngine:
                 k_before = np.logical_or.accumulate(np.vstack([k_seeded, ratio_ok[:-1]]),
                                                     axis=0)
                 k_seeded |= ratio_ok.any(axis=0)
+                adv_index = index_ok & listed   # from the day after the first price
                 r = reg[:m + 1]
-                r[1:, 0] = np.where(index_ok, lam_b * hr_i * hr_i, 0.0)
+                r[1:, 0] = np.where(adv_index, lam_b * hr_i * hr_i, 0.0)
                 r[1:, 1] = lam_b * np.where(adv, hr_s * hr_i, 0.0)
                 r[1:, 2] = np.where(adv, lam_b * hr_s * hr_s, 0.0)
                 r[1:, 3] = np.where(ratio_ok, np.where(k_before, lam_b * ratio, ratio), 0.0)
                 gain_cc = r[1:, 1].copy()
-                dec[:, 5] = np.where(index_ok, 1.0 - lam_b, 1.0)
+                dec[:, 5] = np.where(adv_index, 1.0 - lam_b, 1.0)
                 dec[:, 6] = dec[:, 7] = np.where(adv, 1.0 - lam_b, 1.0)
                 dec[:, 8] = np.where(ratio_ok, 1.0 - lam_b, 1.0)
                 ema_rows(r, dec[:, 5:])
@@ -356,7 +361,7 @@ class ReactiveBetaEngine:
             sigma_stock=stk(_vol_map(tv[0, 1], s_seeded, level_s[0], price_s[0])),
             index_seeded=index_seeded, stock_seeded=stk(s_seeded))
         self.beta_state = BetaState(
-            cross=stk(reg[0, 1]), cross_corrected=stk(cc[0]), var_index=idx(reg[0, 0]),
+            cross=stk(reg[0, 1]), cross_corrected=stk(cc[0]), var_index=stk(reg[0, 0]),
             var_stock=stk(reg[0, 2]), kappa=stk(reg[0, 3]), kappa_seeded=stk(k_seeded),
             tilde_beta=stk(tb[0]), beta=stk(beta[0]))
 

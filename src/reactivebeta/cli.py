@@ -116,16 +116,17 @@ def _cmd_estimate(args) -> int:
     lap("panels")
     out = _out_dir(args)
     dest = out / "betas.csv"
-    # csv.writer's bytes, one write per day: each date and ticker is
-    # quoted once, the numbers go through one row template
-    tickers = [_csv_field(ticker) for ticker in universe.tickers]
+    # csv.writer's bytes, one %-format and one write per day: each ticker
+    # is quoted once into its row template, each date once a day
+    rows = ["," + _csv_field(ticker).replace("%", "%%") + ",%.8g,%.8g,%.8g,%.8g\r\n"
+            for ticker in universe.tickers]
     columns = (panels.re_beta, panels.ols_beta, panels.re_sigma, panels.ols_sigma)
     with dest.open("w", newline="") as fh:
         fh.write("date,ticker,reactive_beta,ols_beta,reactive_sigma,ols_sigma\r\n")
         for t in range(start, universe.n_days):
-            rows = zip([_csv_field(universe.dates[t])] * len(tickers), tickers,
-                       *(c[t].tolist() for c in columns))
-            fh.write("".join(["%s,%s,%.8g,%.8g,%.8g,%.8g\r\n" % row for row in rows]))
+            date = _csv_field(universe.dates[t]).replace("%", "%%")
+            cells = np.stack([c[t] for c in columns], axis=1).ravel().tolist()
+            fh.write("".join([date + row for row in rows]) % tuple(cells))
     lap("write")
     diagnostics["stage_seconds"] = lap.seconds
     inputs = [p for p in (args.prices, args.caps, args.sectors) if p]
@@ -163,7 +164,8 @@ def _cmd_simulate(args) -> int:
     dest = out / "simulate.json"
     rio.write_json(dest, payload)
     diagnostics = {m: {"clamped": r.clamped, "clamped_index": r.clamped_index,
-                       **r.diagnostics} for m, r in results.items()}
+                       "clamped_rho": r.clamped_rho, **r.diagnostics}
+                   for m, r in results.items()}
     diagnostics["stage_seconds"] = lap.seconds
     rio.write_manifest(out / "manifest.json", "simulate",
                        {"model": args.model, "estimators": estimators,

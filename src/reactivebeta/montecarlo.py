@@ -36,6 +36,7 @@ from .estimators import (
     ASYMMETRIC_GARCH_COEFFS,
     SYMMETRIC_DCC_COEFFS,
     SYMMETRIC_GARCH_COEFFS,
+    _RHO_CLAMP,
     DccParams,
     GarchParams,
     dcc_step,
@@ -107,7 +108,15 @@ class McConfig:
 
 @dataclass(frozen=True)
 class McBatch:
-    """A contiguous block of simulated paths, time on the last axis."""
+    """A contiguous block of simulated paths, time on the last axis.
+
+    The returns are ``(n, T)``. The four ``true_*`` tracks are ``(n, T)``
+    too, or ``(n, 1)``, the final day only, when generated with
+    ``tracks=False``. ``clamped`` and ``clamped_index`` count the price
+    floor's hits on the stock and on the index side; ``clamped_rho``
+    counts the path-days on which mc6/mc7's correlation sits at the rho
+    clamp (zero for the other models).
+    """
 
     model: str
     path_ids: np.ndarray
@@ -119,6 +128,7 @@ class McBatch:
     true_sigma_stock: np.ndarray
     clamped: int = 0
     clamped_index: int = 0
+    clamped_rho: int = 0
 
     @property
     def n_paths(self) -> int:
@@ -202,8 +212,12 @@ def _draw_matrix(rngs, T: int, kind: str, dof: float = 3.0) -> np.ndarray:
 
 
 def generate_batch(config: McConfig, offset: int = 0,
-                   count: Optional[int] = None) -> McBatch:
-    """Generate paths ``offset .. offset + count`` of the configured model."""
+                   count: Optional[int] = None, tracks: bool = True) -> McBatch:
+    """Generate paths ``offset .. offset + count`` of the configured model.
+
+    With ``tracks=False`` the truth tracks keep only the final day, shape
+    ``(n, 1)``; every value kept has the bits it has in the full tracks.
+    """
     if count is None:
         count = config.n_paths - offset
     if count <= 0 or offset < 0 or offset + count > config.n_paths:
@@ -215,14 +229,14 @@ def generate_batch(config: McConfig, offset: int = 0,
         "mc3": _gen_level_driven, "mc4": _gen_level_driven, "mc5": _gen_level_driven,
         "mc6": _gen_dcc, "mc7": _gen_dcc,
     }[config.model]
-    return builder(config, rngs, path_ids)
+    return builder(config, rngs, path_ids, config.T if tracks else 1)
 
 
 # ---------------------------------------------------------------------------
-# model builders
+# model builders; each keeps the truth tracks' last ``keep`` days
 
 
-def _gen_market_model(config: McConfig, rngs, path_ids) -> McBatch:
+def _gen_market_model(config: McConfig, rngs, path_ids, keep: int) -> McBatch:
     n, T = len(rngs), config.T
     s_i, s_eps = config.daily_index_vol, config.daily_residual_vol
     r_index = _draw_matrix(rngs, T, "normal")
@@ -240,7 +254,7 @@ def _gen_market_model(config: McConfig, rngs, path_ids) -> McBatch:
     rho = _BETA * s_i / sig_i_tot
     # the constant truth tracks are read-only views of one value each
     true_beta, true_rho, true_sig_i, true_sig_s = (
-        np.broadcast_to(x, (n, T)) for x in (_BETA, rho, s_i, sig_i_tot))
+        np.broadcast_to(x, (n, keep)) for x in (_BETA, rho, s_i, sig_i_tot))
     return McBatch(
         model=config.model, path_ids=path_ids,
         r_index=r_index, r_stock=r_stock,
@@ -250,13 +264,14 @@ def _gen_market_model(config: McConfig, rngs, path_ids) -> McBatch:
     )
 
 
-def _gen_level_driven(config: McConfig, rngs, path_ids) -> McBatch:
+def _gen_level_driven(config: McConfig, rngs, path_ids, keep: int) -> McBatch:
     n, T = len(rngs), config.T
+    skip = T - keep         # days before the first that the truth keeps
     stochastic_vol = config.model == "mc5"
     p = DEFAULT_PARAMS
     # each draw matrix becomes an output a block of days at a time, once
-    # the block has read it: the moves' draws the returns, and mc5's
-    # log-vol draws the true volatility tracks
+    # the block has read it: the moves' draws the returns, and with full
+    # tracks mc5's log-vol draws the true volatility tracks
     r_index = _draw_matrix(rngs, T, "normal")
     if config.model == "mc3":
         r_stock = _draw_matrix(rngs, T, "normal")
@@ -268,13 +283,15 @@ def _gen_level_driven(config: McConfig, rngs, path_ids) -> McBatch:
     logs = np.zeros((L + 1, 2, n))      # log index vol, log relative vol
     if stochastic_vol:
         # column 0 seeds the stationary start, column t + 1 steps day t
-        true_sig_i = _draw_matrix(rngs, T, "normal")
-        true_sig_s = _draw_matrix(rngs, T, "normal")
+        draw_i = _draw_matrix(rngs, T, "normal")
+        draw_s = _draw_matrix(rngs, T, "normal")
         stat_std = _OU_VOLVOL * np.sqrt(_OU_RELAXATION / 2.0)
-        logs[0] = stat_std * true_sig_i[:, 0], stat_std * true_sig_s[:, 0]
+        logs[0] = stat_std * draw_i[:, 0], stat_std * draw_s[:, 0]
+    if stochastic_vol and not skip:
+        true_sig_i, true_sig_s = draw_i, draw_s
     else:
-        true_sig_i, true_sig_s = np.empty((2, n, T))
-    true_beta, true_rho = np.empty((2, n, T))
+        true_sig_i, true_sig_s = np.empty((2, n, keep))
+    true_beta, true_rho = np.empty((2, n, keep))
 
     def vols(lg):       # index and residual vols from the log-vols
         return (config.daily_index_vol * np.exp(lg[:, 0]),
@@ -309,8 +326,8 @@ def _gen_level_driven(config: McConfig, rngs, path_ids) -> McBatch:
         if stochastic_vol:
             steps = min(m, T - 1 - t0)      # the last day keeps its vols
             lg = logs[:steps + 1]
-            lg[1:, 0] = _OU_VOLVOL * true_sig_i[:, t0 + 1:t0 + 1 + steps].T
-            lg[1:, 1] = _OU_VOLVOL * true_sig_s[:, t0 + 1:t0 + 1 + steps].T
+            lg[1:, 0] = _OU_VOLVOL * draw_i[:, t0 + 1:t0 + 1 + steps].T
+            lg[1:, 1] = _OU_VOLVOL * draw_s[:, t0 + 1:t0 + 1 + steps].T
             ema_rows(lg, 1.0 - 1.0 / _OU_RELAXATION)
             logs[steps + 1:m + 1] = logs[steps]
         s_index, s_resid = vols(logs[:m + 1])
@@ -324,18 +341,23 @@ def _gen_level_driven(config: McConfig, rngs, path_ids) -> McBatch:
         clamped += _level_days(px[:m + 1], slow[:m + 1], lvl[:m + 1], fast, gap, tr[:m], p,
                                move if stochastic_vol else None)
 
-        price, level, b = px[1:m + 1], lvl[1:m + 1], beta[1:m + 1]
-        ret = price / px[:m] - 1.0
-        if stochastic_vol:
-            tb = b * ((level[:, 1] * price[:, 0]) / (price[:, 1] * level[:, 0]))
-        else:
-            tb = b * slow[1:m + 1, 1] * price[:, 0] / (slow[1:m + 1, 0] * price[:, 1])
-        sig_i = _vol_map(s_next2, True, level[:, 0], price[:, 0])
-        sig_s = _vol_map(b ** 2 * s_next2 + s_resid2, True, level[:, 1], price[:, 1])
-        for out, block in ((r_index, ret[:, 0]), (r_stock, ret[:, 1]), (true_beta, tb),
-                           (true_rho, tb * sig_i / sig_s), (true_sig_i, sig_i),
-                           (true_sig_s, sig_s)):
-            out[:, days] = block.T
+        ret = px[1:m + 1] / px[:m] - 1.0
+        r_index[:, days], r_stock[:, days] = ret[:, 0].T, ret[:, 1].T
+        first = max(skip - t0, 0)       # the block's first day the truth keeps
+        if first < m:
+            kept = slice(first + 1, m + 1)
+            price, level, b = px[kept], lvl[kept], beta[kept]
+            if stochastic_vol:
+                tb = b * ((level[:, 1] * price[:, 0]) / (price[:, 1] * level[:, 0]))
+            else:
+                tb = b * slow[kept, 1] * price[:, 0] / (slow[kept, 0] * price[:, 1])
+            s2 = s_next2[first:]
+            sig_i = _vol_map(s2, True, level[:, 0], price[:, 0])
+            sig_s = _vol_map(b ** 2 * s2 + s_resid2[first:], True, level[:, 1], price[:, 1])
+            cols = slice(t0 + first - skip, t0 + m - skip)
+            for out, block in ((true_beta, tb), (true_rho, tb * sig_i / sig_s),
+                               (true_sig_i, sig_i), (true_sig_s, sig_s)):
+                out[:, cols] = block.T
         for x in (px, slow, lvl, beta, logs):
             x[0] = x[m]
 
@@ -348,7 +370,7 @@ def _gen_level_driven(config: McConfig, rngs, path_ids) -> McBatch:
     )
 
 
-def _gen_dcc(config: McConfig, rngs, path_ids) -> McBatch:
+def _gen_dcc(config: McConfig, rngs, path_ids, keep: int) -> McBatch:
     n, T = len(rngs), config.T
     asymmetric = config.model == "mc7"
     gcoef = ASYMMETRIC_GARCH_COEFFS if asymmetric else SYMMETRIC_GARCH_COEFFS
@@ -358,38 +380,36 @@ def _gen_dcc(config: McConfig, rngs, path_ids) -> McBatch:
     gp_i = GarchParams(unconditional_sigma=config.daily_index_vol, **gcoef)
     dp = DccParams(rho_bar=rho_bar, **dcoef)
 
-    z1 = _draw_matrix(rngs, T, "normal")
-    z2 = _draw_matrix(rngs, T, "normal")
+    # each day's draws become its returns in place
+    r_index = _draw_matrix(rngs, T, "normal")
+    r_stock = _draw_matrix(rngs, T, "normal")
+    skip = T - keep         # days before the first that the truth keeps
+    truth = np.empty((4, n, keep))
+    true_beta, true_rho, true_sig_i, true_sig_s = truth
 
     state = init_dcc_state(gp_s, gp_i, dp, shape=(n,))
-    clamped = clamped_index = 0
-    r_index = np.empty((n, T))
-    r_stock = np.empty((n, T))
-    true_beta = np.empty((n, T))
-    true_rho = np.empty((n, T))
-    true_sig_i = np.empty((n, T))
-    true_sig_s = np.empty((n, T))
-
+    clamped = clamped_index = clamped_rho = 0
     for t in range(T):
         rho_prev = np.asarray(state.rho)
-        xi_i = z1[:, t]
-        xi_s = rho_prev * xi_i + np.sqrt(1.0 - rho_prev ** 2) * z2[:, t]
+        xi_i = r_index[:, t]    # a view: the stock's shock reads it first
+        xi_s = rho_prev * xi_i + np.sqrt(1.0 - rho_prev ** 2) * r_stock[:, t]
         r_index[:, t] = np.asarray(state.sigma_index) * xi_i
         r_stock[:, t] = np.asarray(state.sigma_stock) * xi_s
         clamped_index += _floor_returns(r_index[:, t])
         clamped += _floor_returns(r_stock[:, t])
         state = dcc_step(state, r_stock[:, t], r_index[:, t], gp_s, gp_i, dp)
-        true_beta[:, t] = state.beta
-        true_rho[:, t] = state.rho
-        true_sig_i[:, t] = state.sigma_index
-        true_sig_s[:, t] = state.sigma_stock
+        clamped_rho += np.count_nonzero(np.abs(state.rho) == _RHO_CLAMP)
+        if t >= skip:
+            for out, value in zip(truth, (state.beta, state.rho, state.sigma_index,
+                                          state.sigma_stock)):
+                out[:, t - skip] = value
 
     return McBatch(
         model=config.model, path_ids=path_ids,
         r_index=r_index, r_stock=r_stock,
         true_beta=true_beta, true_rho=true_rho,
         true_sigma_index=true_sig_i, true_sigma_stock=true_sig_s,
-        clamped=clamped, clamped_index=clamped_index,
+        clamped=clamped, clamped_index=clamped_index, clamped_rho=int(clamped_rho),
     )
 
 
@@ -404,8 +424,11 @@ def dump_batch(batch: McBatch, filepath) -> None:
     """Write a batch as delimited text, one row per (path, day).
 
     The first line names the columns; values are full-precision floats.
+    The batch needs its full truth tracks (``ValueError`` otherwise).
     """
     n, T = batch.r_index.shape
+    if batch.true_beta.shape != (n, T):
+        raise ValueError("dump_batch needs a batch generated with full tracks")
     pid = np.repeat(batch.path_ids, T).astype(float)
     tcol = np.tile(np.arange(T, dtype=float), n)
     flat = [a.reshape(-1) for a in (batch.r_index, batch.r_stock, batch.true_beta,

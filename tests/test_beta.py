@@ -253,8 +253,10 @@ class TestReactiveBetaEngine:
 
 def _update_beta_reference(state, r_index, r_stock, prev_tilde_var_index,
                            corr_leverage, corr_elasticity, level, vol,
-                           index_price, stock_prices, params, stock_mask):
-    """One daily advance of the regression moments and the betas."""
+                           index_price, stock_prices, params, stock_mask, stock_listed):
+    """One daily advance of the regression moments and the betas;
+    ``stock_mask`` marks the stocks with a return today, ``stock_listed``
+    those priced on an earlier day."""
     lam = params.lambda_beta
     r_i = np.asarray(r_index, dtype=float)
     r_s = np.asarray(r_stock, dtype=float)
@@ -269,7 +271,9 @@ def _update_beta_reference(state, r_index, r_stock, prev_tilde_var_index,
         hr_i = r_i * scale
         hr_s = np.where(stock_mask, r_s, 0.0) * scale
         adv_stock = stock_mask & index_ok
-        var_index = np.where(index_ok, (1.0 - lam) * state.var_index + lam * hr_i * hr_i,
+        # from the day after the stock's first price, as its cross moments
+        listed = index_ok & stock_listed
+        var_index = np.where(listed, (1.0 - lam) * state.var_index + lam * hr_i * hr_i,
                              state.var_index)
         incr = np.where(adv_stock, hr_s * hr_i, 0.0)
         cross = np.where(adv_stock, (1.0 - lam) * state.cross + lam * incr, state.cross)
@@ -308,11 +312,13 @@ def _reference_run(index, stocks, params):
         corr_lev = leverage_correction(levels, params)
         corr_ela = elasticity_correction(state, vols, params)
         prev_var = vols.tilde_var_index
+        listed = np.isfinite(levels.last_stock)
         levels = update_levels(levels, index[t], s, params)
         vols = update_reactive_vols(vols, levels, r_i, r_s, params)
         # a stock has a return when priced today and on an earlier day
         state = _update_beta_reference(state, r_i, r_s, prev_var, corr_lev, corr_ela,
-                                       levels, vols, index[t], s, params, np.isfinite(r_s))
+                                       levels, vols, index[t], s, params, np.isfinite(r_s),
+                                       listed)
         tracks["beta"][t], tracks["tilde_beta"][t] = state.beta, state.tilde_beta
         tracks["sigma_stock"][t] = vols.sigma_stock
         tracks["leverage"][t], tracks["elasticity"][t] = corr_lev, corr_ela
@@ -417,6 +423,23 @@ class TestBlockwiseEngine:
         assert np.array_equal(beta, expect["beta"], equal_nan=True)
         assert np.array_equal(sigma, expect["sigma_stock"], equal_nan=True)
         _assert_states_equal(engine, states)
+
+    def test_late_listed_stock_is_not_scaled_down(self):
+        # stocks 0-9 first priced on day 300: each one's var_index starts
+        # with its cross moments, so 90 and 180 days after listing their
+        # mean reactive beta is within 10% of the always-priced run's (the
+        # index-wide var_index read 0.63 and 0.87 of it, 1 - (89/90)^k)
+        uni = synthetic_universe(n_stocks=20, T=900, seed=3)
+        prices = uni.prices.copy()
+        prices[:300, :10] = np.nan
+        late = Universe(dates=uni.dates, tickers=uni.tickers, prices=prices,
+                        index_prices=uni.index_prices, supersector=uni.supersector)
+        always = compute_panels(uni, PARAMS).re_beta
+        listed = compute_panels(late, PARAMS).re_beta
+        for k in (90, 180):
+            ratio = listed[300 + k, :10].mean() / always[300 + k, :10].mean()
+            assert abs(ratio - 1.0) < 0.1, (k, ratio)
+        assert np.array_equal(listed[:, 10:], always[:, 10:], equal_nan=True)
 
     def test_sigma_blank_until_first_return(self):
         uni = synthetic_universe(n_stocks=4, T=60, seed=0)

@@ -771,6 +771,33 @@ class TestSolveParts:
             assert np.array_equal(benchmark.estimate_batch(name, batch), est)
         assert sizes == 4 * [4, 4, 2]   # mad's median, then trm's three levels
 
+    @pytest.mark.parametrize("name", ["dcc", "adcc"])
+    def test_dcc_parts_keep_every_bit(self, monkeypatch, name):
+        # (A)DCC is calibrated over parts of at most _SOLVE_PATHS paths too;
+        # the betas and the summed counts are those of one whole-batch fit
+        import reactivebeta.benchmark as benchmark
+        from reactivebeta.montecarlo import McConfig, generate_batch
+
+        batch = generate_batch(McConfig(model="mc6", T=150, n_paths=20, seed=3))
+        beta, cal = dcc_beta_batch(batch.r_stock, batch.r_index, asymmetric=name == "adcc",
+                                   lam=DEFAULT_LAM)
+        fit, widths = benchmark.dcc_beta_batch, []
+
+        def recording(r_stock, r_index, **kwargs):
+            widths.append(len(r_stock))
+            return fit(r_stock, r_index, **kwargs)
+
+        monkeypatch.setattr(benchmark, "dcc_beta_batch", recording)
+        monkeypatch.setattr(benchmark, "_SOLVE_PATHS", 7)
+        est, counts = benchmark._estimate(name, batch, DEFAULT_PARAMS, {})
+        assert widths == [7, 7, 6]
+        assert np.array_equal(est, beta, equal_nan=True)
+        assert counts == {"paths": 20,
+                          "converged": int(np.count_nonzero(cal.converged)),
+                          "at_bound": int(np.count_nonzero(cal.at_bound)),
+                          "evaluations": cal.evaluations,
+                          "rho_clamped_days": int(np.sum(cal.rho_clamped_days))}
+
 
 class TestBlockRelease:
     @pytest.mark.parametrize("model", ["mc3", "mc6"])
@@ -783,11 +810,11 @@ class TestBlockRelease:
 
         generate, made, starts = benchmark.generate_batch, [], []
 
-        def tracking(config, start, count):
+        def tracking(config, start, count, tracks=True):
             starts.append(start)
             alive = [ref() for ref in made if ref() is not None]
             assert not alive, f"{len(alive)} objects of earlier blocks alive at path {start}"
-            batch = generate(config, start, count)
+            batch = generate(config, start, count, tracks)
             made.append(weakref.ref(batch))
             for array in (batch.r_index, batch.r_stock, batch.true_beta, batch.true_rho,
                           batch.true_sigma_index, batch.true_sigma_stock):

@@ -293,7 +293,8 @@ class TestCli:
         assert manifest["inputs"][str(price_file)] == sha256_file(price_file)
 
     def test_estimate_bytes_match_csv_writer(self, tmp_path):
-        # a ticker that needs quoting and a stock frozen for a stretch of
+        # tickers that need quoting, one with percent signs that the row
+        # templates must keep literal, and a stock frozen for a stretch of
         # days; the file must be exactly what csv.writer writes row by row
         rng = np.random.default_rng(12)
         T = 40
@@ -303,13 +304,13 @@ class TestCli:
                                 for j, v in enumerate(r)])
                 for t, (d, r) in enumerate(zip(dates, panel))]
         prices = tmp_path / "prices.csv"
-        prices.write_text('date,IDX,"A,B","Q""X",CCC\n' + "\n".join(rows) + "\n")
+        prices.write_text('date,IDX,"A,%d%%B","Q""X",CCC\n' + "\n".join(rows) + "\n")
         out = tmp_path / "est"
         assert main(["estimate", "--prices", str(prices), "--burn-in", "1",
                      "--out", str(out)]) == 0
 
         uni = ingest_prices(prices)
-        assert uni.tickers == ("A,B", 'Q"X', "CCC")
+        assert uni.tickers == ("A,%d%%B", 'Q"X', "CCC")
         panels = compute_panels(uni, ReactiveParams().replace(burn_in=1))
         expected = io.StringIO(newline="")
         writer = csv.writer(expected)
@@ -348,8 +349,8 @@ class TestCli:
 
         import reactivebeta.benchmark as benchmark
 
-        def one_path_is_the_index(config, offset=0, count=None):
-            batch = generate(config, offset, count)
+        def one_path_is_the_index(config, offset=0, count=None, tracks=True):
+            batch = generate(config, offset, count, tracks)
             r_stock = batch.r_stock.copy()
             r_stock[0] = batch.r_index[0]
             return dataclasses.replace(batch, r_stock=r_stock)
@@ -371,7 +372,7 @@ class TestCli:
             assert 6 <= counts["evaluations"] <= 6 * 40
             assert counts["rho_clamped_days"] >= 1
         diagnostics, seconds = _diagnostics(out)
-        assert diagnostics == {"mc6": {"clamped": 0, "clamped_index": 0,
+        assert diagnostics == {"mc6": {"clamped": 0, "clamped_index": 0, "clamped_rho": 0,
                                        **payload["diagnostics"]}}
         assert set(seconds) == {"mc6"}
 
@@ -384,9 +385,9 @@ class TestCli:
 
         batches = []
 
-        def wild_vols(config, offset=0, count=None):
+        def wild_vols(config, offset=0, count=None, tracks=True):
             config = dataclasses.replace(config, stock_vol=6.0, index_vol=3.0)
-            batches.append(generate(config, offset, count))
+            batches.append(generate(config, offset, count, tracks))
             return batches[-1]
 
         generate = benchmark.generate_batch
@@ -403,8 +404,38 @@ class TestCli:
         payload = json.loads((out / "simulate.json").read_text())["mc3"]
         assert (payload["clamped"], payload["clamped_index"]) == (clamped, clamped_index)
         diagnostics, seconds = _diagnostics(out)
-        assert diagnostics == {"mc3": {"clamped": clamped, "clamped_index": clamped_index}}
+        assert diagnostics == {"mc3": {"clamped": clamped, "clamped_index": clamped_index,
+                                       "clamped_rho": 0}}
         assert set(seconds) == {"mc3"}
+
+    def test_simulate_reports_generator_rho_clamp(self, tmp_path, monkeypatch):
+        # rho_bar = 0.999 puts mc6's correlation on its clamp on many
+        # path-days; the count is summed over blocks beside the floor hits
+        import dataclasses
+
+        import reactivebeta.benchmark as benchmark
+
+        batches = []
+
+        def tight_rho(config, offset=0, count=None, tracks=True):
+            config = dataclasses.replace(config, index_vol=0.3996)
+            batches.append(generate(config, offset, count, tracks))
+            return batches[-1]
+
+        generate = benchmark.generate_batch
+        monkeypatch.setattr(benchmark, "generate_batch", tight_rho)
+        monkeypatch.setattr(benchmark, "_BLOCK_PATHS", 16)
+        out = tmp_path / "sim"
+        code = main(["simulate", "--model", "mc6", "--estimator", "ols",
+                     "--paths", "40", "--days", "100", "--seed", "0", "--out", str(out)])
+        assert code == 0
+        assert len(batches) == 3
+        clamped_rho = sum(b.clamped_rho for b in batches)
+        assert clamped_rho > 0
+        assert json.loads((out / "simulate.json").read_text())["mc6"]["clamped_rho"] \
+            == clamped_rho
+        diagnostics, _ = _diagnostics(out)
+        assert diagnostics["mc6"]["clamped_rho"] == clamped_rho
 
     def test_simulate_dump_paths(self, tmp_path):
         out = tmp_path / "dump"

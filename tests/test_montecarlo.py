@@ -234,6 +234,50 @@ class TestReproducibility:
         assert not np.allclose(a.r_stock, b.r_stock)
 
 
+class TestFinalDayTruth:
+    """``tracks=False`` keeps the truth tracks' final day only, with the
+    bits it has in the full tracks."""
+
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("block", [None, 7])    # one block, or 7-day blocks
+    def test_same_bits_as_full_tracks(self, monkeypatch, model, block):
+        if block is not None:
+            monkeypatch.setattr(mc, "block_rows", lambda width, total: min(block, total))
+        cfg = McConfig(model=model, T=120, n_paths=12, seed=5)
+        full = generate_batch(cfg)
+        last = generate_batch(cfg, tracks=False)
+        for name in BATCH_ARRAYS[:2]:
+            assert np.array_equal(getattr(last, name), getattr(full, name)), name
+        for name in BATCH_ARRAYS[2:]:
+            track = getattr(last, name)
+            assert track.shape == (12, 1), name
+            assert np.array_equal(track, getattr(full, name)[:, -1:]), name
+        for count in ("clamped", "clamped_index", "clamped_rho"):
+            assert getattr(last, count) == getattr(full, count), count
+
+    @pytest.mark.parametrize("model", ["mc3", "mc4", "mc6", "mc7"])
+    def test_lower_peak_memory(self, model):
+        # the four truth tracks are n * T floats each with full tracks
+        import tracemalloc
+
+        n, T = 256, 200
+        cfg = McConfig(model=model, T=T, n_paths=n, seed=1)
+        peaks = {}
+        for tracks in (True, False):
+            tracemalloc.start()
+            try:
+                generate_batch(cfg, tracks=tracks)
+                peaks[tracks] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[True] - peaks[False] >= 3 * n * T * 8, peaks
+
+    def test_dump_needs_full_tracks(self, tmp_path):
+        batch = generate_batch(McConfig(model="mc3", T=20, n_paths=2, seed=0), tracks=False)
+        with pytest.raises(ValueError, match="full tracks"):
+            dump_batch(batch, tmp_path / "paths.csv")
+
+
 class TestLevelPriceStep:
     def test_floor_on_both_sides_counts_stock_hits(self):
         params = ReactiveParams()
@@ -444,6 +488,22 @@ class TestDccModels:
         ann = np.sqrt(255)
         assert batch.r_stock.std() * ann == pytest.approx(0.40, rel=0.05)
         assert batch.r_index.std() * ann == pytest.approx(0.15, rel=0.05)
+
+
+class TestGeneratorRhoClamp:
+    # rho_bar = index_vol / 0.40: mc6's correlation hovers about rho_bar =
+    # 0.999, mc7's asymmetry lifts rho_bar = 0.98 onto the clamp
+    @pytest.mark.parametrize("model, index_vol", [("mc6", 0.3996), ("mc7", 0.392)])
+    def test_counts_clamped_path_days(self, model, index_vol):
+        batch = generate_batch(McConfig(model=model, T=300, n_paths=20, seed=2,
+                                        index_vol=index_vol, stock_vol=0.40))
+        held = np.count_nonzero(np.abs(batch.true_rho) == mc._RHO_CLAMP)
+        assert batch.clamped_rho == held
+        assert 0 < held < batch.true_rho.size
+
+    def test_zero_without_a_correlation_process(self):
+        for model in ("mc1", "mc2", "mc3", "mc4", "mc5"):
+            assert generate_batch(McConfig(model=model, T=30, n_paths=3)).clamped_rho == 0
 
 
 class TestDump:
