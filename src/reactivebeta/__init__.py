@@ -33,11 +33,8 @@ from .estimators import (
     DccParams,
     DccState,
     GarchParams,
-    WeightedRegressionProblem,
     dcc_calibrate,
     dcc_step,
-    ols_beta,
-    quantile_beta,
 )
 from .montecarlo import McBatch, McConfig, generate_batch
 from .evaluation import (

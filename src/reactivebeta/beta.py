@@ -47,6 +47,9 @@ __all__ = [
 # mc5's model multiplies by them, so its leverage factor takes no floor.
 _CORRECTION_FLOOR = 0.05
 
+# reactive_beta_from_returns's first price; the estimator is scale invariant
+_START_PRICE = 100.0
+
 
 def beta_elasticity(tilde_beta, params: ReactiveParams, out=None):
     """Sensitivity of the normalized beta to its log squared relative
@@ -370,15 +373,14 @@ def reactive_beta_from_returns(
     r_index: np.ndarray,
     r_stock: np.ndarray,
     params: Optional[ReactiveParams] = None,
-    start_price: float = 100.0,
 ):
     """Run the estimator over return paths and report the final beta.
 
     ``r_index`` and ``r_stock`` hold arithmetic returns with time on the
     last axis; leading axes are independent paths. Prices are rebuilt
-    from ``start_price`` (the estimator is scale invariant, so the level
-    does not matter) a block of days at a time, each block's cumulative
-    product led by the growth so far (the same products as over all days).
+    from ``_START_PRICE`` a block of days at a time, each block's
+    cumulative product led by the growth so far (the same products as over
+    all days).
     """
     r_i = np.asarray(r_index, dtype=float)
     r_s = np.asarray(r_stock, dtype=float)
@@ -386,11 +388,11 @@ def reactive_beta_from_returns(
         raise ValueError("return arrays must have identical shapes")
     growth = np.ones((2,) + r_i.shape[:-1] + (1,))      # index and stock
     engine = ReactiveBetaEngine(params)
-    engine.start(*start_price * growth[..., 0])
+    engine.start(*_START_PRICE * growth[..., 0])
     T = r_i.shape[-1]
     days = block_rows(growth[0].size, T)
     for t0 in range(0, T, days):
         block = 1.0 + np.stack([r_i[..., t0:t0 + days], r_s[..., t0:t0 + days]])
         growth = np.cumprod(np.concatenate([growth[..., -1:], block], axis=-1), axis=-1)
-        engine.advance(*np.moveaxis(start_price * growth[..., 1:], -1, 1))
+        engine.advance(*np.moveaxis(_START_PRICE * growth[..., 1:], -1, 1))
     return engine.beta_state.beta

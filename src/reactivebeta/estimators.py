@@ -2,8 +2,8 @@
 and (A)DCC conditional betas.
 
 Every estimator weighs observations by ``(1 - lam)**(T - t)`` so that all
-methods share the same effective look-back. Batch variants operate on
-arrays of shape ``(n_paths, T)`` and vectorize across paths.
+methods share the same effective look-back. Each solver takes one series
+or a batch of shape ``(n_paths, T)``, paths on the leading axis.
 """
 
 from __future__ import annotations
@@ -13,14 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import DEFAULT_PARAMS
-from .timeseries import (_weighted_sums, as_array, block_rows, ema_rows,
+from .timeseries import (_weighted_sums, block_rows, ema_rows,
                          exp_weighted_moments, exp_weights)
 
 __all__ = [
-    "WeightedRegressionProblem",
-    "ols_beta",
     "ols_beta_batch",
-    "quantile_beta",
     "quantile_beta_batch",
     "quantile_objective",
     "trimean",
@@ -42,35 +39,8 @@ __all__ = [
 DEFAULT_LOOKBACK = DEFAULT_PARAMS.lambda_beta
 
 
-@dataclass(frozen=True)
-class WeightedRegressionProblem:
-    """Index returns ``x``, stock returns ``y`` and the decay ``lam``."""
-
-    x: np.ndarray
-    y: np.ndarray
-    lam: float = DEFAULT_LOOKBACK
-
-    def __post_init__(self) -> None:
-        x = as_array(self.x)
-        y = as_array(self.y)
-        if x.size != y.size:
-            raise ValueError("x and y must have equal length")
-        if x.size < 2:
-            raise ValueError("need at least two observations")
-        if not 0.0 < self.lam < 1.0:
-            raise ValueError(f"lam must lie in (0, 1), got {self.lam}")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-
-
 # ---------------------------------------------------------------------------
 # least squares
-
-
-def ols_beta(problem: WeightedRegressionProblem) -> float:
-    """Exponentially weighted least-squares slope of a single problem; see
-    the batch variant."""
-    return float(ols_beta_batch(problem.x, problem.y, problem.lam))
 
 
 def ols_beta_batch(x: np.ndarray, y: np.ndarray,
@@ -212,14 +182,6 @@ def quantile_beta_batch(x: np.ndarray, y: np.ndarray, theta: float,
             live, x, y, dx, r = live[better], x[better], y[better], dx[:keep], r[:keep]
         a_cur, b_cur, obj, prev, anchor = (v[better] for v in (a_new, b_new, obj_new, anchor, nxt))
     return alpha, beta
-
-
-def quantile_beta(problem: WeightedRegressionProblem, theta: float):
-    """Weighted quantile regression of a single problem; see the batch
-    variant for the solver contract."""
-    alpha, beta = quantile_beta_batch(problem.x[None, :], problem.y[None, :],
-                                      theta, problem.lam)
-    return float(alpha[0]), float(beta[0])
 
 
 def trimean(slope) -> np.ndarray:

@@ -153,6 +153,8 @@ def table2_stats(samples: ErrorSamples, reference_variance: Optional[float] = No
 # ---------------------------------------------------------------------------
 # hedge quality
 
+CORSTD_WINDOW = 90     # days in the rolling correlation whose dispersion is corstd
+
 
 @dataclass(frozen=True)
 class HedgeReport:
@@ -162,22 +164,21 @@ class HedgeReport:
     n_undefined_windows: int
 
 
-def strategy_bias_corstd(strategy_returns, index_returns,
-                         window: int = 90) -> HedgeReport:
+def strategy_bias_corstd(strategy_returns, index_returns) -> HedgeReport:
     """Hedge-quality summary of a strategy against the index.
 
     ``bias`` is the full-sample correlation between the two return
     series; ``corstd`` is the standard deviation of their trailing
-    ``window``-day rolling correlation. A constant strategy has a NaN
-    bias; rolling windows in which either series is constant are skipped
-    and counted. A well-hedged strategy has a bias
-    near zero and a corstd near the pure-noise level ``1/sqrt(window)``.
+    ``CORSTD_WINDOW``-day rolling correlation. A constant strategy has a
+    NaN bias; rolling windows in which either series is constant are
+    skipped and counted. A well-hedged strategy has a bias near zero and
+    a corstd near the pure-noise level ``1/sqrt(CORSTD_WINDOW)``.
     """
     s = as_array(strategy_returns)
     i = as_array(index_returns)
-    if s.size <= window:
-        raise ValueError(f"need more than {window} observations")
-    roll = rolling_correlation(s, i, window)
+    if s.size <= CORSTD_WINDOW:
+        raise ValueError(f"need more than {CORSTD_WINDOW} observations")
+    roll = rolling_correlation(s, i, CORSTD_WINDOW)
     bias = _equal_weighted_moments(s, i).correlation
     defined = np.isfinite(roll)
     n_undef = int(np.count_nonzero(~defined))
@@ -346,11 +347,6 @@ class ElasticityDiagnostic:
     n_buckets_skipped: int
     global_slope: float
     relvol_slope: Optional[float]
-
-    @property
-    def average_elasticity(self) -> float:
-        """Pooled elasticity estimate (half the global log-relvol slope)."""
-        return self.global_slope / 2.0
 
 
 def elasticity_diagnostic(beta_panel, relvol_panel, bucket_size: int = 10_000,

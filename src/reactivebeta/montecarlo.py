@@ -192,7 +192,7 @@ def _floor_returns(r) -> int:
     at ``_PRICE_FLOOR`` of the previous one; return how many it floored."""
     hits = np.count_nonzero(r < _PRICE_FLOOR - 1.0)
     np.maximum(r, _PRICE_FLOOR - 1.0, out=r)
-    return hits
+    return int(hits)
 
 
 def _path_generators(config: McConfig, offset: int, count: int):

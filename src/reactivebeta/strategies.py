@@ -93,12 +93,16 @@ class Universe:
 
 def auto_supersectors(caps, n_groups: int = N_SUPERSECTORS) -> np.ndarray:
     """Partition stocks into similarly sized groups by the rank of their
-    mean capitalization over the days of ``caps`` (time x stock).
+    mean capitalization over the priced days of ``caps`` (time x stock).
 
     Intended for synthetic universes without real sector data; real data
     should supply its own labels.
     """
-    mean_cap = np.nanmean(np.atleast_2d(np.asarray(caps, dtype=float)), axis=0)
+    caps = np.atleast_2d(np.asarray(caps, dtype=float))
+    count = np.count_nonzero(~np.isnan(caps), axis=0)
+    # np.nanmean, without its warning on a stock never priced: NaN, ranked last
+    mean_cap = np.divide(np.nansum(caps, axis=0), count,
+                         out=np.full(count.shape, np.nan), where=count > 0)
     order = np.argsort(np.argsort(-mean_cap, kind="stable"), kind="stable")
     return (order * n_groups) // mean_cap.size
 
@@ -373,13 +377,12 @@ class BacktestResult:
 
 def backtest(universe: Universe, strategy: str, beta_source: str = "ols",
              params: Optional[ReactiveParams] = None,
-             p: Optional[float] = None,
              panels: Optional[UniversePanels] = None,
              keep_weights: bool = False) -> BacktestResult:
     """Daily-rebalanced backtest of one strategy under one beta source.
 
-    Position weights for day ``d`` are built from data through ``d - 1``,
-    by ``build_factors`` over blocks of up to ``_BLOCK_DAYS`` days;
+    Position weights for day ``d`` are built from data through ``d - 1``, by
+    ``build_factors`` at ``STRATEGY_QUANTILE`` in blocks of ``_BLOCK_DAYS`` days;
     the factor return on day ``d`` is the weighted sum of that day's
     stock returns (missing returns contribute zero, matching the frozen
     price). The report quotes the hedge bias (full-sample correlation
@@ -394,7 +397,7 @@ def backtest(universe: Universe, strategy: str, beta_source: str = "ols",
     if T - 1 - start <= 91:
         raise ValueError("universe too short for this strategy's warm-up")
 
-    p = _quantile(strategy, p)
+    p = STRATEGY_QUANTILE[strategy]
     rets, traded, kept = [], [], []
     skipped = 0
     for lo in range(start, T - 1, _BLOCK_DAYS):

@@ -29,12 +29,10 @@ from reactivebeta.estimators import (
     ASYMMETRIC_GARCH_COEFFS,
     DccParams,
     GarchParams,
-    WeightedRegressionProblem,
     dcc_step,
     init_dcc_state,
-    ols_beta,
     ols_beta_batch,
-    quantile_beta,
+    quantile_beta_batch,
     quantile_objective,
 )
 from reactivebeta.evaluation import (
@@ -220,7 +218,7 @@ def test_criterion_5_estimator_oracles():
     for _ in range(25):
         x = rng.standard_normal(1000)
         y = 0.7 * x + rng.standard_normal(1000)
-        got = ols_beta(WeightedRegressionProblem(x, y, lam))
+        got = ols_beta_batch(x, y, lam)
         w = exp_weights(1000, lam)
         X = np.column_stack([np.ones(1000), x])
         coef = np.linalg.solve(X.T @ (w[:, None] * X), X.T @ (w * y))
@@ -235,7 +233,7 @@ def test_criterion_5_estimator_oracles():
         y = 0.5 * x + rng.standard_normal(n)
         theta = float(rng.uniform(0.1, 0.9))
         qlam = float(rng.uniform(0.01, 0.3))
-        a_hat, b_hat = quantile_beta(WeightedRegressionProblem(x, y, qlam), theta)
+        (a_hat,), (b_hat,) = quantile_beta_batch(x, y, theta, qlam)
         obj_hat = quantile_objective(x, y, qlam, theta, a_hat, b_hat)
         best = np.inf
         for i, j in itertools.combinations(range(n), 2):
@@ -414,7 +412,7 @@ def _invariant_scale_invariance(rng):
     r_i = 0.01 * rng.standard_normal((n, T))
     r_s = 0.02 * rng.standard_normal((n, T))
     k = np.exp(rng.uniform(-3, 3, n))
-    base = reactive_beta_from_returns(r_i, r_s, PARAMS, start_price=100.0)
+    base = reactive_beta_from_returns(r_i, r_s, PARAMS)
     # per-path scale via per-path start price
     pi = (100.0 * k)[:, None] * np.cumprod(1 + r_i, axis=1)
     ps = (100.0 * k)[:, None] * np.cumprod(1 + r_s, axis=1)

@@ -1,10 +1,12 @@
 import itertools
+import json
 import math
 import warnings
 
 import numpy as np
 import pytest
 
+from reactivebeta.benchmark import ESTIMATORS, run_benchmark
 from reactivebeta.estimators import (
     ASYMMETRIC_DCC_COEFFS,
     ASYMMETRIC_GARCH_COEFFS,
@@ -12,19 +14,17 @@ from reactivebeta.estimators import (
     SYMMETRIC_GARCH_COEFFS,
     DccParams,
     GarchParams,
-    WeightedRegressionProblem,
     dcc_beta_batch,
     dcc_calibrate,
     dcc_step,
     init_dcc_state,
-    ols_beta,
     ols_beta_batch,
-    quantile_beta,
     quantile_beta_batch,
     quantile_objective,
     trimean_beta_batch,
     _dcc_filter,
 )
+from reactivebeta.montecarlo import MODELS
 from reactivebeta.params import DEFAULT_PARAMS
 from reactivebeta.timeseries import exp_weights
 
@@ -47,11 +47,11 @@ class TestOls:
     def test_noise_free_line(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal(50)
-        assert ols_beta(WeightedRegressionProblem(x, 2.0 * x, 0.1)) == pytest.approx(2.0)
+        assert ols_beta_batch(x, 2.0 * x, 0.1) == pytest.approx(2.0)
 
     def test_constant_target_zero_slope(self):
         x = np.random.default_rng(1).standard_normal(30)
-        assert ols_beta(WeightedRegressionProblem(x, np.full(30, 5.0), 0.1)) == pytest.approx(0.0, abs=1e-12)
+        assert ols_beta_batch(x, np.full(30, 5.0), 0.1) == pytest.approx(0.0, abs=1e-12)
 
     def test_against_normal_equations(self):
         rng = np.random.default_rng(2)
@@ -59,24 +59,23 @@ class TestOls:
         for _ in range(20):
             x = rng.standard_normal(1000)
             y = 0.7 * x + rng.standard_normal(1000)
-            got = ols_beta(WeightedRegressionProblem(x, y, lam))
+            got = ols_beta_batch(x, y, lam)
             w = exp_weights(1000, lam)
             X = np.column_stack([np.ones(1000), x])
             coef = np.linalg.solve(X.T @ (w[:, None] * X), X.T @ (w * y))
             assert abs(got - coef[1]) < 1e-10
 
     def test_degenerate_regressor_marked(self):
-        p = WeightedRegressionProblem(np.full(20, 3.0), np.arange(20.0), 0.1)
-        assert math.isnan(ols_beta(p))
+        assert math.isnan(ols_beta_batch(np.full(20, 3.0), np.arange(20.0), 0.1))
 
     def test_equivariance(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal(200)
         y = rng.standard_normal(200)
         lam = 0.05
-        base = ols_beta(WeightedRegressionProblem(x, y, lam))
-        assert ols_beta(WeightedRegressionProblem(x, 3.0 * y, lam)) == pytest.approx(3.0 * base)
-        assert ols_beta(WeightedRegressionProblem(x, y + 2.0 * x, lam)) == pytest.approx(base + 2.0)
+        base = ols_beta_batch(x, y, lam)
+        assert ols_beta_batch(x, 3.0 * y, lam) == pytest.approx(3.0 * base)
+        assert ols_beta_batch(x, y + 2.0 * x, lam) == pytest.approx(base + 2.0)
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(4)
@@ -84,7 +83,7 @@ class TestOls:
         y = rng.standard_normal((5, 300))
         batch = ols_beta_batch(x, y, 0.02)
         for k in range(5):
-            assert batch[k] == pytest.approx(ols_beta(WeightedRegressionProblem(x[k], y[k], 0.02)))
+            assert batch[k] == pytest.approx(ols_beta_batch(x[k], y[k], 0.02))
 
     @pytest.mark.parametrize("T", [33, 250, 1000])
     def test_batch_rows_bitwise_independent(self, T):
@@ -104,9 +103,8 @@ class TestQuantileRegression:
     def test_exact_line_any_theta(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal(40)
-        p = WeightedRegressionProblem(x, 3.0 * x, 0.05)
         for theta in (0.2, 0.5, 0.8):
-            alpha, beta = quantile_beta(p, theta)
+            (alpha,), (beta,) = quantile_beta_batch(x, 3.0 * x, theta, 0.05)
             assert alpha == pytest.approx(0.0, abs=1e-9)
             assert beta == pytest.approx(3.0, abs=1e-9)
 
@@ -115,7 +113,7 @@ class TestQuantileRegression:
         y = x.copy()
         y[5] += 30.0
         y[35] -= 30.0
-        _, beta = quantile_beta(WeightedRegressionProblem(x, y, 0.01), 0.5)
+        _, (beta,) = quantile_beta_batch(x, y, 0.5, 0.01)
         assert beta == pytest.approx(1.0, abs=1e-8)
 
     def test_combinatorial_oracle_small_instances(self):
@@ -126,7 +124,7 @@ class TestQuantileRegression:
             y = 0.5 * x + rng.standard_normal(n)
             theta = float(rng.uniform(0.1, 0.9))
             lam = float(rng.uniform(0.01, 0.3))
-            a_hat, b_hat = quantile_beta(WeightedRegressionProblem(x, y, lam), theta)
+            (a_hat,), (b_hat,) = quantile_beta_batch(x, y, theta, lam)
             obj_hat = quantile_objective(x, y, lam, theta, a_hat, b_hat)
             obj_star = combinatorial_quantile_oracle(x, y, lam, theta)[0]
             assert obj_hat <= obj_star + 1e-8
@@ -143,7 +141,7 @@ class TestQuantileRegression:
             y = np.round((0.8 * x + 0.02 * rng.standard_normal(n)) / step) * step
             theta = float(rng.choice([0.25, 0.5, 0.75]))
             lam = float(rng.uniform(0.01, 0.1))
-            a_hat, b_hat = quantile_beta(WeightedRegressionProblem(x, y, lam), theta)
+            (a_hat,), (b_hat,) = quantile_beta_batch(x, y, theta, lam)
             obj_hat = quantile_objective(x, y, lam, theta, a_hat, b_hat)
             assert obj_hat <= combinatorial_quantile_oracle(x, y, lam, theta)[0] * (1.0 + 1e-12)
 
@@ -173,7 +171,7 @@ class TestQuantileRegression:
         y = np.arange(30.0).reshape(3, 10)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _, beta = quantile_beta(WeightedRegressionProblem(x[1], y[1], 0.1), 0.5)
+            _, (beta,) = quantile_beta_batch(x[1], y[1], 0.5, 0.1)
             _, batch = quantile_beta_batch(x, y, 0.5, 0.1)
         assert math.isnan(beta)
         assert math.isnan(batch[1]) and np.isfinite(batch[[0, 2]]).all()
@@ -197,7 +195,7 @@ class TestQuantileRegression:
         y = 1.5 * x + rng.standard_normal(120)
         lam = 1.0 / 90.0
         for theta in (0.25, 0.5, 0.75):
-            alpha, beta = quantile_beta(WeightedRegressionProblem(x, y, lam), theta)
+            (alpha,), (beta,) = quantile_beta_batch(x, y, theta, lam)
             got = quantile_objective(x, y, lam, theta, alpha, beta)
             assert got - combinatorial_quantile_oracle(x, y, lam, theta)[0] <= 1e-12
 
@@ -209,7 +207,7 @@ class TestQuantileRegression:
         y = 0.9 * x + rng.standard_t(3, 1000)
         lam = 1.0 / 90.0
         for theta in (0.25, 0.5, 0.75):
-            alpha, beta = quantile_beta(WeightedRegressionProblem(x, y, lam), theta)
+            (alpha,), (beta,) = quantile_beta_batch(x, y, theta, lam)
             resid = np.abs(y - alpha - beta * x)
             for p in np.argsort(resid)[:2]:
                 base = quantile_objective(x, y, lam, theta, y[p] - beta * x[p], beta)
@@ -225,7 +223,7 @@ class TestQuantileRegression:
         irls_objective = 0.008122902311709366
         batch = generate_batch(McConfig(model="mc4", T=1000, n_paths=60, seed=3), 10, 1)
         x, y = batch.r_index[0], batch.r_stock[0]
-        alpha, beta = quantile_beta(WeightedRegressionProblem(x, y, 1.0 / 90.0), 0.5)
+        (alpha,), (beta,) = quantile_beta_batch(x, y, 0.5, 1.0 / 90.0)
         got = quantile_objective(x, y, 1.0 / 90.0, 0.5, alpha, beta)
         assert got < irls_objective * (1.0 - 1e-8)
 
@@ -263,9 +261,8 @@ class TestQuantileRegression:
             assert (a_k[0], b_k[0]) == (alpha[k], beta[k])
 
     def test_rejects_bad_theta(self):
-        p = WeightedRegressionProblem(np.arange(5.0), np.arange(5.0), 0.1)
         with pytest.raises(ValueError):
-            quantile_beta(p, 0.0)
+            quantile_beta_batch(np.arange(5.0), np.arange(5.0), 0.0, 0.1)
 
 
 class TestTrimean:
@@ -279,8 +276,7 @@ class TestTrimean:
         rng = np.random.default_rng(9)
         x = rng.standard_normal(200)
         y = 0.8 * x + rng.standard_normal(200)
-        p = WeightedRegressionProblem(x, y, 0.02)
-        parts = [quantile_beta(p, q)[1] for q in (0.25, 0.5, 0.75)]
+        parts = [quantile_beta_batch(x, y, q, 0.02)[1][0] for q in (0.25, 0.5, 0.75)]
         expect = 0.25 * parts[0] + 0.5 * parts[1] + 0.25 * parts[2]
         assert trimean_beta_batch(x, y, 0.02)[0] == pytest.approx(expect, rel=1e-12)
 
@@ -289,8 +285,7 @@ class TestTrimean:
         x = rng.standard_normal(1000)
         y = 1.1 * x + 0.5 * rng.standard_normal(1000)
         lam = 5e-3
-        p = WeightedRegressionProblem(x, y, lam)
-        assert trimean_beta_batch(x, y, lam)[0] == pytest.approx(ols_beta(p), abs=0.05)
+        assert trimean_beta_batch(x, y, lam)[0] == pytest.approx(ols_beta_batch(x, y, lam), abs=0.05)
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(12)
@@ -827,6 +822,23 @@ class TestBlockRelease:
         monkeypatch.setattr(benchmark, "_BLOCK_PATHS", 4)
         result = benchmark.run_benchmark(model, ("ols",), n_paths=10, T=150, seed=3)
         assert starts == [0, 4, 8] and result.rows["ols"].n == 10
+
+
+class TestBenchmarkResult:
+    @pytest.mark.parametrize("model", MODELS)
+    def test_counts_are_python_ints(self, model):
+        result = run_benchmark(model, ("ols",), n_paths=8, T=120)
+        for key in ("clamped", "clamped_index", "clamped_rho"):
+            assert type(getattr(result, key)) is int, key
+        json.dumps(result.to_dict())
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_every_estimator_finite_on_every_path(self, model):
+        # a NaN estimate is a skipped row entry, what perfbench counts as failed
+        for seed in range(3):
+            result = run_benchmark(model, ESTIMATORS, n_paths=24, T=250, seed=seed)
+            assert {name: row.n_skipped for name, row in result.rows.items()} \
+                == dict.fromkeys(ESTIMATORS, 0), seed
 
 
 class TestDccBeta:

@@ -64,8 +64,6 @@ UNLOADED_EXPORTS = {
     "volatility.normalized_returns": "per-day reference; criterion 8 imports it",
     "volatility.update_levels": "per-day reference; criterion 8 imports it",
     "volatility.update_reactive_vols": "per-day reference; criterion 8 imports it",
-    "estimators.ols_beta": "criterion 5 imports it",
-    "estimators.quantile_beta": "criterion 5 imports it",
     "estimators.quantile_objective": "criterion 5 and the perfbench spans import it",
     "estimators.trimean_beta_batch": "a perfbench span target",
     "strategies.build_factor": "a perfbench span target",

@@ -292,6 +292,18 @@ class TestCli:
         assert str(price_file) in manifest["inputs"]
         assert manifest["inputs"][str(price_file)] == sha256_file(price_file)
 
+    def test_estimate_with_a_stock_never_priced(self, tmp_path):
+        # a blank column has no mean cap: it ranks last, as np.nanmean's
+        # NaN did, without its empty-slice warning (an error in this suite)
+        rng = np.random.default_rng(5)
+        panel = 100.0 * np.exp(np.cumsum(0.01 * rng.standard_normal((60, 4)), axis=0))
+        panel[:, 2] = np.nan
+        path = tmp_path / "prices.csv"
+        _write_panel(path, panel)
+        assert ingest_prices(path).supersector.tolist() == [0, 4, 2]
+        assert main(["estimate", "--prices", str(path), "--burn-in", "1",
+                     "--out", str(tmp_path / "est")]) == 0
+
     def test_estimate_bytes_match_csv_writer(self, tmp_path):
         # tickers that need quoting, one with percent signs that the row
         # templates must keep literal, and a stock frozen for a stretch of
