@@ -168,7 +168,9 @@ class ReactiveBetaEngine:
     states are plain values between calls; a stock without a finite
     price keeps its state for the day (``frozen_stock_days`` counts it).
     A stock first priced after :meth:`start` is seeded on that day, which
-    has no return and so no beta.
+    has no return and so no beta. ``leverage_floor_stock_days`` and
+    ``elasticity_floor_stock_days`` count the stock-days that add a cross
+    moment increment through a correction factor at ``_CORRECTION_FLOOR``.
     """
 
     def __init__(self, params: Optional[ReactiveParams] = None):
@@ -177,6 +179,8 @@ class ReactiveBetaEngine:
         self.vols: Optional[VolState] = None
         self.beta_state: Optional[BetaState] = None
         self.frozen_stock_days: int = 0
+        self.leverage_floor_stock_days: int = 0
+        self.elasticity_floor_stock_days: int = 0
 
     def start(self, index_price, stock_prices) -> None:
         """Seed all states with the first day of prices."""
@@ -231,7 +235,8 @@ class ReactiveBetaEngine:
         decay = np.empty((L, 9, n))         # of ema, tv and reg, in that order
         decay[:, 0], decay[:, 1], decay[:, 3] = 1.0 - lam_s, 1.0 - p.lambda_f, 1.0 - lam_v
         stock, den = np.empty((2, L, n))
-        f, c = np.empty((2, n))
+        f = np.empty(n)
+        ela = np.empty((L, n))              # each day's elasticity factor
         bad = np.empty(n, dtype=bool)
         cols = np.arange(n)
 
@@ -331,13 +336,17 @@ class ReactiveBetaEngine:
                 # the feedback: corrected cross moment and normalized beta
                 for d in range(m):
                     b = tb[d]
-                    _elasticity_map(b, delta[d], p, c, bad)
-                    np.multiply(c, lev[d], out=den[d])
+                    _elasticity_map(b, delta[d], p, ela[d], bad)
+                    np.multiply(ela[d], lev[d], out=den[d])
                     np.divide(gain_cc[d], den[d], out=f)
                     np.multiply(cc[d], dec[d, 6], out=cc[d + 1])
                     cc[d + 1] += f
                     np.divide(cc[d + 1], var_pos[d], out=tb[d + 1])
                     np.copyto(tb[d + 1], b, where=no_ret[d])
+                self.leverage_floor_stock_days += int(np.count_nonzero(
+                    adv & (lev == _CORRECTION_FLOOR)))
+                self.elasticity_floor_stock_days += int(np.count_nonzero(
+                    adv & (ela[:m] == _CORRECTION_FLOOR)))
 
                 hold(beta, tb[now] * ((level_s[now] * i) / (s * level_i[now])) * den[:m])
             if beta_out is not None:

@@ -96,6 +96,8 @@ def _reactive_diagnostics(panels, burn_in: int) -> dict:
     if after.size and not np.isfinite(after).any():
         raise NumericalFailure("no stock has a finite reactive beta after burn-in")
     return {"frozen_stock_days": panels.frozen_stock_days,
+            "leverage_floor_stock_days": panels.leverage_floor_stock_days,
+            "elasticity_floor_stock_days": panels.elasticity_floor_stock_days,
             "nan_final_betas": int(np.count_nonzero(~np.isfinite(panels.re_beta[-1])))}
 
 

@@ -114,7 +114,10 @@ class UniversePanels:
     ``ols_beta``/``ols_sigma`` come from plain exponentially weighted
     moments of raw returns; ``re_beta``/``re_sigma`` from the
     leverage-aware engine. All shapes are (time x stock).
-    ``frozen_stock_days`` counts the blank prices the engine held over.
+    ``frozen_stock_days`` counts the blank prices the engine held over;
+    ``leverage_floor_stock_days`` and ``elasticity_floor_stock_days`` the
+    stock-days whose correction factor sat at its floor (see
+    :class:`ReactiveBetaEngine`).
     """
 
     returns: np.ndarray
@@ -124,6 +127,8 @@ class UniversePanels:
     re_beta: np.ndarray
     re_sigma: np.ndarray
     frozen_stock_days: int = 0
+    leverage_floor_stock_days: int = 0
+    elasticity_floor_stock_days: int = 0
 
 
 def compute_panels(universe: Universe,
@@ -199,7 +204,9 @@ def compute_panels(universe: Universe,
     return UniversePanels(returns=returns, index_returns=index_returns,
                           ols_beta=ols_beta, ols_sigma=ols_sigma,
                           re_beta=re_beta, re_sigma=re_sigma,
-                          frozen_stock_days=engine.frozen_stock_days)
+                          frozen_stock_days=engine.frozen_stock_days,
+                          leverage_floor_stock_days=engine.leverage_floor_stock_days,
+                          elasticity_floor_stock_days=engine.elasticity_floor_stock_days)
 
 
 def indicator(strategy: str, universe: Universe, t, panels: UniversePanels) -> np.ndarray:
@@ -270,6 +277,13 @@ def build_factors(universe: Universe, days, strategy: str,
     the sector gross exposure at one. Sector weights are averaged over
     the sectors with eligible stocks.
 
+    The stocks are laid out sector-major, each supersector's stocks in
+    ticker order and padded to the largest sector, so one sort of a
+    ``(D, m, S)`` array ranks every (day, sector) cell. A cell whose
+    indicator values tie is sorted again stably, which keeps tied stocks
+    in ticker order. Counts, ranks and sums come from positions in the
+    sorted layout, and each sum adds down the ranks in order.
+
     Returns ``(weights, mu_plus, mu_minus, skipped)``: weights ``(D, n)``;
     leg multipliers ``(D, m)`` with one column per label of
     ``np.unique(universe.supersector)``, NaN for a sector without a pair
@@ -290,48 +304,89 @@ def build_factors(universe: Universe, days, strategy: str,
 
     eligible = np.isfinite(ind) & np.isfinite(beta) & np.isfinite(sigma) \
         & (sigma > 0.0) & np.isfinite(universe.prices[days])
-    # per row: eligible stocks first, grouped by sector, each sector by
-    # falling indicator with ties broken by ticker
-    order = np.lexsort((np.broadcast_to(np.arange(n), (D, n)), -ind,
-                        np.broadcast_to(sector, (D, n)), ~eligible), axis=-1)
-    ok = np.take_along_axis(eligible, order, axis=1)
-    cell = np.arange(D)[:, None] * m + sector[order]   # (day, sector) code per slot
-    size = D * m
-    N = np.bincount(cell[ok], minlength=size)
+    # sector-major layout (D, m, S): row s holds sector s's stocks in ticker
+    # order, padded to the largest sector; place[i] is stock i's flat slot
+    # and stock[j] the stock in slot j (0 on a pad)
+    size = np.bincount(sector, minlength=m)
+    S = int(size.max())
+    place = np.empty(n, dtype=np.intp)
+    place[np.argsort(sector, kind="stable")] = \
+        np.arange(n) + np.repeat(np.arange(m) * S - (np.cumsum(size) - size), size)
+    stock = np.zeros(m * S, dtype=np.intp)
+    stock[place] = np.arange(n)
+
+    # one sort ranks every (day, sector) row by falling indicator, eligible
+    # stocks first; a row with tied keys is sorted again, stably, so tied
+    # stocks keep ticker order
+    np.negative(ind, out=ind)
+    ind[~eligible] = np.inf
+    key = np.full((D, m, S), np.inf)
+    key.reshape(D, m * S)[:, place] = ind
+    del ind
+    order = np.argsort(key, axis=-1)
+    ranked = np.take_along_axis(key, order, axis=-1)
+    tied = ((ranked[..., 1:] == ranked[..., :-1]) & (ranked[..., 1:] < np.inf)).any(axis=-1)
+    if tied.any():
+        order[tied] = np.argsort(key[tied], axis=-1, kind="stable")
+    N = np.count_nonzero(ranked < np.inf, axis=-1)
+    del key, ranked
     k = np.minimum(np.maximum(np.rint(p * N), 1.0), N // 2)
     used = k >= 1
 
-    first = np.cumsum(N.reshape(D, m), axis=1) - N.reshape(D, m)
-    rank = np.arange(n) - first.ravel()[cell]
-    sig = np.take_along_axis(sigma, order, axis=1)
+    # the flat (day, stock) index of each ranked slot
+    order += (np.arange(m) * S)[:, None]
+    src = stock[order]
+    del order
+    src += (np.arange(D) * n)[:, None, None]
+    rank = np.arange(S)
+    ok = rank < N[..., None]
+    long_leg = rank < k[..., None]
+    short_leg = ok & (rank >= (N - k)[..., None])
+
+    # sums run down the ranks in order, as a sequential pass adds them
+    base = np.take(sigma, src)
+    del sigma
     with np.errstate(invalid="ignore", divide="ignore"):
-        sigma_mean = np.bincount(cell[ok], sig[ok], minlength=size) / N
-        base = np.where(ok, np.minimum(1.0, sigma_mean[cell] / sig), 0.0)
-    long_leg = ok & (rank < k[cell])
-    short_leg = ok & (rank >= N[cell] - k[cell])
-    exposure = np.take_along_axis(beta, order, axis=1) * base
-    b_plus = np.bincount(cell[long_leg], exposure[long_leg], minlength=size)
-    b_minus = np.bincount(cell[short_leg], exposure[short_leg], minlength=size)
+        sigma_mean = _sum_down(np.where(ok, base, 0.0)) / N
+        np.minimum(1.0, np.divide(sigma_mean[..., None], base, out=base), out=base)
+    base[~ok] = 0.0
+    exposure = np.take(beta, src)
+    del beta
+    exposure *= base
+    b_plus = _sum_down(np.where(long_leg, exposure, 0.0))
+    exposure[~short_leg] = 0.0
+    b_minus = _sum_down(exposure)
+    del exposure
 
     unsolvable = used & ((b_plus <= 0.0) | (b_minus <= 0.0))
-    n_used = used.reshape(D, m).sum(axis=1)
-    skipped = unsolvable.reshape(D, m).any(axis=1) | (n_used == 0)
+    n_used = used.sum(axis=1)
+    skipped = unsolvable.any(axis=1) | (n_used == 0)
 
     long_heavy = b_plus >= b_minus
     with np.errstate(invalid="ignore", divide="ignore"):
         cap = 1.0 / (2.0 * k)
-        mu_p = np.where(long_heavy, cap * b_minus / b_plus, cap).reshape(D, m)
-        mu_m = np.where(long_heavy, cap, cap * b_plus / b_minus).reshape(D, m)
-    dropped = ~used.reshape(D, m) | skipped[:, None]
+        mu_p = np.where(long_heavy, cap * b_minus / b_plus, cap)
+        mu_m = np.where(long_heavy, cap, cap * b_plus / b_minus)
+    dropped = ~used | skipped[:, None]
     mu_p[dropped] = np.nan
     mu_m[dropped] = np.nan
 
-    legs = np.where(long_leg, mu_p.ravel()[cell],
-                    np.where(short_leg, -mu_m.ravel()[cell], 0.0))
+    legs = np.where(long_leg, mu_p[..., None], 0.0)
+    np.copyto(legs, -mu_m[..., None], where=short_leg)
+    legs *= base
+    del base
+    legs[skipped] = 0.0
+    legs /= np.maximum(n_used, 1)[:, None, None]
+    # C-contiguous rows: on strided rows, backtest's per-day dot product rounds differently
+    leg = long_leg | short_leg
     weights = np.zeros((D, n))
-    np.put_along_axis(weights, order, np.where(skipped[:, None], 0.0, legs * base), axis=1)
-    weights /= np.maximum(n_used, 1)[:, None]
+    weights.ravel()[src[leg]] = legs[leg]
     return weights, mu_p, mu_m, skipped
+
+
+def _sum_down(x):
+    """Sums along the last axis of ``x``, added in order (in place)."""
+    return np.cumsum(x, axis=-1, out=x)[..., -1]
 
 
 def _factor_weights(universe: Universe, t: int, weights, mu_plus, mu_minus,

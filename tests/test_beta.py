@@ -299,13 +299,15 @@ def _update_beta_reference(state, r_index, r_stock, prev_tilde_var_index,
 
 
 def _reference_run(index, stocks, params):
-    """Per-day beta, normalized beta, stock volatility and both correction
-    factors (days 1..T-1), and the final states, from the per-day functions."""
+    """Per-day beta, normalized beta, stock volatility, both correction
+    factors and whether the day adds a cross-moment increment (days
+    1..T-1), and the final states, from the per-day functions."""
     levels = init_levels(index[0], stocks[0])
     vols = init_vols(np.shape(index[0]), np.shape(stocks[0]))
     state = init_beta_state(np.shape(index[0]), np.shape(stocks[0]))
     tracks = {name: np.full(stocks.shape, np.nan)
               for name in ("beta", "tilde_beta", "sigma_stock", "leverage", "elasticity")}
+    tracks["increment"] = np.zeros(stocks.shape, dtype=bool)
     for t in range(1, len(stocks)):
         s = stocks[t]
         r_i, r_s = normalized_returns(levels, index[t], s)
@@ -322,6 +324,9 @@ def _reference_run(index, stocks, params):
         tracks["beta"][t], tracks["tilde_beta"][t] = state.beta, state.tilde_beta
         tracks["sigma_stock"][t] = vols.sigma_stock
         tracks["leverage"][t], tracks["elasticity"][t] = corr_lev, corr_ela
+        with np.errstate(invalid="ignore", divide="ignore"):
+            index_ok = np.isfinite(1.0 / np.sqrt(prev_var) if params.hat_normalize else r_i)
+        tracks["increment"][t] = np.isfinite(r_s) & index_ok
     return tracks, (levels, vols, state)
 
 
@@ -423,6 +428,17 @@ class TestBlockwiseEngine:
         assert np.array_equal(beta, expect["beta"], equal_nan=True)
         assert np.array_equal(sigma, expect["sigma_stock"], equal_nan=True)
         _assert_states_equal(engine, states)
+        # each count is the reference's floored days among those adding an
+        # increment, in the engine and on the panels; only the forced
+        # factor reaches its floor
+        panels = compute_panels(Universe(dates=uni.dates, tickers=uni.tickers, prices=uni.prices,
+                                         index_prices=index, supersector=uni.supersector), params)
+        for name in ("leverage", "elasticity"):
+            hits = np.count_nonzero(expect["increment"]
+                                    & (expect[name] == _CORRECTION_FLOOR))
+            assert getattr(engine, f"{name}_floor_stock_days") == hits
+            assert getattr(panels, f"{name}_floor_stock_days") == hits
+            assert (hits > 0) == (name == floor)
 
     def test_late_listed_stock_is_not_scaled_down(self):
         # stocks 0-9 first priced on day 300: each one's var_index starts

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from reactivebeta.cli import main
 from reactivebeta.io import IngestError, _read_panel, ingest_prices, sha256_file
 from reactivebeta.params import ReactiveParams
-from reactivebeta.strategies import compute_panels, synthetic_universe
+from reactivebeta.strategies import backtest, compute_panels, synthetic_universe
 
 
 PRICES_CSV = """date,IDX,AAA,BBB,CCC
@@ -643,10 +643,55 @@ class TestCli:
                 argv += ["--strategy", "reversal"]
             assert main(argv) == 0
             diagnostics, seconds = _diagnostics(out)
-            assert diagnostics == {"frozen_stock_days": 10 + 5 + 399, "nan_final_betas": 1}
+            # the default model's corrections stay off their floors
+            assert diagnostics == {"frozen_stock_days": 10 + 5 + 399,
+                                   "leverage_floor_stock_days": 0,
+                                   "elasticity_floor_stock_days": 0, "nan_final_betas": 1}
             assert set(seconds) == STAGES[command]
         assert "diagnostics" not in json.loads((tmp_path / "backtest" / "backtest.json")
                                                .read_text())
+
+    @staticmethod
+    def _sector_file(path, tickers, skip=None):
+        """Text labels for ``tickers`` in sectors of 22, 15, 8, 4 and 1
+        stocks, shuffled over the columns; ``skip`` is left out."""
+        labels = np.repeat(["Tech", "Banks", "Oil", "Utilities", "Media"], [22, 15, 8, 4, 1])
+        labels = np.random.default_rng(7).permutation(labels)
+        path.write_text("ticker,supersector\n" + "".join(
+            f"{t},{label}\n" for t, label in zip(tickers, labels) if t != skip))
+        return path
+
+    @pytest.mark.parametrize("strategy", ["reversal", "size"])
+    def test_backtest_with_sector_file(self, tmp_path, csv_panel, strategy):
+        files = ["--prices", str(csv_panel.prices), "--caps", str(csv_panel.caps)]
+        tickers = [f"S{j:02d}" for j in range(50)]
+        sectors = self._sector_file(tmp_path / "sectors.csv", tickers)
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[reactive]\nburn_in = 100\n")
+        out = tmp_path / "bt"
+        assert main(["backtest", *files, "--sectors", str(sectors), "--config", str(cfg),
+                     "--strategy", strategy, "--out", str(out)]) == 0
+        universe = ingest_prices(csv_panel.prices, caps_path=csv_panel.caps,
+                                 sectors_path=sectors)
+        assert sorted(np.bincount(universe.supersector)) == [1, 4, 8, 15, 22]
+        params = ReactiveParams(burn_in=100)
+        panels = compute_panels(universe, params)
+        expect = {}
+        for source in ("ols", "reactive"):
+            result = backtest(universe, strategy, source, params, panels=panels)
+            expect[source] = {"bias": result.report.bias, "corstd": result.report.corstd,
+                              "n_days": len(result.returns),
+                              "skipped_days": result.skipped_days}
+        assert json.loads((out / "backtest.json").read_text()) == {strategy: expect}
+
+    def test_sector_file_missing_a_ticker_exit_code(self, tmp_path, capsys, csv_panel):
+        tickers = [f"S{j:02d}" for j in range(50)]
+        sectors = self._sector_file(tmp_path / "sectors.csv", tickers, skip="S07")
+        assert main(["backtest", "--prices", str(csv_panel.prices), "--caps",
+                     str(csv_panel.caps), "--sectors", str(sectors), "--strategy", "reversal",
+                     "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "input error" in err and "'S07'" in err
 
     def test_stock_listed_after_first_day_gets_a_beta(self, tmp_path):
         # S1 has no price on days 0-2: it is seeded on day 3 and has a

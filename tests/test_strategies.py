@@ -11,6 +11,7 @@ from reactivebeta.strategies import (
     auto_supersectors,
     backtest,
     build_factor,
+    build_factors,
     compute_panels,
     indicator,
     synthetic_universe,
@@ -197,6 +198,31 @@ class TestBuildFactor:
         assert build_factor(uni, 10, "size", panels, "ols", p=0.5) is None
 
 
+def _assert_backtest_matches_reference(uni, panels, strategy, source):
+    """Every backtest day's factor equals ``reference_factor``'s; returns
+    the backtest and the days the reference skips."""
+    result = backtest(uni, strategy, source, PARAMS, panels=panels, keep_weights=True)
+    built = dict(zip(result.dates, result.weights))
+    start = max(PARAMS.burn_in, INDICATOR_WINDOW[strategy] + 1, 90)
+    skipped = 0
+    for t in range(start, uni.n_days - 1):
+        ref = reference_factor(uni, t, strategy, panels, source)
+        fw = built.get(uni.dates[t + 1])
+        if ref is None:
+            assert fw is None, t
+            skipped += 1
+            continue
+        weights, mu_plus, mu_minus = ref
+        assert fw.mu_plus.keys() == mu_plus.keys()
+        assert fw.mu_minus.keys() == mu_minus.keys()
+        assert np.max(np.abs(fw.weights - weights)) <= 1e-15, t
+        for s in mu_plus:
+            assert abs(fw.mu_plus[s] - mu_plus[s]) <= 1e-15
+            assert abs(fw.mu_minus[s] - mu_minus[s]) <= 1e-15
+    assert result.skipped_days == skipped
+    return result, skipped
+
+
 class TestBatchAgainstReference:
     @pytest.fixture(scope="class")
     def blanked(self):
@@ -221,29 +247,67 @@ class TestBatchAgainstReference:
     @pytest.mark.parametrize("source", ["ols", "reactive"])
     def test_every_backtest_day_matches_reference(self, blanked, strategy, source):
         uni, panels = blanked
-        result = backtest(uni, strategy, source, PARAMS, panels=panels,
-                          keep_weights=True)
-        built = dict(zip(result.dates, result.weights))
-        start = max(PARAMS.burn_in, INDICATOR_WINDOW[strategy] + 1, 90)
-        skipped = 0
-        for t in range(start, uni.n_days - 1):
-            ref = reference_factor(uni, t, strategy, panels, source)
-            fw = built.get(uni.dates[t + 1])
-            if ref is None:
-                assert fw is None, t
-                skipped += 1
-                continue
-            weights, mu_plus, mu_minus = ref
-            assert fw.mu_plus.keys() == mu_plus.keys()
-            assert fw.mu_minus.keys() == mu_minus.keys()
-            assert np.max(np.abs(fw.weights - weights)) <= 1e-15
-            for s in mu_plus:
-                assert abs(fw.mu_plus[s] - mu_plus[s]) <= 1e-15
-                assert abs(fw.mu_minus[s] - mu_minus[s]) <= 1e-15
-        assert uni.dates[651] not in built
-        assert result.skipped_days == skipped >= 1
+        result, skipped = _assert_backtest_matches_reference(uni, panels, strategy, source)
+        assert uni.dates[651] not in result.dates
+        assert skipped >= 1
         # missing prices contribute zero, so every traded day's return is finite
         assert np.isfinite(result.returns).all()
+
+    @pytest.fixture(scope="class")
+    def tied(self):
+        """Three sectors of eight stocks. In sector 0, stock 6's prices are
+        twice stock 3's, so their returns, reversal and momentum tie on
+        every day; on days 300-449 stocks 9, 12 and 15 carry equal caps,
+        just above the sector's smallest other cap, so their sizes tie
+        across the short leg's edge."""
+        uni = synthetic_universe(n_stocks=24, T=720, seed=15)
+        prices, caps = uni.prices.copy(), uni.caps.copy()
+        prices[:, 6] = 2.0 * prices[:, 3]
+        caps[300:450, [9, 12, 15]] = 1.001 * caps[300:450, [0, 3, 6, 18, 21]].min(
+            axis=1, keepdims=True)
+        uni = Universe(dates=uni.dates, tickers=uni.tickers, prices=prices,
+                       index_prices=uni.index_prices, supersector=np.arange(24) % 3,
+                       caps=caps)
+        return uni, compute_panels(uni, PARAMS)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("source", ["ols", "reactive"])
+    def test_tied_stocks_rank_by_ticker(self, tied, strategy, source):
+        uni, panels = tied
+        _assert_backtest_matches_reference(uni, panels, strategy, source)
+
+    @pytest.fixture(scope="class")
+    def unequal(self):
+        """Sectors of 30, 10, 4, 2, 1 and 1 stocks, labelled 40, 7, 19, 3,
+        25 and 11, their columns shuffled; the one-stock sectors are never
+        used."""
+        uni = synthetic_universe(n_stocks=48, T=720, seed=13)
+        labels = np.repeat([40, 7, 19, 3, 25, 11], [30, 10, 4, 2, 1, 1])
+        labels = np.random.default_rng(13).permutation(labels)
+        uni = Universe(dates=uni.dates, tickers=uni.tickers, prices=uni.prices,
+                       index_prices=uni.index_prices, supersector=labels, caps=uni.caps)
+        return uni, compute_panels(uni, PARAMS)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("source", ["ols", "reactive"])
+    def test_unequal_sectors(self, unequal, strategy, source):
+        uni, panels = unequal
+        result, _ = _assert_backtest_matches_reference(uni, panels, strategy, source)
+        for fw in result.weights:
+            assert set(fw.mu_plus) == {40, 7, 19, 3}
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("source", ["ols", "reactive"])
+    def test_same_bits_in_any_split_into_blocks(self, blanked, strategy, source):
+        uni, panels = blanked
+        days = np.arange(600, 664)      # day 650 is skipped
+        whole = build_factors(uni, days, strategy, panels, source)
+        for width in (7, 1):
+            parts = [build_factors(uni, days[i:i + width], strategy, panels, source)
+                     for i in range(0, days.size, width)]
+            for got, want in zip(map(np.concatenate, zip(*parts)), whole):
+                assert got.dtype == want.dtype
+                assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
 
 
 class TestNoLookAhead:
