@@ -17,16 +17,11 @@ from .volatility import (
     VolState,
     filter_phi,
     init_levels,
-    normalized_returns,
-    update_levels,
-    update_reactive_vols,
 )
 from .beta import (
     BetaState,
     ReactiveBetaEngine,
     beta_elasticity,
-    elasticity_correction,
-    leverage_correction,
     reactive_beta_from_returns,
 )
 from .estimators import (

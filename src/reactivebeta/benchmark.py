@@ -8,6 +8,7 @@ path counts while staying fast at desk scale.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -109,8 +110,10 @@ class BenchmarkResult:
     """Per-model, per-estimator statistic rows plus run metadata, the
     price-floor hits of the stock and of the index side (``clamped`` and
     ``clamped_index``), the path-days on which the generator's rho clamp
-    holds (``clamped_rho``), and the (A)DCC calibration counts of
-    :func:`_estimate`, all summed over blocks."""
+    holds (``clamped_rho``), the (A)DCC calibration counts of
+    :func:`_estimate`, and the wall seconds of path generation and of each
+    estimator run (``seconds``, which :meth:`to_dict` leaves out), all
+    summed over blocks."""
 
     model: str
     n_paths: int
@@ -121,6 +124,7 @@ class BenchmarkResult:
     clamped_index: int
     clamped_rho: int
     diagnostics: dict  # estimator name -> (A)DCC counts
+    seconds: dict  # "generate" and each estimator run -> wall seconds
 
     def to_dict(self) -> dict:
         return {
@@ -156,6 +160,7 @@ def run_benchmark(model: str, estimators: Sequence[str] = ("ols", "reactive"),
     run_names = wanted if "ols" in wanted else ["ols"] + wanted
     estimates = {name: [] for name in run_names}
     diagnostics = {}
+    seconds = dict.fromkeys(["generate"] + run_names, 0.0)
     true_final, winners, lows = [], [], []
     clamped = clamped_index = clamped_rho = 0
 
@@ -163,7 +168,9 @@ def run_benchmark(model: str, estimators: Sequence[str] = ("ols", "reactive"),
     while done < n_paths:
         count = min(_BLOCK_PATHS, n_paths - done)
         # the table reads the returns and the final day's true beta only
+        start = time.perf_counter()
         batch = generate_batch(config, done, count, tracks=False)
+        seconds["generate"] += time.perf_counter() - start
         clamped += batch.clamped
         clamped_index += batch.clamped_index
         clamped_rho += batch.clamped_rho
@@ -174,7 +181,9 @@ def run_benchmark(model: str, estimators: Sequence[str] = ("ols", "reactive"),
         true_final.append(batch.true_beta[:, -1].copy())
         slopes = {}
         for name in run_names:
+            start = time.perf_counter()
             est, counts = _estimate(name, batch, params, slopes)
+            seconds[name] += time.perf_counter() - start
             estimates[name].append(est)
             if counts is not None:
                 total = diagnostics.setdefault(name, dict.fromkeys(counts, 0))
@@ -198,4 +207,5 @@ def run_benchmark(model: str, estimators: Sequence[str] = ("ols", "reactive"),
     rows = {name: _row(name, reference) for name in wanted}
     return BenchmarkResult(model=model, n_paths=n_paths, T=T, seed=seed,
                            rows=rows, clamped=clamped, clamped_index=clamped_index,
-                           clamped_rho=clamped_rho, diagnostics=diagnostics)
+                           clamped_rho=clamped_rho, diagnostics=diagnostics,
+                           seconds=seconds)

@@ -7,9 +7,10 @@ the sensitivity of beta to relative-volatility swings), and finally
 denormalizes the slope with the current level ratio and both correction
 factors.
 
-Everything is elementwise over stocks so a single engine serves both a
-price panel (one index, many stocks) and a batch of simulated paths
-(one index per path).
+:class:`ReactiveBetaEngine` is the one implementation of the daily
+recursion. It is elementwise over stocks, so it serves both a price
+panel (one index, many stocks) and a batch of simulated paths (one index
+per path). mc5's generator shares its elasticity map.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .volatility import (
     VolState,
     _level_map,
     _vol_map,
-    fast_gap,
     init_levels,
     init_vols,
 )
@@ -36,8 +36,6 @@ __all__ = [
     "BetaState",
     "ReactiveBetaEngine",
     "beta_elasticity",
-    "leverage_correction",
-    "elasticity_correction",
     "init_beta_state",
     "reactive_beta_from_returns",
 ]
@@ -79,34 +77,6 @@ def _elasticity_map(b, delta, params: ReactiveParams, out, bad):
     np.logical_not(np.isfinite(out, out=bad), out=bad)
     np.copyto(out, 1.0, where=bad)
     return np.maximum(out, _CORRECTION_FLOOR, out=out)
-
-
-def leverage_correction(level: LevelState, params: ReactiveParams):
-    """Correction for the correlation shift induced by index moves.
-
-    Evaluated on yesterday's state: ``1 + (ell - ell_prime) * gap`` with
-    ``gap`` the relative distance of the fast index EMA from the price.
-    Above one when the index sits below its fast EMA (falling market).
-    """
-    return _leverage_map(fast_gap(level), params)
-
-
-def elasticity_correction(state: "BetaState", vol: VolState, params: ReactiveParams):
-    """Correction for beta drift caused by relative-volatility swings.
-
-    ``1 + (2 f(b) / b) * delta`` where ``b`` is the previous normalized
-    beta and ``delta`` the relative deviation of the current volatility
-    ratio from the square root of its tracked squared average. Equals one
-    whenever the elasticity is zero (low-beta regime) or the state is not
-    yet warmed up.
-    """
-    b = np.asarray(state.tilde_beta, dtype=float)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        rel = np.sqrt(np.asarray(vol.tilde_var_stock, dtype=float)
-                      / np.asarray(vol.tilde_var_index, dtype=float))
-        delta = np.where(state.kappa_seeded, rel / np.sqrt(state.kappa) - 1.0, np.nan)
-        out = np.empty(np.broadcast_shapes(b.shape, delta.shape))
-        return _elasticity_map(b, delta, params, out, np.empty(out.shape, dtype=bool))[()]
 
 
 @dataclass(frozen=True)
@@ -263,8 +233,8 @@ class ReactiveBetaEngine:
                 x[now] = new
                 x[now] = np.take(x, held)
 
-            # levels, as update_levels: a stock's first price seeds its slow
-            # EMA (decay 0); only a stock priced today and before has a return
+            # levels: a stock's first price seeds its slow EMA (decay 0);
+            # only a stock priced today and before has a return
             hold(price_s, s)
             listed = np.isfinite(price_s[before])
             has_ret = ok & listed
@@ -280,7 +250,8 @@ class ReactiveBetaEngine:
             with np.errstate(invalid="ignore"):
                 hold(level_s, _level_map(s, e[1:, 2], p.ell_prime, fgap, p.phi))
 
-            # normalized returns and variances, as update_reactive_vols
+            # normalized returns and variances, each variance seeded with
+            # its first value
             r_i = (i - price_i[before]) / level_i[before]
             with np.errstate(invalid="ignore"):
                 r_s = (s - price_s[before]) / level_s[before]
@@ -297,8 +268,7 @@ class ReactiveBetaEngine:
             s_seeded[:] = seeded[-1]
             tv_i, tv_s = v[:, 0, :k], v[:, 1]
 
-            # regression moments and kappa, as the per-day update of the
-            # beta state does
+            # regression moments and kappa
             with np.errstate(invalid="ignore", divide="ignore"):
                 if p.hat_normalize:
                     scale = 1.0 / np.sqrt(tv_i[:m])

@@ -166,7 +166,7 @@ def _cmd_simulate(args) -> int:
     dest = out / "simulate.json"
     rio.write_json(dest, payload)
     diagnostics = {m: {"clamped": r.clamped, "clamped_index": r.clamped_index,
-                       "clamped_rho": r.clamped_rho, **r.diagnostics}
+                       "clamped_rho": r.clamped_rho, **r.diagnostics, "seconds": r.seconds}
                    for m, r in results.items()}
     diagnostics["stage_seconds"] = lap.seconds
     rio.write_manifest(out / "manifest.json", "simulate",

@@ -168,13 +168,20 @@ def _read_sectors(path, tickers) -> np.ndarray:
             if len(row) < 2:
                 raise IngestError(f"{Path(path).name} line {line_no}: "
                                   "expected 'ticker,supersector'")
-            labels[row[0].strip()] = row[1].strip()
+            ticker, label = row[0].strip(), row[1].strip()
+            if not label:
+                raise IngestError(f"{Path(path).name} line {line_no}: "
+                                  f"blank supersector for {ticker!r}")
+            if labels.setdefault(ticker, (label, line_no))[0] != label:
+                raise IngestError(f"{Path(path).name}: {ticker!r} labelled "
+                                  f"{labels[ticker][0]!r} on line {labels[ticker][1]} "
+                                  f"and {label!r} on line {line_no}")
     missing = [t for t in tickers if t not in labels]
     if missing:
         raise IngestError(f"sector file lacks labels for {missing}")
-    uniq = sorted(set(labels[t] for t in tickers))
+    uniq = sorted(set(labels[t][0] for t in tickers))
     code = {name: i for i, name in enumerate(uniq)}
-    return np.array([code[labels[t]] for t in tickers])
+    return np.array([code[labels[t][0]] for t in tickers])
 
 
 def ingest_prices(path, index_ticker: Optional[str] = None,

@@ -90,21 +90,6 @@ class ReactiveParams:
     def replace(self, **changes) -> "ReactiveParams":
         return dataclasses.replace(self, **changes)
 
-    @classmethod
-    def degenerate(cls, **overrides) -> "ReactiveParams":
-        """Parameter set under which the model collapses to a plain
-        exponentially weighted least-squares beta on raw returns."""
-        base = dict(
-            lambda_s=1.0,
-            lambda_f=1.0,
-            ell=0.0,
-            ell_prime=0.0,
-            elasticity_slope=0.0,
-            hat_normalize=False,
-        )
-        base.update(overrides)
-        return cls(**base)
-
 
 DEFAULT_PARAMS = ReactiveParams()
 

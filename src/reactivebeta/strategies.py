@@ -83,10 +83,6 @@ class Universe:
             raise ValueError("caps panel misaligned with prices")
 
     @property
-    def n_stocks(self) -> int:
-        return self.prices.shape[1]
-
-    @property
     def n_days(self) -> int:
         return self.prices.shape[0]
 
@@ -249,9 +245,6 @@ class FactorWeights:
     mu_plus: dict
     mu_minus: dict
     p: float
-
-    def gross(self) -> float:
-        return float(np.abs(self.weights).sum())
 
 
 def _quantile(strategy: str, p: Optional[float]) -> float:

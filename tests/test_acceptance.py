@@ -13,12 +13,13 @@ import numpy as np
 import pytest
 
 from conftest import record_criterion
+from daily_reference import degenerate_params
 
 from reactivebeta.params import ReactiveParams
 from reactivebeta.beta import (
     ReactiveBetaEngine,
-    elasticity_correction,
-    leverage_correction,
+    _elasticity_map,
+    _leverage_map,
     reactive_beta_from_returns,
 )
 from reactivebeta.benchmark import run_benchmark
@@ -44,14 +45,7 @@ from reactivebeta.evaluation import (
 from reactivebeta.montecarlo import McConfig, generate_batch
 from reactivebeta.strategies import backtest, compute_panels, synthetic_universe
 from reactivebeta.timeseries import exp_weights
-from reactivebeta.volatility import (
-    filter_phi,
-    init_levels,
-    init_vols,
-    normalized_returns,
-    update_levels,
-    update_reactive_vols,
-)
+from reactivebeta.volatility import filter_phi
 
 PARAMS = ReactiveParams()
 
@@ -298,7 +292,7 @@ def test_criterion_6_degenerate_equivalence():
 
         # with the trailing-vol normalization disabled the estimator is a
         # plain exponentially weighted (no-intercept) least-squares slope
-        beta = reactive_beta_from_returns(r_i, r_s, ReactiveParams.degenerate())
+        beta = reactive_beta_from_returns(r_i, r_s, degenerate_params())
         ls = (w @ (r_i * r_s)) / (w @ (r_i * r_i))
         worst_plain = max(worst_plain, abs(float(beta) - ls))
 
@@ -306,7 +300,7 @@ def test_criterion_6_degenerate_equivalence():
         # parameters give the least-squares slope reweighted by the
         # trailing normalized index variance
         beta_h = reactive_beta_from_returns(
-            r_i, r_s, ReactiveParams.degenerate(hat_normalize=True))
+            r_i, r_s, degenerate_params(hat_normalize=True))
         var = np.empty(T)
         var[0] = r_i[0] ** 2
         for t in range(1, T):
@@ -386,18 +380,18 @@ def _invariant_weighted_moments(rng):
 
 
 def _invariant_reactive_identity(rng):
-    # sigma * price == tilde_sigma * level at every step, in batch
+    # sigma * price == tilde_sigma * level after every one-day advance of
+    # the engine, in batch
     n, T = 500, 30
     r_i = 0.01 * rng.standard_normal((n, T))
     r_s = 0.02 * rng.standard_normal((n, T))
     pi = 100 * np.cumprod(1 + r_i, axis=1)
     ps = 100 * np.cumprod(1 + r_s, axis=1)
-    levels = init_levels(np.full(n, 100.0), np.full(n, 100.0))
-    vols = init_vols((n,), (n,))
+    engine = ReactiveBetaEngine(PARAMS)
+    engine.start(np.full(n, 100.0), np.full(n, 100.0))
     for t in range(T):
-        tr_i, tr_s = normalized_returns(levels, pi[:, t], ps[:, t])
-        levels = update_levels(levels, pi[:, t], ps[:, t], PARAMS)
-        vols = update_reactive_vols(vols, levels, tr_i, tr_s, PARAMS)
+        engine.advance(pi[None, :, t], ps[None, :, t])
+        levels, vols = engine.levels, engine.vols
         assert np.allclose(vols.sigma_index * pi[:, t],
                            np.sqrt(vols.tilde_var_index) * levels.index_level,
                            rtol=1e-12)
@@ -435,26 +429,19 @@ def _invariant_filter(rng):
 
 
 def _invariant_corrections(rng):
-    from reactivebeta.volatility import LevelState, VolState
+    # the correction maps that the engine and mc5 run: the leverage factor
+    # is at least one exactly when the index sits at or below its fast EMA,
+    # and the elasticity factor is one for normalized betas below the knot
     n = 100_000
     fast = 100.0 * np.exp(0.05 * rng.standard_normal(n))
     last = 100.0 * np.exp(0.05 * rng.standard_normal(n))
-    levels = LevelState(slow_index=last, fast_index=fast, slow_stock=last,
-                        index_level=last, stock_level=last,
-                        last_index=last, last_stock=last)
-    corr = leverage_correction(levels, PARAMS)
+    corr = _leverage_map((fast - last) / fast, PARAMS)
     assert np.all((corr >= 1.0) == (last <= fast))
 
-    from reactivebeta.beta import init_beta_state
-    state = init_beta_state((), (n,))
-    object.__setattr__(state, "tilde_beta", rng.uniform(-1.0, PARAMS.elasticity_lo, n))
-    object.__setattr__(state, "kappa", np.ones(n))
-    object.__setattr__(state, "kappa_seeded", np.ones(n, dtype=bool))
-    vols = VolState(tilde_var_index=np.ones(n),
-                    tilde_var_stock=rng.uniform(0.2, 5.0, n),
-                    sigma_index=np.ones(n), sigma_stock=np.ones(n),
-                    index_seeded=True, stock_seeded=np.ones(n, dtype=bool))
-    assert np.all(elasticity_correction(state, vols, PARAMS) == 1.0)
+    b = rng.uniform(-1.0, PARAMS.elasticity_lo, n)
+    delta = np.sqrt(rng.uniform(0.2, 5.0, n)) - 1.0     # vol ratio over sqrt(kappa), less one
+    ela = _elasticity_map(b, delta, PARAMS, np.empty(n), np.empty(n, dtype=bool))
+    assert np.all(ela == 1.0)
 
 
 def _invariant_ols_equivariance(rng):
@@ -494,7 +481,7 @@ def _invariant_factor_neutrality(rng):
             t = int(date) - 1
             beta = panels.re_beta[t]
             assert abs(fw.weights @ np.nan_to_num(beta)) < 1e-10
-            assert fw.gross() <= 1.0 + 1e-12
+            assert np.abs(fw.weights).sum() <= 1.0 + 1e-12
             checked += 1
     assert checked > 900
 

@@ -1,28 +1,21 @@
+import copy
+
 import numpy as np
 import pytest
 
+from daily_reference import degenerate_params, reference_run
 from reactivebeta.params import ReactiveParams
 from reactivebeta.beta import (
     _CORRECTION_FLOOR,
-    BetaState,
     ReactiveBetaEngine,
+    _elasticity_map,
+    _leverage_map,
     beta_elasticity,
-    elasticity_correction,
-    init_beta_state,
-    leverage_correction,
     reactive_beta_from_returns,
 )
 from reactivebeta.strategies import Universe, compute_panels, synthetic_universe
 from reactivebeta.timeseries import WeightedMoments, exp_weights
-from reactivebeta.volatility import (
-    LevelState,
-    VolState,
-    init_levels,
-    init_vols,
-    normalized_returns,
-    update_levels,
-    update_reactive_vols,
-)
+from reactivebeta.volatility import init_vols
 
 PARAMS = ReactiveParams()
 
@@ -54,72 +47,59 @@ class TestElasticity:
         assert f.max() == PARAMS.elasticity_cap
 
 
-def _levels(fast, last_index):
-    return LevelState(slow_index=last_index, fast_index=fast, slow_stock=last_index,
-                      index_level=last_index, stock_level=last_index,
-                      last_index=last_index, last_stock=last_index)
+def _leverage(fast, last_index):
+    """The engine's leverage factor on yesterday's fast EMA and index price."""
+    return _leverage_map((fast - last_index) / fast, PARAMS)
 
 
 class TestLeverageCorrection:
     def test_zero_gap(self):
-        assert leverage_correction(_levels(100.0, 100.0), PARAMS) == pytest.approx(1.0)
+        assert _leverage(100.0, 100.0) == pytest.approx(1.0)
 
     def test_market_below_fast_level(self):
-        assert leverage_correction(_levels(100.0, 90.0), PARAMS) == pytest.approx(1.091)
+        assert _leverage(100.0, 90.0) == pytest.approx(1.091)
 
     def test_market_above_fast_level(self):
-        assert leverage_correction(_levels(100.0, 110.0), PARAMS) == pytest.approx(0.909)
+        assert _leverage(100.0, 110.0) == pytest.approx(0.909)
 
     def test_above_one_iff_price_below_fast_level(self):
         rng = np.random.default_rng(0)
         fast = 100.0 * np.exp(0.05 * rng.standard_normal(10_000))
         last = 100.0 * np.exp(0.05 * rng.standard_normal(10_000))
-        corr = leverage_correction(_levels(fast, last), PARAMS)
+        corr = _leverage(fast, last)
         assert np.all((corr >= 1.0) == (last <= fast))
 
 
-def _vol_state(tilde_var_stock, tilde_var_index=1.0):
-    return VolState(tilde_var_index=tilde_var_index, tilde_var_stock=tilde_var_stock,
-                    sigma_index=np.sqrt(tilde_var_index),
-                    sigma_stock=np.sqrt(tilde_var_stock),
-                    index_seeded=True, stock_seeded=True)
-
-
-def _beta_state(tilde_beta, kappa):
-    state = init_beta_state()
-    object.__setattr__(state, "tilde_beta", tilde_beta)
-    object.__setattr__(state, "kappa", kappa)
-    object.__setattr__(state, "kappa_seeded", True)
-    return state
+def _elasticity(tilde_beta, tilde_var_stock, kappa=1.0):
+    """The engine's elasticity factor on yesterday's normalized beta, the
+    normalized stock variance (the index one at 1) and ``kappa``, with
+    ``delta`` formed as ``advance`` forms it."""
+    b = np.asarray(tilde_beta, dtype=float)
+    delta = np.sqrt(np.asarray(tilde_var_stock)) / np.sqrt(kappa) - 1.0
+    out = np.empty(np.broadcast_shapes(b.shape, delta.shape))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return _elasticity_map(b, delta, PARAMS, out, np.empty(out.shape, dtype=bool))[()]
 
 
 class TestElasticityCorrection:
     def test_ratio_at_tracked_level(self):
-        state = _beta_state(tilde_beta=1.0, kappa=4.0)
-        vols = _vol_state(tilde_var_stock=4.0)
-        assert elasticity_correction(state, vols, PARAMS) == pytest.approx(1.0)
+        assert _elasticity(1.0, 4.0, kappa=4.0) == pytest.approx(1.0)
 
     def test_unit_beta_positive_deviation(self):
         # ratio 10% above its tracked square root: 1 + 2 * 0.3 * 0.1
-        state = _beta_state(tilde_beta=1.0, kappa=1.0)
-        vols = _vol_state(tilde_var_stock=1.21)
-        assert elasticity_correction(state, vols, PARAMS) == pytest.approx(1.06)
+        assert _elasticity(1.0, 1.21) == pytest.approx(1.06)
 
     def test_low_beta_regime_is_neutral(self):
-        state = _beta_state(tilde_beta=0.4, kappa=1.0)
         for var in (0.25, 4.0, 100.0):
-            assert elasticity_correction(state, _vol_state(var), PARAMS) == 1.0
+            assert _elasticity(0.4, var) == 1.0
 
     def test_undefined_beta_is_neutral(self):
-        state = _beta_state(tilde_beta=float("nan"), kappa=1.0)
-        assert elasticity_correction(state, _vol_state(2.0), PARAMS) == 1.0
+        assert _elasticity(float("nan"), 2.0) == 1.0
 
     def test_neutral_when_elasticity_zero(self):
         rng = np.random.default_rng(1)
         betas = rng.uniform(-2.0, PARAMS.elasticity_lo, 10_000)
-        state = _beta_state(tilde_beta=betas, kappa=np.ones(10_000))
-        vols = _vol_state(tilde_var_stock=rng.uniform(0.5, 2.0, 10_000))
-        assert np.all(elasticity_correction(state, vols, PARAMS) == 1.0)
+        assert np.all(_elasticity(betas, rng.uniform(0.5, 2.0, 10_000)) == 1.0)
 
 
 class TestReactiveBetaEngine:
@@ -146,7 +126,7 @@ class TestReactiveBetaEngine:
 
     def test_degenerate_equivalence_plain(self):
         rng = np.random.default_rng(9)
-        params = ReactiveParams.degenerate()
+        params = degenerate_params()
         w = exp_weights(400, params.lambda_beta)
         for _ in range(20):
             r_i = 0.01 * rng.standard_normal(400)
@@ -159,7 +139,7 @@ class TestReactiveBetaEngine:
         # with the trailing-volatility normalization on, the degenerate
         # estimator is the least-squares slope reweighted by that variance
         rng = np.random.default_rng(10)
-        params = ReactiveParams.degenerate(hat_normalize=True)
+        params = degenerate_params(hat_normalize=True)
         T = 400
         base_w = exp_weights(T, params.lambda_beta)
         for _ in range(10):
@@ -178,22 +158,39 @@ class TestReactiveBetaEngine:
 
     def test_leverage_response_sign(self):
         # index flat, stock drops: the denormalization factor rises
-        prices = np.full(300, 100.0)
         engine = ReactiveBetaEngine(PARAMS)
         engine.start(100.0, 100.0)
         rng = np.random.default_rng(3)
         stock = 100.0 * np.cumprod(1 + 0.015 * rng.standard_normal(300))
-        for t in range(1, 300):
-            engine.step(prices[t], stock[t])
-        levels = engine.levels
+        engine.advance(np.full(299, 100.0), stock[1:])
 
-        def factor(lv, s_price, i_price):
-            return float(lv.stock_level * i_price / (s_price * lv.index_level))
+        def factor(stock_price):
+            # one more day on a copy of the engine, the index flat
+            day = copy.deepcopy(engine)
+            day.step(100.0, stock_price)
+            lv = day.levels
+            return float(lv.stock_level * 100.0 / (stock_price * lv.index_level))
 
-        from reactivebeta.volatility import update_levels
-        drop = update_levels(levels, 100.0, float(stock[-1]) * 0.95, PARAMS)
-        flat = update_levels(levels, 100.0, float(stock[-1]), PARAMS)
-        assert factor(drop, stock[-1] * 0.95, 100.0) > factor(flat, stock[-1], 100.0)
+        assert factor(stock[-1] * 0.95) > factor(stock[-1])
+
+    @pytest.mark.slow
+    def test_elasticity_lifts_mc5_normalized_beta(self):
+        # the mechanism of mc5's reactive bias: on the same paths, the
+        # elasticity correction lifts the final normalized beta by more
+        # than five standard errors of the paired mean difference
+        from reactivebeta.montecarlo import McConfig, generate_batch
+        n = 2048
+        batch = generate_batch(McConfig(model="mc5", T=1000, n_paths=n, seed=0), tracks=False)
+        index = 100.0 * np.cumprod(1.0 + batch.r_index, axis=1).T
+        stocks = 100.0 * np.cumprod(1.0 + batch.r_stock, axis=1).T
+        final = []
+        for slope in (PARAMS.elasticity_slope, 0.0):
+            engine = ReactiveBetaEngine(PARAMS.replace(elasticity_slope=slope))
+            engine.start(np.full(n, 100.0), np.full(n, 100.0))
+            engine.advance(index, stocks)
+            final.append(engine.beta_state.tilde_beta)
+        diff = final[0] - final[1]
+        assert diff.mean() > 5.0 * diff.std(ddof=1) / np.sqrt(n)
 
     def test_single_stock_scale_invariance(self):
         rng = np.random.default_rng(12)
@@ -248,86 +245,7 @@ class TestReactiveBetaEngine:
 
 
 # ---------------------------------------------------------------------------
-# the block-wise engine against the per-day functions, composed day by day
-
-
-def _update_beta_reference(state, r_index, r_stock, prev_tilde_var_index,
-                           corr_leverage, corr_elasticity, level, vol,
-                           index_price, stock_prices, params, stock_mask, stock_listed):
-    """One daily advance of the regression moments and the betas;
-    ``stock_mask`` marks the stocks with a return today, ``stock_listed``
-    those priced on an earlier day."""
-    lam = params.lambda_beta
-    r_i = np.asarray(r_index, dtype=float)
-    r_s = np.asarray(r_stock, dtype=float)
-    prev_var = np.asarray(prev_tilde_var_index, dtype=float)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        if params.hat_normalize:
-            scale = 1.0 / np.sqrt(prev_var)
-            index_ok = np.isfinite(scale)
-        else:
-            scale = np.ones_like(prev_var)
-            index_ok = np.isfinite(r_i)
-        hr_i = r_i * scale
-        hr_s = np.where(stock_mask, r_s, 0.0) * scale
-        adv_stock = stock_mask & index_ok
-        # from the day after the stock's first price, as its cross moments
-        listed = index_ok & stock_listed
-        var_index = np.where(listed, (1.0 - lam) * state.var_index + lam * hr_i * hr_i,
-                             state.var_index)
-        incr = np.where(adv_stock, hr_s * hr_i, 0.0)
-        cross = np.where(adv_stock, (1.0 - lam) * state.cross + lam * incr, state.cross)
-        denom = corr_leverage * corr_elasticity
-        cross_corrected = np.where(
-            adv_stock, (1.0 - lam) * state.cross_corrected + lam * incr / denom,
-            state.cross_corrected)
-        var_stock = np.where(adv_stock, (1.0 - lam) * state.var_stock + lam * hr_s * hr_s,
-                             state.var_stock)
-        ratio_sq = vol.tilde_var_stock / vol.tilde_var_index
-        ratio_ok = stock_mask & np.isfinite(ratio_sq) & (ratio_sq > 0.0)
-        kappa = np.where(ratio_ok, np.where(state.kappa_seeded,
-                                            (1.0 - lam) * state.kappa + lam * ratio_sq,
-                                            ratio_sq), state.kappa)
-        tilde_beta = np.where(var_index > 0.0, cross_corrected / var_index, np.nan)
-        level_ratio = (level.stock_level * index_price) / (stock_prices * level.index_level)
-        beta = tilde_beta * level_ratio * denom
-    return BetaState(
-        cross=cross, cross_corrected=cross_corrected, var_index=var_index,
-        var_stock=var_stock, kappa=kappa, kappa_seeded=state.kappa_seeded | ratio_ok,
-        tilde_beta=np.where(stock_mask, tilde_beta, state.tilde_beta),
-        beta=np.where(stock_mask, beta, state.beta))
-
-
-def _reference_run(index, stocks, params):
-    """Per-day beta, normalized beta, stock volatility, both correction
-    factors and whether the day adds a cross-moment increment (days
-    1..T-1), and the final states, from the per-day functions."""
-    levels = init_levels(index[0], stocks[0])
-    vols = init_vols(np.shape(index[0]), np.shape(stocks[0]))
-    state = init_beta_state(np.shape(index[0]), np.shape(stocks[0]))
-    tracks = {name: np.full(stocks.shape, np.nan)
-              for name in ("beta", "tilde_beta", "sigma_stock", "leverage", "elasticity")}
-    tracks["increment"] = np.zeros(stocks.shape, dtype=bool)
-    for t in range(1, len(stocks)):
-        s = stocks[t]
-        r_i, r_s = normalized_returns(levels, index[t], s)
-        corr_lev = leverage_correction(levels, params)
-        corr_ela = elasticity_correction(state, vols, params)
-        prev_var = vols.tilde_var_index
-        listed = np.isfinite(levels.last_stock)
-        levels = update_levels(levels, index[t], s, params)
-        vols = update_reactive_vols(vols, levels, r_i, r_s, params)
-        # a stock has a return when priced today and on an earlier day
-        state = _update_beta_reference(state, r_i, r_s, prev_var, corr_lev, corr_ela,
-                                       levels, vols, index[t], s, params, np.isfinite(r_s),
-                                       listed)
-        tracks["beta"][t], tracks["tilde_beta"][t] = state.beta, state.tilde_beta
-        tracks["sigma_stock"][t] = vols.sigma_stock
-        tracks["leverage"][t], tracks["elasticity"][t] = corr_lev, corr_ela
-        with np.errstate(invalid="ignore", divide="ignore"):
-            index_ok = np.isfinite(1.0 / np.sqrt(prev_var) if params.hat_normalize else r_i)
-        tracks["increment"][t] = np.isfinite(r_s) & index_ok
-    return tracks, (levels, vols, state)
+# the block-wise engine against the per-day forms of daily_reference
 
 
 def _ols_reference(returns, index_returns, params):
@@ -387,7 +305,7 @@ class TestBlockwiseEngine:
             monkeypatch.setattr(module, "block_rows", lambda width, total: min(block, total))
         params = PARAMS.replace(hat_normalize=hat)
         uni = _frozen_panel(seed=block)
-        expect, (levels, vols, state) = _reference_run(uni.index_prices, uni.prices, params)
+        expect, (levels, vols, state) = reference_run(uni.index_prices, uni.prices, params)
         panels = compute_panels(uni, params)
         assert np.array_equal(panels.re_beta, expect["beta"], equal_nan=True)
         assert np.array_equal(panels.re_sigma, expect["sigma_stock"], equal_nan=True)
@@ -419,7 +337,7 @@ class TestBlockwiseEngine:
         uni = _frozen_panel(seed=5)
         index = uni.index_prices.copy()
         index[100:] *= np.concatenate([1.023 ** np.arange(1, 31), np.full(73, 1.023 ** 30)])
-        expect, states = _reference_run(index, uni.prices, params)
+        expect, states = reference_run(index, uni.prices, params)
         assert np.any(expect[floor] == _CORRECTION_FLOOR)
         engine = ReactiveBetaEngine(params)
         engine.start(index[0], uni.prices[0])
@@ -465,7 +383,7 @@ class TestBlockwiseEngine:
         uni = Universe(dates=uni.dates, tickers=uni.tickers, prices=prices,
                        index_prices=uni.index_prices, supersector=uni.supersector)
         assert np.isnan(init_vols((), (4,)).sigma_stock).all()
-        expect, _ = _reference_run(uni.index_prices, prices, PARAMS)
+        expect, _ = reference_run(uni.index_prices, prices, PARAMS)
         for sigma in (expect["sigma_stock"], compute_panels(uni, PARAMS).re_sigma):
             assert np.isnan(sigma[:4, 0]).all() and np.isnan(sigma[:2, 1]).all()
             assert (sigma[4:, 0] > 0.0).all() and (sigma[2:, 1] > 0.0).all()
@@ -477,7 +395,7 @@ class TestBlockwiseEngine:
         index = 100.0 * np.cumprod(1.0 + batch.r_index, axis=1)
         stocks = 100.0 * np.cumprod(1.0 + batch.r_stock, axis=1)
         start = np.full((37, 1), 100.0)
-        expect, _ = _reference_run(np.hstack([start, index]).T,
+        expect, _ = reference_run(np.hstack([start, index]).T,
                                    np.hstack([start, stocks]).T, PARAMS)
         assert np.array_equal(together, expect["beta"][-1])
         for k in (0, 17, 36):

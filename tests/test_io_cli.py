@@ -384,6 +384,7 @@ class TestCli:
             assert 6 <= counts["evaluations"] <= 6 * 40
             assert counts["rho_clamped_days"] >= 1
         diagnostics, seconds = _diagnostics(out)
+        assert set(diagnostics["mc6"].pop("seconds")) == {"generate", "ols", "dcc", "adcc"}
         assert diagnostics == {"mc6": {"clamped": 0, "clamped_index": 0, "clamped_rho": 0,
                                        **payload["diagnostics"]}}
         assert set(seconds) == {"mc6"}
@@ -416,6 +417,7 @@ class TestCli:
         payload = json.loads((out / "simulate.json").read_text())["mc3"]
         assert (payload["clamped"], payload["clamped_index"]) == (clamped, clamped_index)
         diagnostics, seconds = _diagnostics(out)
+        assert set(diagnostics["mc3"].pop("seconds")) == {"generate", "ols"}
         assert diagnostics == {"mc3": {"clamped": clamped, "clamped_index": clamped_index,
                                        "clamped_rho": 0}}
         assert set(seconds) == {"mc3"}
@@ -448,6 +450,22 @@ class TestCli:
             == clamped_rho
         diagnostics, _ = _diagnostics(out)
         assert diagnostics["mc6"]["clamped_rho"] == clamped_rho
+
+    def test_simulate_times_each_estimator(self, tmp_path, monkeypatch):
+        # generation and every estimator run, the implicit ols too, summed
+        # over blocks and within the model's stage; simulate.json unchanged
+        import reactivebeta.benchmark as benchmark
+        monkeypatch.setattr(benchmark, "_BLOCK_PATHS", 16)
+        out = tmp_path / "sim"
+        assert main(["simulate", "--model", "mc1,mc3", "--estimator", "reactive,mad",
+                     "--paths", "40", "--days", "100", "--out", str(out)]) == 0
+        diagnostics, stages = _diagnostics(out)
+        for model in ("mc1", "mc3"):
+            seconds = diagnostics[model]["seconds"]
+            assert set(seconds) == {"generate", "ols", "reactive", "mad"}
+            assert all(s >= 0.0 for s in seconds.values())
+            assert sum(seconds.values()) <= stages[model]
+            assert "seconds" not in json.loads((out / "simulate.json").read_text())[model]
 
     def test_simulate_dump_paths(self, tmp_path):
         out = tmp_path / "dump"
@@ -692,6 +710,18 @@ class TestCli:
                      "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert "input error" in err and "'S07'" in err
+
+    @pytest.mark.parametrize("rows, named", [
+        ("AAA,Tech\nBBB,Banks\nAAA,Banks\nCCC,\n", ("'AAA'", "line 2", "line 4")),
+        ("AAA,Tech\nBBB,Banks\nCCC,\n", ("'CCC'", "line 4")),
+    ], ids=["conflicting", "blank"])
+    def test_sector_file_bad_label_exit_code(self, tmp_path, capsys, price_file, rows, named):
+        sectors = tmp_path / "sectors.csv"
+        sectors.write_text("ticker,supersector\n" + rows)
+        assert main(["estimate", "--prices", str(price_file), "--sectors", str(sectors),
+                     "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "input error" in err and all(s in err for s in named), err
 
     def test_stock_listed_after_first_day_gets_a_beta(self, tmp_path):
         # S1 has no price on days 0-2: it is seeded on day 3 and has a

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from daily_reference import fast_gap, update_levels
 from reactivebeta import montecarlo as mc
 from reactivebeta.beta import beta_elasticity
 from reactivebeta.montecarlo import (
@@ -14,7 +15,7 @@ from reactivebeta.evaluation import NumericalFailure
 from reactivebeta.params import DEFAULT_PARAMS, TRADING_DAYS, ReactiveParams
 from reactivebeta.strategies import synthetic_universe
 from reactivebeta.timeseries import block_rows, ema_rows
-from reactivebeta.volatility import LevelState, fast_gap, init_levels, update_levels
+from reactivebeta.volatility import LevelState, init_levels
 
 BATCH_ARRAYS = ("r_index", "r_stock", "true_beta", "true_rho", "true_sigma_index",
                 "true_sigma_stock")

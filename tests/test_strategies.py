@@ -29,7 +29,7 @@ def reference_factor(universe, t, strategy, panels, beta_source="ols", p=None):
     beta = panels.ols_beta[t] if beta_source == "ols" else panels.re_beta[t]
     sigma = panels.ols_sigma[t] if beta_source == "ols" else panels.re_sigma[t]
 
-    n = universe.n_stocks
+    n = universe.prices.shape[1]
     weights = np.zeros(n)
     mu_plus, mu_minus = {}, {}
     tick_order = np.arange(n)
@@ -142,7 +142,7 @@ class TestBuildFactor:
         k = 2  # 0.25 * 8
         assert fw.mu_plus[0] == pytest.approx(1.0 / (2 * k))
         assert fw.mu_minus[0] == pytest.approx(1.0 / (2 * k))
-        assert fw.gross() == pytest.approx(1.0)
+        assert np.abs(fw.weights).sum() == pytest.approx(1.0)
 
     def test_hand_solved_two_to_one_instance(self):
         # four stocks, one sector, unit volatility weights; the long leg
@@ -178,7 +178,7 @@ class TestBuildFactor:
                     fw = build_factor(uni, t, strat, panels, source)
                     beta = panels.ols_beta[t] if source == "ols" else panels.re_beta[t]
                     assert abs(fw.weights @ np.nan_to_num(beta)) < 1e-10
-                    assert fw.gross() <= 1.0 + 1e-12
+                    assert np.abs(fw.weights).sum() <= 1.0 + 1e-12
                     longs = fw.weights > 0
                     shorts = fw.weights < 0
                     assert longs.sum() >= 6 and shorts.sum() >= 6

@@ -1,19 +1,14 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from daily_reference import normalized_returns, update_levels
+from reactivebeta.beta import ReactiveBetaEngine
 from reactivebeta.params import ReactiveParams
-from reactivebeta.volatility import (
-    fast_gap,
-    filter_phi,
-    init_levels,
-    init_vols,
-    normalized_returns,
-    update_levels,
-    update_reactive_vols,
-)
+from reactivebeta.volatility import filter_phi, init_levels
 
 PARAMS = ReactiveParams()
 
@@ -54,23 +49,25 @@ class TestFilter:
             assert filter_phi(1e-9, phi) / 1e-9 == pytest.approx(1.0, rel=1e-6)
 
 
-def _steady_state(price=100.0, n_stocks=1):
-    s = np.full(n_stocks, price) if n_stocks > 1 else price
-    return init_levels(price, s)
+def _engine(price=100.0, n_stocks=1, params=PARAMS):
+    """An engine started on one day of equal prices: every gap zero."""
+    engine = ReactiveBetaEngine(params)
+    engine.start(price, np.full(n_stocks, price) if n_stocks > 1 else price)
+    return engine
 
 
 class TestLevels:
     def test_constant_prices_fixed_point(self):
-        levels = _steady_state()
-        for _ in range(50):
-            levels = update_levels(levels, 100.0, 100.0, PARAMS)
-        assert levels.index_level == pytest.approx(100.0, rel=1e-14)
-        assert levels.stock_level == pytest.approx(100.0, rel=1e-14)
+        engine = _engine()
+        engine.advance(np.full(50, 100.0), np.full(50, 100.0))
+        assert engine.levels.index_level == pytest.approx(100.0, rel=1e-14)
+        assert engine.levels.stock_level == pytest.approx(100.0, rel=1e-14)
 
     def test_index_drop_hand_recursion(self):
         # steady state then a single -1% index move, stepped by hand
         c, new = 100.0, 99.0
-        levels = update_levels(_steady_state(), new, new, PARAMS)
+        engine = _engine()
+        engine.step(new, new)
 
         slow = (1 - PARAMS.lambda_s) * c + PARAMS.lambda_s * new
         fast = (1 - PARAMS.lambda_f) * c + PARAMS.lambda_f * new
@@ -78,54 +75,53 @@ class TestLevels:
         z_slow = (slow - new) / new
         expect = new * (1 + math.tanh(PARAMS.phi * z_slow) / PARAMS.phi) \
                      * (1 + PARAMS.ell * gap_f)
-        assert levels.index_level == pytest.approx(expect, rel=1e-14)
+        assert engine.levels.index_level == pytest.approx(expect, rel=1e-14)
         # systematic term alone lifts the level ratio by ~ ell * 1% * (1 - lambda_f)
         assert PARAMS.ell * gap_f == pytest.approx(
             PARAMS.ell * 0.01 * (1 - PARAMS.lambda_f), rel=0.02)
 
     def test_stock_underperformance_lifts_stock_level(self):
         # index flat, stock loses 1%: stock level gains ~1% on the price
-        levels = update_levels(_steady_state(), 100.0, 99.0, PARAMS)
-        ratio = levels.stock_level / 99.0
+        engine = _engine()
+        engine.step(100.0, 99.0)
+        ratio = engine.levels.stock_level / 99.0
         z = (100.0 * (1 - PARAMS.lambda_s) + PARAMS.lambda_s * 99.0 - 99.0) / 99.0
         assert ratio == pytest.approx(1 + math.tanh(PARAMS.phi * z) / PARAMS.phi, rel=1e-14)
         assert ratio - 1 == pytest.approx(0.01, abs=2e-3)
 
     def test_rejects_bad_prices(self):
-        levels = _steady_state()
-        with pytest.raises(ValueError):
-            update_levels(levels, -1.0, 100.0, PARAMS)
-        with pytest.raises(ValueError):
-            update_levels(levels, 100.0, 0.0, PARAMS)
-        with pytest.raises(ValueError):
-            update_levels(levels, float("nan"), 100.0, PARAMS)
+        for index, stock in ((-1.0, 100.0), (100.0, 0.0), (float("nan"), 100.0)):
+            with pytest.raises(ValueError):
+                _engine().step(index, stock)
 
     def test_missing_stock_freezes_state(self):
-        levels = update_levels(_steady_state(price=100.0, n_stocks=3),
-                               101.0, np.array([101.0, np.nan, 99.0]), PARAMS)
+        engine = _engine(n_stocks=3)
+        engine.step(101.0, np.array([101.0, np.nan, 99.0]))
+        levels = engine.levels
         assert levels.slow_stock[1] == 100.0
         assert levels.stock_level[1] == 100.0
         assert levels.last_stock[1] == 100.0
         assert levels.slow_stock[0] != 100.0
+        assert engine.frozen_stock_days == 1
 
 
 class TestNormalizedReturns:
+    # a first return seeds its normalized variance with its square
     def test_steady_state_move(self):
-        r_i, r_s = normalized_returns(_steady_state(), 101.0, 101.0)
-        assert r_i == pytest.approx(0.01)
-        assert r_s == pytest.approx(0.01)
+        engine = _engine()
+        engine.step(101.0, 101.0)
+        assert math.sqrt(engine.vols.tilde_var_index) == pytest.approx(0.01)
+        assert math.sqrt(engine.vols.tilde_var_stock) == pytest.approx(0.01)
 
     def test_level_twice_price(self):
-        levels = _steady_state()
-        levels = type(levels)(
-            slow_index=levels.slow_index, fast_index=levels.fast_index,
-            slow_stock=levels.slow_stock, index_level=200.0, stock_level=200.0,
-            last_index=100.0, last_stock=100.0)
-        r_i, _ = normalized_returns(levels, 101.0, 101.0)
-        assert r_i == pytest.approx(0.005)
+        engine = _engine()
+        engine.levels = dataclasses.replace(engine.levels, index_level=200.0, stock_level=200.0)
+        engine.step(101.0, 101.0)
+        assert math.sqrt(engine.vols.tilde_var_index) == pytest.approx(0.005)
 
     def test_against_plain_python_recursion(self):
-        # independent scalar re-implementation of the level/return recursion
+        # independent scalar re-implementation of the reference's
+        # level/return recursion, which the engine is checked against
         rng = np.random.default_rng(11)
         prices_i = 100.0 * np.cumprod(1 + 0.01 * rng.standard_normal(100))
         prices_s = 100.0 * np.cumprod(1 + 0.02 * rng.standard_normal(100))
@@ -154,7 +150,6 @@ class TestNormalizedReturns:
         assert np.allclose(got, expected, rtol=1e-13, atol=1e-16)
 
     def test_uninitialized_state_error(self):
-        from reactivebeta.beta import ReactiveBetaEngine
         engine = ReactiveBetaEngine()
         with pytest.raises(RuntimeError):
             engine.step(100.0, 100.0)
@@ -162,48 +157,47 @@ class TestNormalizedReturns:
 
 class TestReactiveVols:
     def test_constant_return_fixed_point(self):
-        levels = _steady_state()
-        vols = init_vols()
-        for _ in range(2000):
-            vols = update_reactive_vols(vols, levels, 0.02, 0.02, PARAMS)
-        assert math.sqrt(vols.tilde_var_index) == pytest.approx(0.02, rel=1e-9)
+        # a steady 2% daily move: the level ratio settles, and the
+        # reactive vol at the fixed point is the move itself
+        engine = _engine()
+        prices = 100.0 * 1.02 ** np.arange(1, 2001)
+        engine.advance(prices, prices)
+        assert engine.vols.sigma_index == pytest.approx(0.02, rel=1e-9)
+        assert engine.vols.sigma_stock == pytest.approx(0.02, rel=1e-9)
 
     def test_level_ratio_conversion(self):
-        levels = init_levels(100.0, 100.0)
-        levels = type(levels)(
-            slow_index=100.0, fast_index=100.0, slow_stock=100.0,
-            index_level=108.0, stock_level=108.0, last_index=100.0, last_stock=100.0)
-        vols = init_vols()
-        vols = update_reactive_vols(vols, levels, 0.01, 0.01, PARAMS)
-        assert vols.sigma_index == pytest.approx(0.01 * 1.08)
+        engine = _engine()
+        engine.levels = dataclasses.replace(engine.levels, index_level=108.0)
+        engine.step(101.0, 101.0)
+        assert engine.vols.sigma_index == pytest.approx(
+            (1.0 / 108.0) * engine.levels.index_level / 101.0, rel=1e-14)
+        assert engine.levels.index_level / 101.0 != pytest.approx(1.0, abs=1e-3)
 
     def test_identity_sigma_price_equals_tilde_level(self):
         rng = np.random.default_rng(5)
         prices_i = 100 * np.cumprod(1 + 0.01 * rng.standard_normal(300))
         prices_s = 100 * np.cumprod(1 + 0.02 * rng.standard_normal(300))
-        levels = init_levels(prices_i[0], prices_s[0])
-        vols = init_vols()
+        engine = ReactiveBetaEngine(PARAMS)
+        engine.start(prices_i[0], prices_s[0])
         for t in range(1, 300):
-            r_i, r_s = normalized_returns(levels, prices_i[t], prices_s[t])
-            levels = update_levels(levels, prices_i[t], prices_s[t], PARAMS)
-            vols = update_reactive_vols(vols, levels, r_i, r_s, PARAMS)
+            engine.step(prices_i[t], prices_s[t])
+            levels, vols = engine.levels, engine.vols
             assert vols.sigma_index * prices_i[t] == pytest.approx(
                 math.sqrt(vols.tilde_var_index) * levels.index_level, rel=1e-12)
             assert vols.sigma_stock * prices_s[t] == pytest.approx(
                 math.sqrt(vols.tilde_var_stock) * levels.stock_level, rel=1e-12)
 
     def test_estimation_noise_scale(self):
-        # EMA variance of iid Gaussian input has relative std ~ sqrt(2 * lam)
+        # EMA variance of iid Gaussian input has relative std ~ sqrt(2 * lam);
+        # with both level EMAs at weight one and no leverage the level is the
+        # price, so the normalized returns are the iid raw returns
         rng = np.random.default_rng(2)
-        levels = _steady_state()
-        vols = init_vols()
-        track = []
-        for t in range(5000):
-            r = 0.01 * rng.standard_normal()
-            vols = update_reactive_vols(vols, levels, r, r, PARAMS)
-            if t > 200:
-                track.append(vols.tilde_var_index)
-        track = np.asarray(track)
+        prices = 100.0 * np.cumprod(1 + 0.01 * rng.standard_normal(5000))
+        engine = _engine(params=PARAMS.replace(lambda_s=1.0, lambda_f=1.0,
+                                               ell=0.0, ell_prime=0.0))
+        sigma = np.empty(5000)
+        engine.advance(prices, prices, sigma_out=sigma)
+        track = sigma[201:] ** 2
         rel_std = track.std() / track.mean()
         assert 0.12 < rel_std < 0.20
         frac_close = np.mean(np.abs(np.sqrt(track) / 0.01 - 1) < 0.16)
@@ -220,30 +214,26 @@ class TestScaleInvariance:
             for scale in (1.0, k):
                 prices_i = scale * 100 * np.cumprod(1 + r_i)
                 prices_s = scale * 100 * np.cumprod(1 + r_s)
-                levels = init_levels(prices_i[0], prices_s[0])
-                vols = init_vols()
-                for t in range(1, 120):
-                    tr_i, tr_s = normalized_returns(levels, prices_i[t], prices_s[t])
-                    levels = update_levels(levels, prices_i[t], prices_s[t], PARAMS)
-                    vols = update_reactive_vols(vols, levels, tr_i, tr_s, PARAMS)
-                out[scale] = (float(tr_i), float(tr_s),
+                engine = ReactiveBetaEngine(PARAMS)
+                engine.start(prices_i[0], prices_s[0])
+                engine.advance(prices_i[1:], prices_s[1:])
+                vols, levels = engine.vols, engine.levels
+                out[scale] = (float(vols.tilde_var_index), float(vols.tilde_var_stock),
                               float(vols.sigma_index), float(vols.sigma_stock),
                               float(levels.index_level / prices_i[-1]))
             assert out[1.0] == pytest.approx(out[k], rel=1e-12)
 
     def test_all_constant_fixed_point_vols_zero(self):
-        levels = _steady_state()
-        vols = init_vols()
-        for _ in range(10):
-            r_i, r_s = normalized_returns(levels, 100.0, 100.0)
-            levels = update_levels(levels, 100.0, 100.0, PARAMS)
-            vols = update_reactive_vols(vols, levels, r_i, r_s, PARAMS)
-        assert vols.sigma_index == 0.0
-        assert vols.sigma_stock == 0.0
-        assert levels.index_level / 100.0 == pytest.approx(1.0, rel=1e-14)
+        engine = _engine()
+        engine.advance(np.full(10, 100.0), np.full(10, 100.0))
+        assert engine.vols.sigma_index == 0.0
+        assert engine.vols.sigma_stock == 0.0
+        assert engine.levels.index_level / 100.0 == pytest.approx(1.0, rel=1e-14)
 
     def test_fast_gap_sign(self):
-        levels = update_levels(_steady_state(), 99.0, 99.0, PARAMS)
-        assert fast_gap(levels) > 0.0
-        levels = update_levels(_steady_state(), 101.0, 101.0, PARAMS)
-        assert fast_gap(levels) < 0.0
+        # the fast index EMA lags the price: above it after a drop
+        for move, sign in ((99.0, 1.0), (101.0, -1.0)):
+            engine = _engine()
+            engine.step(move, move)
+            levels = engine.levels
+            assert sign * (levels.fast_index - levels.last_index) / levels.fast_index > 0.0
