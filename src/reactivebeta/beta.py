@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .params import ReactiveParams
+from .params import DEFAULT_PARAMS, ReactiveParams
 from .timeseries import block_rows, ema_rows
 from .volatility import (
     LevelState,
@@ -143,8 +143,8 @@ class ReactiveBetaEngine:
     moment increment through a correction factor at ``_CORRECTION_FLOOR``.
     """
 
-    def __init__(self, params: Optional[ReactiveParams] = None):
-        self.params = params if params is not None else ReactiveParams()
+    def __init__(self, params: ReactiveParams = DEFAULT_PARAMS):
+        self.params = params
         self.levels: Optional[LevelState] = None
         self.vols: Optional[VolState] = None
         self.beta_state: Optional[BetaState] = None
@@ -351,7 +351,7 @@ class ReactiveBetaEngine:
 def reactive_beta_from_returns(
     r_index: np.ndarray,
     r_stock: np.ndarray,
-    params: Optional[ReactiveParams] = None,
+    params: ReactiveParams = DEFAULT_PARAMS,
 ):
     """Run the estimator over return paths and report the final beta.
 

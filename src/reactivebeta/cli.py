@@ -7,7 +7,8 @@ panel), ``simulate`` (the estimator benchmark on synthetic models),
 (leverage-gap regression on supplied series). Every run writes its
 outputs plus a manifest under ``--out``.
 
-Exit codes: 0 success, 1 input error, 2 numerical failure.
+Exit codes: 0 success, 1 input error (a usage error too), 2 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -202,9 +203,9 @@ def _cmd_backtest(args) -> int:
     sources = ["ols", "reactive"] if args.beta_source == "both" else [args.beta_source]
 
     out = _out_dir(args)
-    report = {}
+    report, windows = {}, {}
     for strat in strategies:
-        report[strat] = {}
+        report[strat], windows[strat] = {}, {}
         for source in sources:
             result = run_backtest(universe, strat, source, params, panels=panels)
             report[strat][source] = {
@@ -213,9 +214,14 @@ def _cmd_backtest(args) -> int:
                 "n_days": len(result.returns),
                 "skipped_days": result.skipped_days,
             }
+            windows[strat][source] = {
+                "n_windows": result.report.n_windows,
+                "n_undefined_windows": result.report.n_undefined_windows,
+            }
             print(f"{strat:<10} {source:<9} bias={result.report.bias:+.4f} "
                   f"corstd={result.report.corstd:.4f}")
     lap("backtests")
+    diagnostics["rolling_windows"] = windows
     diagnostics["stage_seconds"] = lap.seconds
     dest = out / "backtest.json"
     rio.write_json(dest, report)
@@ -290,13 +296,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Leverage-aware beta estimation, benchmarks and backtests.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", default=None, help="INI file with a [reactive] section")
-        p.add_argument("--seed", type=int, default=0)
+    def common(p, config=False, seed=False):
+        """``--out``, and ``--config`` and ``--seed`` where the command reads them."""
+        if config:
+            p.add_argument("--config", default=None, help="INI file with a [reactive] section")
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default="out", help="output directory")
 
     p = sub.add_parser("estimate", help="per-stock betas over time from a price panel")
-    common(p)
+    common(p, config=True)
     p.add_argument("--prices", required=True)
     p.add_argument("--index", default=None, help="index column name (default: first)")
     p.add_argument("--caps", default=None)
@@ -305,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("simulate", help="estimator benchmark on synthetic models")
-    common(p)
+    common(p, config=True, seed=True)
     p.add_argument("--model", default="mc1", help="comma list from mc1..mc7")
     p.add_argument("--estimator", default="ols,reactive",
                    help=f"comma list from {','.join(ESTIMATORS)}")
@@ -316,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("backtest", help="beta-neutral factor backtests")
-    common(p)
+    common(p, config=True, seed=True)
     p.add_argument("--prices", default=None)
     p.add_argument("--index", default=None)
     p.add_argument("--caps", default=None)
@@ -351,16 +360,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:   # argparse exits 2 on a usage error, an input error here
+        return 1 if exc.code == 2 else exc.code
     args.argv = argv    # the manifests record the arguments that ran
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError, configparser.Error) as exc:   # IngestError too
-        print(f"input error: {exc}", file=sys.stderr)
-        return 1
+    # numerical failures first: LinAlgError is a ValueError
     except (NumericalFailure, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
+    except (ValueError, OSError, configparser.Error) as exc:   # IngestError too
+        print(f"input error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -205,6 +205,9 @@ def ingest_prices(path, index_ticker: Optional[str] = None,
         raise IngestError(f"index column {index_ticker!r} has a missing value "
                           f"on {dates[bad]}")
     stock_cols = [j for j in range(len(tickers)) if j != idx_col]
+    if not stock_cols:
+        raise IngestError(f"{Path(path).name}: no stock column beside the index "
+                          f"{index_ticker!r}")
     stock_tickers = tuple(tickers[j] for j in stock_cols)
     prices = values[:, stock_cols]
     finite = prices[np.isfinite(prices)]
@@ -277,15 +280,14 @@ def _json_default(obj):
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def write_plot_data(path, x, y, fit: Optional[dict] = None,
-                    labels=("x", "y")) -> None:
-    """Two-column plot data with the fit parameters in comment lines."""
+def write_plot_data(path, x, y, fit: dict, labels) -> None:
+    """Two-column plot data headed ``labels``, with the fit parameters in
+    comment lines."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     with Path(path).open("w") as fh:
-        if fit:
-            for k, v in fit.items():
-                fh.write(f"# {k} = {v}\n")
+        for k, v in fit.items():
+            fh.write(f"# {k} = {v}\n")
         fh.write(f"{labels[0]},{labels[1]}\n")
         for xi, yi in zip(x, y):
             fh.write(f"{xi:.12g},{yi:.12g}\n")

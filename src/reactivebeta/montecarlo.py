@@ -58,25 +58,34 @@ _MODEL_IDS = {name: i for i, name in enumerate(MODELS, start=1)}
 # single extreme fat-tailed draw cannot push a price non-positive: mc3-mc5
 # floor each price, the other models each return at _PRICE_FLOOR - 1
 _PRICE_FLOOR = 0.05
-# the protocol's normalized (mc3-mc5) or constant (mc1/mc2) beta, and the
-# relaxation time in days and daily vol of vol of mc5's log-vol processes
+# the protocol's market: its normalized (mc3-mc5) or constant (mc1/mc2)
+# beta, the annual index and stock vols, the degrees of freedom of the
+# Student-t draws, and the relaxation time in days and daily vol of vol of
+# mc5's log-vol processes
 _BETA = 1.0
+_INDEX_VOL = 0.15
+_STOCK_VOL = 0.40
+_T_DOF = 3.0
 _OU_RELAXATION = 100.0
 _OU_VOLVOL = 0.04
 
 
+def _daily_vols():
+    """The protocol's daily index, stock and residual vols."""
+    root = np.sqrt(TRADING_DAYS)
+    return (_INDEX_VOL / root, _STOCK_VOL / root,
+            np.sqrt(_STOCK_VOL ** 2 - (_BETA * _INDEX_VOL) ** 2) / root)
+
+
 @dataclass(frozen=True)
 class McConfig:
-    """Generator settings (volatilities annual); defaults follow the
-    benchmark protocol, whose other terms are module constants."""
+    """Which model to simulate, how many days and paths, from which seed;
+    the market is the benchmark protocol's, set by module constants."""
 
     model: str
     T: int = 1000
     n_paths: int = 30_000
     seed: int = 0
-    stock_vol: float = 0.40
-    index_vol: float = 0.15
-    t_dof: float = 3.0
 
     def __post_init__(self) -> None:
         if self.model not in MODELS:
@@ -85,25 +94,6 @@ class McConfig:
             raise ValueError("T must be >= 2")
         if self.n_paths < 1:
             raise ValueError("n_paths must be >= 1")
-        if not (self.stock_vol > 0.0 and self.index_vol > 0.0):
-            raise ValueError("volatilities must be positive")
-        if self.stock_vol <= _BETA * self.index_vol:
-            raise ValueError("stock_vol must exceed beta * index_vol")
-        if self.t_dof <= 2.0:
-            raise ValueError("t_dof must exceed 2 (finite variance)")
-
-    @property
-    def daily_index_vol(self) -> float:
-        return self.index_vol / np.sqrt(TRADING_DAYS)
-
-    @property
-    def daily_stock_vol(self) -> float:
-        return self.stock_vol / np.sqrt(TRADING_DAYS)
-
-    @property
-    def daily_residual_vol(self) -> float:
-        return np.sqrt(self.stock_vol ** 2 - (_BETA * self.index_vol) ** 2) \
-            / np.sqrt(TRADING_DAYS)
 
 
 @dataclass(frozen=True)
@@ -196,18 +186,23 @@ def _floor_returns(r) -> int:
 
 
 def _path_generators(config: McConfig, offset: int, count: int):
-    root = np.random.SeedSequence([int(config.seed), _MODEL_IDS[config.model]])
-    children = root.spawn(offset + count)[offset:]
-    return [np.random.Generator(np.random.Philox(c)) for c in children]
+    # path i's stream is child i of the (seed, model) sequence, built
+    # without spawning the children before it
+    entropy = [int(config.seed), _MODEL_IDS[config.model]]
+    return [np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(entropy, spawn_key=(i,))))
+        for i in range(offset, offset + count)]
 
 
-def _draw_matrix(rngs, T: int, kind: str, dof: float = 3.0) -> np.ndarray:
+def _draw_matrix(rngs, T: int, kind: str) -> np.ndarray:
+    """One row of ``T`` draws per stream: standard normal, or Student-t
+    with ``_T_DOF`` degrees of freedom."""
     out = np.empty((len(rngs), T))
     for k, rng in enumerate(rngs):
         if kind == "normal":
             out[k] = rng.standard_normal(T)
         else:
-            out[k] = rng.standard_t(dof, size=T)
+            out[k] = rng.standard_t(_T_DOF, size=T)
     return out
 
 
@@ -238,19 +233,18 @@ def generate_batch(config: McConfig, offset: int = 0,
 
 def _gen_market_model(config: McConfig, rngs, path_ids, keep: int) -> McBatch:
     n, T = len(rngs), config.T
-    s_i, s_eps = config.daily_index_vol, config.daily_residual_vol
+    s_i, sig_i_tot, s_eps = _daily_vols()
     r_index = _draw_matrix(rngs, T, "normal")
     r_index *= s_i
     if config.model == "mc2":     # Student-t draws scaled to a std of s_eps
-        resid = _draw_matrix(rngs, T, "t", config.t_dof)
-        resid *= s_eps * np.sqrt((config.t_dof - 2.0) / config.t_dof)
+        resid = _draw_matrix(rngs, T, "t")
+        resid *= s_eps * np.sqrt((_T_DOF - 2.0) / _T_DOF)
     else:
         resid = _draw_matrix(rngs, T, "normal")
         resid *= s_eps
     r_stock = _BETA * r_index + resid
     clamped_index, clamped = _floor_returns(r_index), _floor_returns(r_stock)
 
-    sig_i_tot = config.daily_stock_vol
     rho = _BETA * s_i / sig_i_tot
     # the constant truth tracks are read-only views of one value each
     true_beta, true_rho, true_sig_i, true_sig_s = (
@@ -276,8 +270,8 @@ def _gen_level_driven(config: McConfig, rngs, path_ids, keep: int) -> McBatch:
     if config.model == "mc3":
         r_stock = _draw_matrix(rngs, T, "normal")
     else:
-        r_stock = _draw_matrix(rngs, T, "t", config.t_dof)
-        r_stock *= np.sqrt((config.t_dof - 2.0) / config.t_dof)
+        r_stock = _draw_matrix(rngs, T, "t")
+        r_stock *= np.sqrt((_T_DOF - 2.0) / _T_DOF)
     L = block_rows(n, T)
     # rows as in _level_days: row 0 the day before the block
     logs = np.zeros((L + 1, 2, n))      # log index vol, log relative vol
@@ -293,9 +287,11 @@ def _gen_level_driven(config: McConfig, rngs, path_ids, keep: int) -> McBatch:
         true_sig_i, true_sig_s = np.empty((2, n, keep))
     true_beta, true_rho = np.empty((2, n, keep))
 
+    daily_index, _, daily_resid = _daily_vols()
+
     def vols(lg):       # index and residual vols from the log-vols
-        return (config.daily_index_vol * np.exp(lg[:, 0]),
-                config.daily_residual_vol * np.exp(lg[:, 0] + lg[:, 1]))
+        return (daily_index * np.exp(lg[:, 0]),
+                daily_resid * np.exp(lg[:, 0] + lg[:, 1]))
 
     px, slow, lvl = np.full((3, L + 1, 2, n), 100.0)
     fast, gap = np.full(n, 100.0), np.zeros(n)
@@ -375,9 +371,10 @@ def _gen_dcc(config: McConfig, rngs, path_ids, keep: int) -> McBatch:
     asymmetric = config.model == "mc7"
     gcoef = ASYMMETRIC_GARCH_COEFFS if asymmetric else SYMMETRIC_GARCH_COEFFS
     dcoef = ASYMMETRIC_DCC_COEFFS if asymmetric else SYMMETRIC_DCC_COEFFS
-    rho_bar = _BETA * config.index_vol / config.stock_vol
-    gp_s = GarchParams(unconditional_sigma=config.daily_stock_vol, **gcoef)
-    gp_i = GarchParams(unconditional_sigma=config.daily_index_vol, **gcoef)
+    daily_index, daily_stock, _ = _daily_vols()
+    rho_bar = _BETA * _INDEX_VOL / _STOCK_VOL
+    gp_s = GarchParams(unconditional_sigma=daily_stock, **gcoef)
+    gp_i = GarchParams(unconditional_sigma=daily_index, **gcoef)
     dp = DccParams(rho_bar=rho_bar, **dcoef)
 
     # each day's draws become its returns in place

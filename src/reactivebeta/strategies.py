@@ -17,10 +17,10 @@ from typing import Optional
 
 import numpy as np
 
-from .params import TRADING_DAYS, ReactiveParams
+from .params import DEFAULT_PARAMS, ReactiveParams
 from .beta import ReactiveBetaEngine
 from .evaluation import HedgeReport, strategy_bias_corstd
-from .montecarlo import _level_days
+from .montecarlo import _daily_vols, _level_days
 from .timeseries import WeightedMoments, block_rows, ema_rows
 
 __all__ = [
@@ -40,7 +40,7 @@ __all__ = [
 
 STRATEGIES = ("low_vol", "reversal", "momentum", "size")
 
-#: default selection quantile per strategy
+#: selection quantile per strategy: each leg takes this share of a sector
 STRATEGY_QUANTILE = {"low_vol": 0.30, "reversal": 0.15,
                      "momentum": 0.15, "size": 0.30}
 
@@ -87,9 +87,10 @@ class Universe:
         return self.prices.shape[0]
 
 
-def auto_supersectors(caps, n_groups: int = N_SUPERSECTORS) -> np.ndarray:
-    """Partition stocks into similarly sized groups by the rank of their
-    mean capitalization over the priced days of ``caps`` (time x stock).
+def auto_supersectors(caps) -> np.ndarray:
+    """Partition stocks into ``N_SUPERSECTORS`` similarly sized groups by
+    the rank of their mean capitalization over the priced days of ``caps``
+    (time x stock).
 
     Intended for synthetic universes without real sector data; real data
     should supply its own labels.
@@ -100,7 +101,7 @@ def auto_supersectors(caps, n_groups: int = N_SUPERSECTORS) -> np.ndarray:
     mean_cap = np.divide(np.nansum(caps, axis=0), count,
                          out=np.full(count.shape, np.nan), where=count > 0)
     order = np.argsort(np.argsort(-mean_cap, kind="stable"), kind="stable")
-    return (order * n_groups) // mean_cap.size
+    return (order * N_SUPERSECTORS) // mean_cap.size
 
 
 @dataclass(frozen=True)
@@ -128,7 +129,7 @@ class UniversePanels:
 
 
 def compute_panels(universe: Universe,
-                   params: Optional[ReactiveParams] = None) -> UniversePanels:
+                   params: ReactiveParams = DEFAULT_PARAMS) -> UniversePanels:
     """Run both beta estimators over the whole panel once.
 
     The reactive track is :meth:`ReactiveBetaEngine.advance` over days
@@ -138,7 +139,6 @@ def compute_panels(universe: Universe,
     of its returns, and its first return gives a NaN slope. Both step in
     place a block of days at a time.
     """
-    params = params if params is not None else ReactiveParams()
     prices = universe.prices
     index = universe.index_prices
     T, n = prices.shape
@@ -244,25 +244,16 @@ class FactorWeights:
     weights: np.ndarray
     mu_plus: dict
     mu_minus: dict
-    p: float
-
-
-def _quantile(strategy: str, p: Optional[float]) -> float:
-    """The selection quantile: ``p``, or the strategy's default if None."""
-    p = STRATEGY_QUANTILE[strategy] if p is None else p
-    if not 0.0 < p <= 0.5:
-        raise ValueError("quantile p must lie in (0, 0.5]")
-    return p
 
 
 def build_factors(universe: Universe, days, strategy: str,
-                  panels: UniversePanels, beta_source: str = "ols",
-                  p: Optional[float] = None):
+                  panels: UniversePanels, beta_source: str = "ols"):
     """Beta-neutral weights for position dates ``days + 1``, each from data
     available through its day in ``days``, all days in one pass.
 
     Per day and supersector: rank by indicator (ties broken by ticker),
-    select the top and bottom ``round(p * N)`` stocks (at least one, never
+    select the top and bottom ``round(p * N)`` stocks at the strategy's
+    quantile ``p = STRATEGY_QUANTILE[strategy]`` (at least one, never
     overlapping), weight them inversely to volatility capped at the
     sector mean, then scale whichever leg carries the larger aggregate
     beta so the sector satisfies exact neutrality; the non-reduced leg's
@@ -286,7 +277,7 @@ def build_factors(universe: Universe, days, strategy: str,
     """
     if beta_source not in ("ols", "reactive"):
         raise ValueError("beta_source must be 'ols' or 'reactive'")
-    p = _quantile(strategy, p)
+    p = STRATEGY_QUANTILE[strategy]
     days = np.asarray(days)
     ind = indicator(strategy, universe, days, panels)
     beta = (panels.ols_beta if beta_source == "ols" else panels.re_beta)[days]
@@ -382,8 +373,8 @@ def _sum_down(x):
     return np.cumsum(x, axis=-1, out=x)[..., -1]
 
 
-def _factor_weights(universe: Universe, t: int, weights, mu_plus, mu_minus,
-                    p: float) -> FactorWeights:
+def _factor_weights(universe: Universe, t: int, weights, mu_plus,
+                    mu_minus) -> FactorWeights:
     """One day's row of ``build_factors`` as a FactorWeights."""
     labels = np.unique(universe.supersector)
     used = np.isfinite(mu_plus)
@@ -391,25 +382,23 @@ def _factor_weights(universe: Universe, t: int, weights, mu_plus, mu_minus,
     return FactorWeights(
         date=date, tickers=universe.tickers, weights=weights,
         mu_plus={int(s): float(v) for s, v in zip(labels[used], mu_plus[used])},
-        mu_minus={int(s): float(v) for s, v in zip(labels[used], mu_minus[used])},
-        p=p)
+        mu_minus={int(s): float(v) for s, v in zip(labels[used], mu_minus[used])})
 
 
 def build_factor(universe: Universe, t: int, strategy: str,
-                 panels: UniversePanels, beta_source: str = "ols",
-                 p: Optional[float] = None) -> Optional[FactorWeights]:
+                 panels: UniversePanels,
+                 beta_source: str = "ols") -> Optional[FactorWeights]:
     """Construct beta-neutral weights for position date ``t + 1`` from
     data available through day ``t``: ``build_factors`` for the single
     day ``t``. ``mu_plus``/``mu_minus`` map each used supersector to its
     leg multiplier. Returns None (factor skipped) when any sector's
     neutrality is unsolvable.
     """
-    p = _quantile(strategy, p)
     weights, mu_p, mu_m, skipped = build_factors(universe, [t], strategy, panels,
-                                                 beta_source, p)
+                                                 beta_source)
     if skipped[0]:
         return None
-    return _factor_weights(universe, t, weights[0], mu_p[0], mu_m[0], p)
+    return _factor_weights(universe, t, weights[0], mu_p[0], mu_m[0])
 
 
 @dataclass(frozen=True)
@@ -424,10 +413,10 @@ class BacktestResult:
 
 
 def backtest(universe: Universe, strategy: str, beta_source: str = "ols",
-             params: Optional[ReactiveParams] = None,
-             panels: Optional[UniversePanels] = None,
+             params: ReactiveParams = DEFAULT_PARAMS, *, panels: UniversePanels,
              keep_weights: bool = False) -> BacktestResult:
-    """Daily-rebalanced backtest of one strategy under one beta source.
+    """Daily-rebalanced backtest of one strategy under one beta source,
+    on the universe's ``panels`` from ``compute_panels`` at ``params``.
 
     Position weights for day ``d`` are built from data through ``d - 1``, by
     ``build_factors`` at ``STRATEGY_QUANTILE`` in blocks of ``_BLOCK_DAYS`` days;
@@ -436,22 +425,18 @@ def backtest(universe: Universe, strategy: str, beta_source: str = "ols",
     price). The report quotes the hedge bias (full-sample correlation
     with the index) and the dispersion of its 90-day rolling correlation.
     """
-    params = params if params is not None else ReactiveParams()
-    if panels is None:
-        panels = compute_panels(universe, params)
     window = INDICATOR_WINDOW[strategy]
     start = max(params.burn_in, window + 1, 90)
     T = universe.n_days
     if T - 1 - start <= 91:
         raise ValueError("universe too short for this strategy's warm-up")
 
-    p = STRATEGY_QUANTILE[strategy]
     rets, traded, kept = [], [], []
     skipped = 0
     for lo in range(start, T - 1, _BLOCK_DAYS):
         days = np.arange(lo, min(lo + _BLOCK_DAYS, T - 1))
         weights, mu_p, mu_m, skip = build_factors(universe, days, strategy, panels,
-                                                  beta_source, p)
+                                                  beta_source)
         skipped += int(skip.sum())
         day_ret = panels.returns[days + 1]
         day_ret = np.where(np.isfinite(day_ret), day_ret, 0.0)
@@ -460,7 +445,7 @@ def backtest(universe: Universe, strategy: str, beta_source: str = "ols",
             traded.append(days[i] + 1)
             if keep_weights:
                 kept.append(_factor_weights(universe, days[i], weights[i],
-                                            mu_p[i], mu_m[i], p))
+                                            mu_p[i], mu_m[i]))
 
     if len(rets) < 92:
         raise ValueError("not enough tradable days after warm-up")
@@ -482,22 +467,20 @@ def backtest(universe: Universe, strategy: str, beta_source: str = "ols",
 
 
 def synthetic_universe(n_stocks: int = 100, T: int = 1400, seed: int = 0,
-                       params: Optional[ReactiveParams] = None) -> Universe:
+                       params: ReactiveParams = DEFAULT_PARAMS) -> Universe:
     """Generate a panel whose conditional betas move with stock over- and
     underperformance, the dynamics the leverage-aware estimator targets.
 
-    One index drives all stocks, at the benchmark protocol's annual vols
-    (15% index, 40% stock); normalized returns with unit normalized beta
+    One index drives all stocks, at the benchmark protocol's vols
+    (``montecarlo._daily_vols``); normalized returns with unit normalized beta
     are mapped through the price-level recursion, so measured betas
     drift as each stock's price diverges from its slow average. Caps are
     fixed share counts times prices; supersectors are auto-partitioned.
     """
     if n_stocks < 1 or T < 2:
         raise ValueError(f"need at least 1 stock and 2 days, got {n_stocks} and {T}")
-    params = params if params is not None else ReactiveParams()
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, 9001])))
-    s_index = 0.15 / np.sqrt(TRADING_DAYS)
-    s_resid = np.sqrt(0.40 ** 2 - 0.15 ** 2) / np.sqrt(TRADING_DAYS)
+    s_index, _, s_resid = _daily_vols()
 
     # the shared index repeats in every column of the level kernel
     L = block_rows(n_stocks, T - 1)

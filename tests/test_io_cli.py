@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reactivebeta.cli import main
+from reactivebeta.cli import build_parser, main
+from reactivebeta.evaluation import NumericalFailure
 from reactivebeta.io import IngestError, _read_panel, ingest_prices, sha256_file
 from reactivebeta.params import ReactiveParams
 from reactivebeta.strategies import backtest, compute_panels, synthetic_universe
@@ -392,19 +393,19 @@ class TestCli:
     def test_simulate_reports_price_floor_hits(self, tmp_path, monkeypatch):
         # vols far beyond a market's floor both sides of mc3; the hits are
         # summed over blocks of paths, each side apart
-        import dataclasses
-
         import reactivebeta.benchmark as benchmark
+        import reactivebeta.montecarlo as mc
 
         batches = []
 
-        def wild_vols(config, offset=0, count=None, tracks=True):
-            config = dataclasses.replace(config, stock_vol=6.0, index_vol=3.0)
+        def recorded(config, offset=0, count=None, tracks=True):
             batches.append(generate(config, offset, count, tracks))
             return batches[-1]
 
         generate = benchmark.generate_batch
-        monkeypatch.setattr(benchmark, "generate_batch", wild_vols)
+        monkeypatch.setattr(benchmark, "generate_batch", recorded)
+        monkeypatch.setattr(mc, "_STOCK_VOL", 6.0)
+        monkeypatch.setattr(mc, "_INDEX_VOL", 3.0)
         monkeypatch.setattr(benchmark, "_BLOCK_PATHS", 16)
         out = tmp_path / "sim"
         code = main(["simulate", "--model", "mc3", "--estimator", "ols",
@@ -425,19 +426,18 @@ class TestCli:
     def test_simulate_reports_generator_rho_clamp(self, tmp_path, monkeypatch):
         # rho_bar = 0.999 puts mc6's correlation on its clamp on many
         # path-days; the count is summed over blocks beside the floor hits
-        import dataclasses
-
         import reactivebeta.benchmark as benchmark
+        import reactivebeta.montecarlo as mc
 
         batches = []
 
-        def tight_rho(config, offset=0, count=None, tracks=True):
-            config = dataclasses.replace(config, index_vol=0.3996)
+        def recorded(config, offset=0, count=None, tracks=True):
             batches.append(generate(config, offset, count, tracks))
             return batches[-1]
 
         generate = benchmark.generate_batch
-        monkeypatch.setattr(benchmark, "generate_batch", tight_rho)
+        monkeypatch.setattr(benchmark, "generate_batch", recorded)
+        monkeypatch.setattr(mc, "_INDEX_VOL", 0.3996)
         monkeypatch.setattr(benchmark, "_BLOCK_PATHS", 16)
         out = tmp_path / "sim"
         code = main(["simulate", "--model", "mc6", "--estimator", "ols",
@@ -617,18 +617,95 @@ class TestCli:
         manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
         assert manifest["argv"] == argv
 
-    def test_numerical_failure_exit_code(self, tmp_path, capsys, monkeypatch):
-        # the parser binds the command function at build time, so patching
-        # the module attribute reroutes the dispatcher
+    @pytest.mark.parametrize("command, stage, error", [
+        ("estimate", "compute_panels", FloatingPointError),
+        ("backtest", "run_backtest", np.linalg.LinAlgError),
+        ("simulate", "run_benchmark", NumericalFailure),
+    ])
+    def test_numerical_failure_exit_code(self, tmp_path, capsys, monkeypatch, price_file,
+                                         command, stage, error):
+        # each command fails inside its own stage, with one of the three
+        # errors main reads as a numerical failure
         import reactivebeta.cli as cli
 
-        def boom(args):
-            raise FloatingPointError("variance recursion diverged")
+        def boom(*args, **kwargs):
+            raise error("variance recursion diverged")
 
-        monkeypatch.setattr(cli, "_cmd_selection_bias", boom)
-        code = cli.main(["selection-bias", "--out", str(tmp_path / "o")])
+        monkeypatch.setattr(cli, stage, boom)
+        inputs = {"estimate": ["--prices", str(price_file), "--burn-in", "1"],
+                  "backtest": ["--prices", str(price_file)], "simulate": []}[command]
+        code = cli.main([command, *inputs, "--out", str(tmp_path / "o")])
         assert code == 2
-        assert "numerical failure" in capsys.readouterr().err
+        assert "numerical failure: variance recursion diverged" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--paths", "abc"],
+        ["simulate", "--no-such-flag"],
+        ["estimate"],
+        ["backtest", "--synthetic", "--strategy", "nope"],
+        ["estimate", "--prices", "p.csv", "--seed", "1"],
+        ["selection-bias", "--config", "run.ini"],
+    ], ids=["bad-int", "unknown-flag", "missing-prices", "bad-choice", "estimate-seed",
+            "selection-bias-config"])
+    def test_usage_error_exit_code(self, tmp_path, capsys, argv):
+        # a usage error is an input error, not the numerical failure's 2
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_help_exit_code(self, capsys):
+        assert main(["simulate", "--help"]) == 0
+        assert "--paths" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("fault", ["prices-is-a-directory", "out-is-a-file"])
+    def test_os_error_exit_code(self, tmp_path, capsys, price_file, fault):
+        prices, out = price_file, tmp_path / "o"
+        if fault == "prices-is-a-directory":
+            prices = tmp_path / "panel"
+            prices.mkdir()
+        else:
+            out.write_text("taken")
+        assert main(["estimate", "--prices", str(prices), "--burn-in", "1",
+                     "--out", str(out)]) == 1
+        assert "input error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["estimate", "backtest"])
+    def test_panel_without_a_stock_exit_code(self, tmp_path, capsys, command):
+        prices = tmp_path / "index_only.csv"
+        prices.write_text("date,INDEX\n2020-01-01,100\n2020-01-02,101\n2020-01-03,99\n")
+        out = tmp_path / "o"
+        assert main([command, "--prices", str(prices), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "input error: index_only.csv: no stock column" in err, err
+        assert not out.exists()
+
+    def test_every_flag_is_read(self):
+        # each flag of a subcommand is loaded as args.<dest> by its command
+        # function or by a function of the module it passes args to
+        import ast
+        import inspect
+
+        import reactivebeta.cli as cli
+
+        def attributes_read(fn, seen):
+            tree = ast.parse(inspect.getsource(fn))
+            read = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+                    and isinstance(n.value, ast.Name) and n.value.id == "args"}
+            for call in (n for n in ast.walk(tree) if isinstance(n, ast.Call)):
+                helper = getattr(cli, getattr(call.func, "id", ""), None)
+                passes_args = any(isinstance(a, ast.Name) and a.id == "args" for a in call.args)
+                if passes_args and inspect.isfunction(helper) and helper not in seen:
+                    seen.add(helper)
+                    read |= attributes_read(helper, seen)
+            return read
+
+        (sub,) = (a for a in build_parser()._actions if a.choices)
+        assert set(sub.choices) == {"estimate", "simulate", "backtest", "selection-bias",
+                                    "calibrate-ell"}
+        for name, parser in sub.choices.items():
+            func = parser.get_default("func")
+            dests = {a.dest for a in parser._actions if a.dest != "help"}
+            assert dests - attributes_read(func, {func}) == set(), name
 
     @pytest.mark.parametrize("command", ["estimate", "backtest"])
     def test_all_nan_beta_panel_exit_code(self, tmp_path, capsys, command):
@@ -661,6 +738,7 @@ class TestCli:
                 argv += ["--strategy", "reversal"]
             assert main(argv) == 0
             diagnostics, seconds = _diagnostics(out)
+            diagnostics.pop("rolling_windows", None)
             # the default model's corrections stay off their floors
             assert diagnostics == {"frozen_stock_days": 10 + 5 + 399,
                                    "leverage_floor_stock_days": 0,
@@ -668,6 +746,24 @@ class TestCli:
             assert set(seconds) == STAGES[command]
         assert "diagnostics" not in json.loads((tmp_path / "backtest" / "backtest.json")
                                                .read_text())
+
+    def test_manifest_counts_rolling_windows(self, tmp_path, csv_panel):
+        # one count pair per strategy and beta source, backtest.json as before
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[reactive]\nburn_in = 100\n")
+        out = tmp_path / "bt"
+        assert main(["backtest", "--prices", str(csv_panel.prices), "--caps",
+                     str(csv_panel.caps), "--config", str(cfg), "--strategy", "reversal",
+                     "--out", str(out)]) == 0
+        windows = _diagnostics(out)[0]["rolling_windows"]
+        report = json.loads((out / "backtest.json").read_text())
+        assert set(windows) == {"reversal"} and set(windows["reversal"]) == {"ols", "reactive"}
+        for source, counts in windows["reversal"].items():
+            assert set(counts) == {"n_windows", "n_undefined_windows"}
+            assert counts["n_windows"] == report["reversal"][source]["n_days"] - 89
+            assert 0 <= counts["n_undefined_windows"] < counts["n_windows"]
+            assert set(report["reversal"][source]) == {"bias", "corstd", "n_days",
+                                                       "skipped_days"}
 
     @staticmethod
     def _sector_file(path, tickers, skip=None):

@@ -60,8 +60,7 @@ def reference_level_driven(config):
     if config.model == "mc3":
         z_resid = mc._draw_matrix(rngs, T, "normal")
     else:
-        z_resid = mc._draw_matrix(rngs, T, "t", config.t_dof) \
-            * np.sqrt((config.t_dof - 2.0) / config.t_dof)
+        z_resid = mc._draw_matrix(rngs, T, "t") * np.sqrt((mc._T_DOF - 2.0) / mc._T_DOF)
     log_si, log_rel = np.zeros(n), np.zeros(n)
     if stochastic_vol:
         z_ou_index = mc._draw_matrix(rngs, T, "normal")
@@ -71,8 +70,9 @@ def reference_level_driven(config):
 
     index_price, stock_price = np.full(n, 100.0), np.full(n, 100.0)
     levels = init_levels(index_price, stock_price)
-    s_index = config.daily_index_vol * np.exp(log_si)
-    s_resid = config.daily_residual_vol * np.exp(log_si + log_rel)
+    daily_index, _, daily_resid = mc._daily_vols()
+    s_index = daily_index * np.exp(log_si)
+    s_resid = daily_resid * np.exp(log_si + log_rel)
     beta_norm = np.full(n, mc._BETA)
     ratio_prev = np.sqrt(beta_norm ** 2 * s_index ** 2 + s_resid ** 2) / s_index
     kappa = ratio_prev ** 2
@@ -102,8 +102,8 @@ def reference_level_driven(config):
             decay = 1.0 - 1.0 / mc._OU_RELAXATION
             log_si = log_si * decay + mc._OU_VOLVOL * z_ou_index[:, t + 1]
             log_rel = log_rel * decay + mc._OU_VOLVOL * z_ou_rel[:, t + 1]
-            s_index = config.daily_index_vol * np.exp(log_si)
-            s_resid = config.daily_residual_vol * np.exp(log_si + log_rel)
+            s_index = daily_index * np.exp(log_si)
+            s_resid = daily_resid * np.exp(log_si + log_rel)
         if stochastic_vol:
             true_beta = beta_norm * ((levels.stock_level * new_index)
                                      / (new_stock * levels.index_level))
@@ -147,29 +147,20 @@ class TestConfig:
         with pytest.raises(ValueError):
             McConfig(model="mc9")
 
-    def test_rejects_bad_dof(self):
-        with pytest.raises(ValueError):
-            McConfig(model="mc2", t_dof=2.0)
-
-    def test_rejects_inconsistent_vols(self):
-        with pytest.raises(ValueError):
-            McConfig(model="mc1", stock_vol=0.10, index_vol=0.15)
-
     def test_daily_scalings(self):
-        cfg = McConfig(model="mc1")
-        assert cfg.daily_index_vol == pytest.approx(0.15 / np.sqrt(255))
-        assert cfg.daily_residual_vol == pytest.approx(
-            np.sqrt(0.40 ** 2 - 0.15 ** 2) / np.sqrt(255))
+        daily_index, daily_stock, daily_resid = mc._daily_vols()
+        assert daily_index == pytest.approx(0.15 / np.sqrt(255))
+        assert daily_stock == pytest.approx(0.40 / np.sqrt(255))
+        assert daily_resid == pytest.approx(np.sqrt(0.40 ** 2 - 0.15 ** 2) / np.sqrt(255))
 
 
 class TestStudentT:
     """mc2's residuals: Student-t draws scaled to the residual vol."""
 
     @staticmethod
-    def residuals(seed, t_dof=3.0):
-        cfg = McConfig(model="mc2", T=1000, n_paths=2000, seed=seed, t_dof=t_dof)
-        batch = generate_batch(cfg)
-        return batch, (batch.r_stock - mc._BETA * batch.r_index) / cfg.daily_residual_vol
+    def residuals(seed):
+        batch = generate_batch(McConfig(model="mc2", T=1000, n_paths=2000, seed=seed))
+        return batch, (batch.r_stock - mc._BETA * batch.r_index) / mc._daily_vols()[2]
 
     def test_variance_normalization(self):
         batch, resid = self.residuals(0)
@@ -178,8 +169,9 @@ class TestStudentT:
         assert batch.r_stock.std() * ann == pytest.approx(0.40, rel=0.02)
         assert batch.r_index.std() * ann == pytest.approx(0.15, rel=0.02)
 
-    def test_large_dof_is_nearly_gaussian(self):
-        _, resid = self.residuals(1, t_dof=1e6)
+    def test_large_dof_is_nearly_gaussian(self, monkeypatch):
+        monkeypatch.setattr(mc, "_T_DOF", 1e6)
+        _, resid = self.residuals(1)
         excess = float(((resid - resid.mean()) ** 4).mean() / resid.var() ** 2 - 3.0)
         assert abs(excess) < 0.1
 
@@ -228,6 +220,17 @@ class TestReproducibility:
             for name in BATCH_ARRAYS:
                 assert np.array_equal(getattr(whole, name)[:5], getattr(first, name)), model
                 assert np.array_equal(getattr(whole, name)[5:], getattr(second, name)), model
+
+    def test_path_stream_is_the_spawned_child(self):
+        # path i's stream is child i of the (seed, model) sequence, built
+        # without spawning the i children before it
+        cfg = McConfig(model="mc4", n_paths=20_000, seed=5)
+        child = np.random.SeedSequence([5, 4]).spawn(12_346)[12_345]
+        (rng,) = mc._path_generators(cfg, 12_345, 1)
+        assert np.array_equal(rng.bit_generator.seed_seq.generate_state(8),
+                              child.generate_state(8))
+        expect = np.random.Generator(np.random.Philox(child)).standard_normal(5)
+        assert np.array_equal(rng.standard_normal(5), expect)
 
     def test_seed_changes_paths(self):
         a = generate_batch(McConfig(model="mc1", T=40, n_paths=4, seed=1))
@@ -320,11 +323,12 @@ class TestLevelPriceStep:
         assert index_floored > 0 and stock_floored > 0
 
     @pytest.mark.parametrize("model", ["mc3", "mc4"])
-    def test_underflowing_price_is_numerical_failure(self, model):
+    def test_underflowing_price_is_numerical_failure(self, model, monkeypatch):
         # vols this large floor the index day after day until it leaves the
         # normal floats: a numerical failure, not a bad-input ValueError
-        cfg = McConfig(model=model, T=1000, n_paths=60, seed=0,
-                       stock_vol=6.0, index_vol=3.0)
+        monkeypatch.setattr(mc, "_STOCK_VOL", 6.0)
+        monkeypatch.setattr(mc, "_INDEX_VOL", 3.0)
+        cfg = McConfig(model=model, T=1000, n_paths=60, seed=0)
         with pytest.raises(NumericalFailure, match="underflowed"):
             generate_batch(cfg)
 
@@ -364,9 +368,11 @@ class TestLevelKernel:
         assert (batch.clamped, batch.clamped_index) == (clamped, clamped_index)
 
     @pytest.mark.parametrize("model", ["mc3", "mc4", "mc5"])
-    def test_both_floors_counted_apart(self, model):
+    def test_both_floors_counted_apart(self, model, monkeypatch):
         # vols this large floor both sides often within 100 days
-        cfg = McConfig(model=model, T=100, n_paths=60, seed=0, stock_vol=6.0, index_vol=3.0)
+        monkeypatch.setattr(mc, "_STOCK_VOL", 6.0)
+        monkeypatch.setattr(mc, "_INDEX_VOL", 3.0)
+        cfg = McConfig(model=model, T=100, n_paths=60, seed=0)
         batch = generate_batch(cfg)
         expect, clamped, clamped_index = reference_level_driven(cfg)
         for name in BATCH_ARRAYS:
@@ -423,10 +429,11 @@ class TestReturnFloor:
     each price at 5% of the previous one."""
 
     @pytest.mark.parametrize("model", ["mc1", "mc2", "mc6", "mc7"])
-    def test_returns_floored_and_counted(self, model):
+    def test_returns_floored_and_counted(self, model, monkeypatch):
         # vols this large take both sides below -95% often within 50 days
-        batch = generate_batch(McConfig(model=model, T=50, n_paths=20, seed=0,
-                                        stock_vol=30.0, index_vol=20.0))
+        monkeypatch.setattr(mc, "_STOCK_VOL", 30.0)
+        monkeypatch.setattr(mc, "_INDEX_VOL", 20.0)
+        batch = generate_batch(McConfig(model=model, T=50, n_paths=20, seed=0))
         floor = mc._PRICE_FLOOR - 1.0
         assert batch.r_index.min() == batch.r_stock.min() == floor
         assert batch.clamped == np.count_nonzero(batch.r_stock == floor) > 0
@@ -492,12 +499,12 @@ class TestDccModels:
 
 
 class TestGeneratorRhoClamp:
-    # rho_bar = index_vol / 0.40: mc6's correlation hovers about rho_bar =
+    # rho_bar = _INDEX_VOL / 0.40: mc6's correlation hovers about rho_bar =
     # 0.999, mc7's asymmetry lifts rho_bar = 0.98 onto the clamp
     @pytest.mark.parametrize("model, index_vol", [("mc6", 0.3996), ("mc7", 0.392)])
-    def test_counts_clamped_path_days(self, model, index_vol):
-        batch = generate_batch(McConfig(model=model, T=300, n_paths=20, seed=2,
-                                        index_vol=index_vol, stock_vol=0.40))
+    def test_counts_clamped_path_days(self, model, index_vol, monkeypatch):
+        monkeypatch.setattr(mc, "_INDEX_VOL", index_vol)
+        batch = generate_batch(McConfig(model=model, T=300, n_paths=20, seed=2))
         held = np.count_nonzero(np.abs(batch.true_rho) == mc._RHO_CLAMP)
         assert batch.clamped_rho == held
         assert 0 < held < batch.true_rho.size

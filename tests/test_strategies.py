@@ -21,10 +21,10 @@ from reactivebeta.timeseries import exp_weighted_moments
 PARAMS = ReactiveParams()
 
 
-def reference_factor(universe, t, strategy, panels, beta_source="ols", p=None):
+def reference_factor(universe, t, strategy, panels, beta_source="ols"):
     """One day's factor, one supersector at a time: the loop the batch
     construction replaced. Returns None or (weights, mu_plus, mu_minus)."""
-    p = STRATEGY_QUANTILE[strategy] if p is None else p
+    p = STRATEGY_QUANTILE[strategy]
     ind = indicator(strategy, universe, t, panels)
     beta = panels.ols_beta[t] if beta_source == "ols" else panels.re_beta[t]
     sigma = panels.ols_sigma[t] if beta_source == "ols" else panels.re_sigma[t]
@@ -128,7 +128,7 @@ class TestBuildFactor:
         uni = _flat_universe(n_stocks=3)
         panels = _panels_with(uni, ols_beta=np.array([0.5, 1.0, 1.5]),
                               ols_sigma=np.array([0.02, 0.02, 0.02]))
-        fw = build_factor(uni, 10, "low_vol", panels, "ols", p=0.3)
+        fw = build_factor(uni, 10, "low_vol", panels, "ols")
         assert fw.weights[2] > 0.0
         assert fw.weights[0] < 0.0
         assert fw.weights[1] == 0.0
@@ -138,13 +138,13 @@ class TestBuildFactor:
         panels = _panels_with(uni, ols_beta=np.ones(8),
                               ols_sigma=np.full(8, 0.02))
         panels.ols_beta[:] = 1.0
-        fw = build_factor(uni, 10, "size", panels, "ols", p=0.25)
-        k = 2  # 0.25 * 8
+        fw = build_factor(uni, 10, "size", panels, "ols")
+        k = 2  # round(0.3 * 8)
         assert fw.mu_plus[0] == pytest.approx(1.0 / (2 * k))
         assert fw.mu_minus[0] == pytest.approx(1.0 / (2 * k))
         assert np.abs(fw.weights).sum() == pytest.approx(1.0)
 
-    def test_hand_solved_two_to_one_instance(self):
+    def test_hand_solved_two_to_one_instance(self, monkeypatch):
         # four stocks, one sector, unit volatility weights; the long leg
         # carries twice the short leg's aggregate beta, so its multiplier
         # halves from the cap 1/(2 p N)
@@ -153,18 +153,20 @@ class TestBuildFactor:
         uni.caps[:] = caps
         panels = _panels_with(uni, ols_beta=np.array([2.0, 2.0, 1.0, 1.0]),
                               ols_sigma=np.full(4, 0.02))
-        fw = build_factor(uni, 10, "size", panels, "ols", p=0.5)
+        monkeypatch.setitem(STRATEGY_QUANTILE, "size", 0.5)
+        fw = build_factor(uni, 10, "size", panels, "ols")
         cap = 1.0 / (2 * 2)
         assert fw.mu_minus[0] == pytest.approx(cap)
         assert fw.mu_plus[0] == pytest.approx(cap / 2.0)
         assert fw.weights @ np.array([2.0, 2.0, 1.0, 1.0]) == pytest.approx(0.0, abs=1e-12)
 
-    def test_volatility_cap(self):
+    def test_volatility_cap(self, monkeypatch):
         uni = _flat_universe(n_stocks=4)
         uni.caps[:] = np.array([4.0, 3.0, 2.0, 1.0])
         sigma = np.array([0.01, 0.04, 0.04, 0.01])  # mean 0.025
         panels = _panels_with(uni, ols_beta=np.ones(4), ols_sigma=sigma)
-        fw = build_factor(uni, 10, "size", panels, "ols", p=0.5)
+        monkeypatch.setitem(STRATEGY_QUANTILE, "size", 0.5)
+        fw = build_factor(uni, 10, "size", panels, "ols")
         base = np.minimum(1.0, sigma.mean() / sigma)
         assert abs(fw.weights[0]) == pytest.approx(fw.mu_plus[0] * 1.0)
         assert abs(fw.weights[1]) == pytest.approx(fw.mu_plus[0] * base[1])
@@ -190,12 +192,13 @@ class TestBuildFactor:
         b = build_factor(uni, 390, "reversal", panels, "ols")
         assert np.array_equal(a.weights, b.weights)
 
-    def test_unsolvable_leg_skips_factor(self):
+    def test_unsolvable_leg_skips_factor(self, monkeypatch):
         uni = _flat_universe(n_stocks=4)
         uni.caps[:] = np.array([4.0, 3.0, 2.0, 1.0])
         panels = _panels_with(uni, ols_beta=np.array([1.0, 1.0, -0.5, -0.5]),
                               ols_sigma=np.full(4, 0.02))
-        assert build_factor(uni, 10, "size", panels, "ols", p=0.5) is None
+        monkeypatch.setitem(STRATEGY_QUANTILE, "size", 0.5)
+        assert build_factor(uni, 10, "size", panels, "ols") is None
 
 
 def _assert_backtest_matches_reference(uni, panels, strategy, source):
@@ -339,7 +342,7 @@ class TestBacktest:
                        index_prices=path,
                        supersector=np.arange(n) % 6,
                        caps=np.tile(path[:, None], (1, n)))
-        result = backtest(uni, "reversal", "ols", PARAMS)
+        result = backtest(uni, "reversal", "ols", PARAMS, panels=compute_panels(uni, PARAMS))
         assert np.max(np.abs(result.returns)) < 1e-12
 
     def test_reversal_direction_single_seed(self):
@@ -352,18 +355,20 @@ class TestBacktest:
 
     def test_too_short_universe_rejected(self):
         uni = synthetic_universe(n_stocks=20, T=300, seed=6)
+        panels = compute_panels(uni, PARAMS)
         with pytest.raises(ValueError):
-            backtest(uni, "reversal", "ols", PARAMS)
+            backtest(uni, "reversal", "ols", PARAMS, panels=panels)
 
     def test_momentum_runs_with_long_history(self):
         uni = synthetic_universe(n_stocks=40, T=900, seed=7)
-        result = backtest(uni, "momentum", "ols", PARAMS)
+        result = backtest(uni, "momentum", "ols", PARAMS, panels=compute_panels(uni, PARAMS))
         assert len(result.returns) > 100
         assert np.isfinite(result.report.bias)
 
     def test_keep_weights_aligned(self):
         uni = synthetic_universe(n_stocks=30, T=500, seed=8)
-        result = backtest(uni, "size", "reactive", PARAMS, keep_weights=True)
+        result = backtest(uni, "size", "reactive", PARAMS, panels=compute_panels(uni, PARAMS),
+                          keep_weights=True)
         assert len(result.weights) == len(result.returns)
         assert result.weights[0].date == result.dates[0]
 
@@ -421,10 +426,11 @@ class TestSyntheticUniverse:
         assert np.array_equal(a.prices, b.prices)
 
     def test_auto_supersectors_by_cap_rank(self):
-        caps = np.array([[10.0, 1.0, 5.0, 8.0, 2.0, 7.0]])
-        groups = auto_supersectors(caps, n_groups=3)
-        assert groups[0] == 0          # largest cap in first group
-        assert groups[1] == 2          # smallest cap in last group
+        caps = np.array([[10.0, 1.0, 5.0, 8.0, 2.0, 7.0, 3.0, 4.0, 6.0, 9.0, 12.0, 11.0]])
+        groups = auto_supersectors(caps)
+        assert groups[10] == groups[11] == 0    # largest caps in first group
+        assert groups[1] == groups[4] == 5      # smallest caps in last group
+        assert np.array_equal(np.bincount(groups), np.full(6, 2))
 
     def test_universe_validation(self):
         with pytest.raises(ValueError):
