@@ -34,10 +34,9 @@ ESTIMATORS = ("ols", "reactive", "dcc", "adcc", "mad", "trm")
 #: trailing trading days defining the winner/loser split
 WINNER_WINDOW = 21
 
-#: paths generated and estimated at once; bounds a block's memory
-_BLOCK_PATHS = 4096
-#: paths per ols, quantile or (A)DCC solve (each path's bits hold in any batch)
-_SOLVE_PATHS = 1024
+#: paths generated and estimated at once; bounds a block's memory (each
+#: path draws its own stream, and its estimates have the same bits in any batch)
+_BLOCK_PATHS = 1024
 
 
 def path_flags(batch: McBatch):
@@ -72,34 +71,22 @@ def _estimate(name: str, batch: McBatch, params: ReactiveParams, slopes: dict):
     r_s, r_i = batch.r_stock, batch.r_index
     lam = params.lambda_beta
 
-    def by_parts(solve) -> np.ndarray:
-        return np.concatenate([solve(r_i[k:k + _SOLVE_PATHS], r_s[k:k + _SOLVE_PATHS])
-                               for k in range(0, batch.n_paths, _SOLVE_PATHS)])
-
     def slope(theta: float) -> np.ndarray:
         if theta not in slopes:
-            slopes[theta] = by_parts(lambda x, y: quantile_beta_batch(x, y, theta, lam)[1])
+            slopes[theta] = quantile_beta_batch(r_i, r_s, theta, lam)[1]
         return slopes[theta]
 
     if name == "ols":
-        return by_parts(lambda x, y: ols_beta_batch(x, y, lam)), None
+        return ols_beta_batch(r_i, r_s, lam), None
     if name == "mad":
         return slope(0.5), None
     if name == "trm":
         return trimean(slope), None
     if name in ("dcc", "adcc"):
-        cals = []
-
-        def dcc_part(x, y):
-            beta, cal = dcc_beta_batch(y, x, asymmetric=name == "adcc", lam=lam)
-            cals.append(cal)
-            return beta
-
-        beta = by_parts(dcc_part)
+        beta, cal = dcc_beta_batch(r_s, r_i, asymmetric=name == "adcc", lam=lam)
         summed = ("converged", "at_bound", "evaluations", "rho_clamped_days")
         return beta, {"paths": batch.n_paths,
-                      **{key: int(sum(np.sum(getattr(cal, key)) for cal in cals))
-                         for key in summed}}
+                      **{key: int(np.sum(getattr(cal, key))) for key in summed}}
     if name == "reactive":
         return np.asarray(reactive_beta_from_returns(r_i, r_s, params=params)), None
     raise ValueError(f"unknown estimator {name!r}; expected one of {ESTIMATORS}")
@@ -153,7 +140,7 @@ def run_benchmark(model: str, estimators: Sequence[str] = ("ols", "reactive"),
     """
     for name in estimators:
         if name not in ESTIMATORS:
-            raise ValueError(f"unknown estimator {name!r}")
+            raise ValueError(f"unknown estimator {name!r}; pick from {ESTIMATORS}")
     config = McConfig(model=model, T=T, n_paths=n_paths, seed=seed)
 
     wanted = list(dict.fromkeys(estimators))

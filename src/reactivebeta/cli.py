@@ -49,8 +49,12 @@ def _load_params(config_path) -> ReactiveParams:
     read = parser.read(config_path)
     if not read:
         raise rio.IngestError(f"config file {config_path} not found")
+    for name in parser.sections():
+        if name != "reactive":
+            raise rio.IngestError(f"{config_path}: unknown section [{name}]; "
+                                  f"expected [reactive] only")
     if not parser.has_section("reactive"):
-        return ReactiveParams()
+        raise rio.IngestError(f"{config_path}: no [reactive] section")
     section = parser["reactive"]
     defaults = DEFAULT_PARAMS.__dict__
     # each value parses by the type of its default
@@ -144,9 +148,6 @@ def _cmd_estimate(args) -> int:
 def _cmd_simulate(args) -> int:
     params = _load_params(args.config)
     estimators = [e.strip() for e in args.estimator.split(",") if e.strip()]
-    for e in estimators:
-        if e not in ESTIMATORS:
-            raise rio.IngestError(f"unknown estimator {e!r}; pick from {ESTIMATORS}")
     out = _out_dir(args)
     results = {}
     lap = _Laps()
@@ -185,10 +186,13 @@ def _cmd_simulate(args) -> int:
 def _cmd_backtest(args) -> int:
     params = _load_params(args.config)
     lap = _Laps()
+    config = {"strategy": args.strategy, "beta_source": args.beta_source,
+              "synthetic": bool(args.synthetic)}
     if args.synthetic:
         universe = synthetic_universe(n_stocks=args.stocks, T=args.days,
                                       seed=args.seed, params=params)
         inputs = []
+        config.update(stocks=args.stocks, days=args.days, seed=args.seed)
     else:
         if not args.prices:
             raise rio.IngestError("provide --prices or --synthetic")
@@ -226,10 +230,7 @@ def _cmd_backtest(args) -> int:
     dest = out / "backtest.json"
     rio.write_json(dest, report)
     rio.write_manifest(out / "manifest.json", "backtest",
-                       {"strategy": args.strategy, "beta_source": args.beta_source,
-                        "synthetic": bool(args.synthetic), "stocks": args.stocks,
-                        "days": args.days, "seed": args.seed,
-                        "params": params.__dict__},
+                       {**config, "params": params.__dict__},
                        inputs=inputs, outputs=[dest], diagnostics=diagnostics,
                        argv=args.argv)
     return 0

@@ -745,53 +745,23 @@ class TestSharedMedianFit:
             assert repr(shared.rows[name].to_dict()) == repr(alone.rows[name].to_dict())
 
 
-class TestSolveParts:
-    def test_parts_keep_every_bit(self, monkeypatch):
-        # ols and each quantile level are solved over parts of a block of
-        # at most _SOLVE_PATHS paths, which leaves every estimate's bits
+class TestBlockSize:
+    def test_rows_do_not_depend_on_block_size(self, monkeypatch):
+        # each path draws its own stream and its estimates have the same
+        # bits in any batch, so blocks of 7 paths (7, 7, 6) give the rows
+        # and the (A)DCC counts of one block of 20
         import reactivebeta.benchmark as benchmark
-        from reactivebeta.montecarlo import McConfig, generate_batch
 
-        batch = generate_batch(McConfig(model="mc4", T=150, n_paths=10, seed=3))
-        whole = {name: benchmark.estimate_batch(name, batch) for name in ("ols", "mad", "trm")}
-        solve, sizes = benchmark.quantile_beta_batch, []
-
-        def counting(x, y, theta, lam):
-            sizes.append(len(x))
-            return solve(x, y, theta, lam)
-
-        monkeypatch.setattr(benchmark, "quantile_beta_batch", counting)
-        monkeypatch.setattr(benchmark, "_SOLVE_PATHS", 4)
-        for name, est in whole.items():
-            assert np.array_equal(benchmark.estimate_batch(name, batch), est)
-        assert sizes == 4 * [4, 4, 2]   # mad's median, then trm's three levels
-
-    @pytest.mark.parametrize("name", ["dcc", "adcc"])
-    def test_dcc_parts_keep_every_bit(self, monkeypatch, name):
-        # (A)DCC is calibrated over parts of at most _SOLVE_PATHS paths too;
-        # the betas and the summed counts are those of one whole-batch fit
-        import reactivebeta.benchmark as benchmark
-        from reactivebeta.montecarlo import McConfig, generate_batch
-
-        batch = generate_batch(McConfig(model="mc6", T=150, n_paths=20, seed=3))
-        beta, cal = dcc_beta_batch(batch.r_stock, batch.r_index, asymmetric=name == "adcc",
-                                   lam=DEFAULT_LAM)
-        fit, widths = benchmark.dcc_beta_batch, []
-
-        def recording(r_stock, r_index, **kwargs):
-            widths.append(len(r_stock))
-            return fit(r_stock, r_index, **kwargs)
-
-        monkeypatch.setattr(benchmark, "dcc_beta_batch", recording)
-        monkeypatch.setattr(benchmark, "_SOLVE_PATHS", 7)
-        est, counts = benchmark._estimate(name, batch, DEFAULT_PARAMS, {})
-        assert widths == [7, 7, 6]
-        assert np.array_equal(est, beta, equal_nan=True)
-        assert counts == {"paths": 20,
-                          "converged": int(np.count_nonzero(cal.converged)),
-                          "at_bound": int(np.count_nonzero(cal.at_bound)),
-                          "evaluations": cal.evaluations,
-                          "rho_clamped_days": int(np.sum(cal.rho_clamped_days))}
+        runs = [dict(model=model, estimators=ESTIMATORS, n_paths=20, T=150, seed=3)
+                for model in ("mc4", "mc6")]
+        whole = [benchmark.run_benchmark(**run) for run in runs]
+        monkeypatch.setattr(benchmark, "_BLOCK_PATHS", 7)
+        for run, one in zip(runs, whole):
+            blocks = benchmark.run_benchmark(**run)
+            for name in ESTIMATORS:
+                assert repr(blocks.rows[name].to_dict()) == repr(one.rows[name].to_dict()), \
+                    (run["model"], name)
+            assert blocks.diagnostics == one.diagnostics, run["model"]
 
 
 class TestBlockRelease:

@@ -498,6 +498,20 @@ class TestCli:
         for row in payload["reversal"].values():
             assert -1.0 <= row["bias"] <= 1.0
             assert row["corstd"] >= 0.0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert (config["stocks"], config["days"], config["seed"]) == (40, 500, 2)
+
+    def test_backtest_from_files_records_no_synthetic_settings(self, tmp_path, csv_panel):
+        # --stocks, --days and --seed shape the --synthetic universe only
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[reactive]\nburn_in = 100\n")
+        out = tmp_path / "bt"
+        assert main(["backtest", "--prices", str(csv_panel.prices), "--caps",
+                     str(csv_panel.caps), "--config", str(cfg), "--strategy", "reversal",
+                     "--stocks", "3", "--days", "7", "--seed", "99", "--out", str(out)]) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert config["synthetic"] is False
+        assert not {"stocks", "days", "seed"} & set(config)
 
     def test_calibrate_ell(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -573,6 +587,14 @@ class TestCli:
         assert main(["simulate", "--estimator", "magic",
                      "--out", str(tmp_path / "o")]) == 1
 
+    def test_bad_estimator_among_good_ones_runs_nothing(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["simulate", "--estimator", "ols,nope", "--paths", "4", "--days", "50",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "'nope'" in err and "pick from" in err
+        assert not list(out.glob("table_*.tsv"))
+
     def test_config_overrides(self, tmp_path, price_file):
         cfg = tmp_path / "run.ini"
         cfg.write_text("[reactive]\nlambda_beta = 0.02\nburn_in = 1\n")
@@ -599,6 +621,23 @@ class TestCli:
             cfg.write_text(f"[reactive]\n{key} = 1\n")
             assert main(["estimate", "--prices", str(price_file),
                          "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+
+    def test_config_without_reactive_section_rejected(self, tmp_path, capsys, price_file):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("# lambda_beta = 0.02\n")
+        assert main(["estimate", "--prices", str(price_file),
+                     "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert str(cfg) in err and "no [reactive] section" in err
+
+    @pytest.mark.parametrize("text", ["[reactiv]\nphi = 2\n",
+                                      "[reactive]\nphi = 2\n[reactiv]\nburn_in = 1\n"])
+    def test_config_other_section_rejected(self, tmp_path, capsys, price_file, text):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(text)
+        assert main(["estimate", "--prices", str(price_file),
+                     "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert "unknown section [reactiv]" in capsys.readouterr().err
 
     def test_manifest_versions(self, tmp_path):
         import reactivebeta
