@@ -745,6 +745,74 @@ class TestSharedMedianFit:
             assert repr(shared.rows[name].to_dict()) == repr(alone.rows[name].to_dict())
 
 
+def _record_estimates(monkeypatch, benchmark):
+    """Wrap ``benchmark._estimate`` so that each call's estimates are kept
+    by estimator name, in block order."""
+    estimate, kept = benchmark._estimate, {}
+
+    def recording(name, batch, params, slopes):
+        est, counts = estimate(name, batch, params, slopes)
+        kept.setdefault(name, []).append(est)
+        return est, counts
+
+    monkeypatch.setattr(benchmark, "_estimate", recording)
+    return kept
+
+
+class TestSolveParts:
+    def test_parts_keep_every_bit(self, monkeypatch):
+        # ols and each quantile level are solved over blocks of at most
+        # _BLOCK_PATHS paths, which leaves every estimate's bits
+        import reactivebeta.benchmark as benchmark
+        from reactivebeta.montecarlo import McConfig, generate_batch
+
+        batch = generate_batch(McConfig(model="mc4", T=150, n_paths=10, seed=3))
+        whole = {name: benchmark.estimate_batch(name, batch) for name in ("ols", "mad", "trm")}
+        solve, sizes = benchmark.quantile_beta_batch, []
+
+        def counting(x, y, theta, lam):
+            sizes.append(len(x))
+            return solve(x, y, theta, lam)
+
+        monkeypatch.setattr(benchmark, "quantile_beta_batch", counting)
+        monkeypatch.setattr(benchmark, "_BLOCK_PATHS", 4)
+        kept = _record_estimates(monkeypatch, benchmark)
+        benchmark.run_benchmark("mc4", tuple(whole), n_paths=10, T=150, seed=3)
+        for name, est in whole.items():
+            assert np.array_equal(np.concatenate(kept[name]), est), name
+        # each block solves its median once for mad and trm, then q25 and q75
+        assert sizes == 3 * [4] + 3 * [4] + 3 * [2]
+
+    @pytest.mark.parametrize("name", ["dcc", "adcc"])
+    def test_dcc_parts_keep_every_bit(self, monkeypatch, name):
+        # (A)DCC is calibrated over blocks of at most _BLOCK_PATHS paths too;
+        # the betas and the summed counts are those of one whole-batch fit
+        import reactivebeta.benchmark as benchmark
+        from reactivebeta.montecarlo import McConfig, generate_batch
+
+        batch = generate_batch(McConfig(model="mc6", T=150, n_paths=20, seed=3))
+        beta, cal = dcc_beta_batch(batch.r_stock, batch.r_index, asymmetric=name == "adcc",
+                                   lam=DEFAULT_LAM)
+        fit, widths = benchmark.dcc_beta_batch, []
+
+        def recording(r_stock, r_index, **kwargs):
+            widths.append(len(r_stock))
+            return fit(r_stock, r_index, **kwargs)
+
+        monkeypatch.setattr(benchmark, "dcc_beta_batch", recording)
+        monkeypatch.setattr(benchmark, "_BLOCK_PATHS", 7)
+        kept = _record_estimates(monkeypatch, benchmark)
+        result = benchmark.run_benchmark("mc6", (name,), n_paths=20, T=150, seed=3)
+        assert widths == [7, 7, 6]
+        assert np.array_equal(np.concatenate(kept[name]), beta, equal_nan=True)
+        assert result.diagnostics[name] == {
+            "paths": 20,
+            "converged": int(np.count_nonzero(cal.converged)),
+            "at_bound": int(np.count_nonzero(cal.at_bound)),
+            "evaluations": cal.evaluations,
+            "rho_clamped_days": int(np.sum(cal.rho_clamped_days))}
+
+
 class TestBlockSize:
     def test_rows_do_not_depend_on_block_size(self, monkeypatch):
         # each path draws its own stream and its estimates have the same
