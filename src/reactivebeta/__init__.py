@@ -12,16 +12,14 @@ __version__ = "0.1.0"
 
 from .params import DEFAULT_PARAMS, TRADING_DAYS, ReactiveParams
 from .timeseries import exp_weighted_moments, rolling_correlation
-from .volatility import (
-    LevelState,
-    VolState,
-    filter_phi,
-    init_levels,
-)
 from .beta import (
     BetaState,
+    LevelState,
     ReactiveBetaEngine,
+    VolState,
     beta_elasticity,
+    filter_phi,
+    init_levels,
     reactive_beta_from_returns,
 )
 from .estimators import (
@@ -33,7 +31,6 @@ from .estimators import (
 )
 from .montecarlo import McBatch, McConfig, generate_batch
 from .evaluation import (
-    ErrorSamples,
     HedgeReport,
     SelectionBiasInputs,
     calibrate_ell_diff,

@@ -23,11 +23,10 @@ from .estimators import (
     trimean,
     trimean_beta_batch,  # uncalled here; perfbench/spans.py wraps this name
 )
-from .evaluation import ErrorSamples, StatRow, table2_stats
+from .evaluation import StatRow, table2_stats
 from .montecarlo import McBatch, McConfig, generate_batch
 
-__all__ = ["ESTIMATORS", "BenchmarkResult", "estimate_batch", "path_flags",
-           "run_benchmark"]
+__all__ = ["ESTIMATORS", "BenchmarkResult", "path_flags", "run_benchmark"]
 
 ESTIMATORS = ("ols", "reactive", "dcc", "adcc", "mad", "trm")
 
@@ -54,17 +53,12 @@ def path_flags(batch: McBatch):
     return winner, low
 
 
-def estimate_batch(name: str, batch: McBatch,
-                   params: ReactiveParams = DEFAULT_PARAMS) -> np.ndarray:
-    """Final-time beta estimates of one estimator over a batch of paths.
-    Every estimator looks back over ``params.lambda_beta``."""
-    return _estimate(name, batch, params, {})[0]
-
-
 def _estimate(name: str, batch: McBatch, params: ReactiveParams, slopes: dict):
-    """The estimates and, for (A)DCC, the calibration's counts: paths,
-    converged paths, paths at the ``rho_bar`` bound, filter passes and
-    the days on which the rho clamp holds at the fitted points.
+    """Final-time beta estimates of one estimator over a batch of paths,
+    each looking back over ``params.lambda_beta``, and for (A)DCC the
+    calibration's counts: paths, converged paths, paths at the ``rho_bar``
+    bound, filter passes and the days on which the rho clamp holds at the
+    fitted points.
 
     ``slopes`` holds the batch's quantile regression slopes by level, so
     that ``mad`` and ``trm`` solve the median once between them."""
@@ -184,10 +178,8 @@ def run_benchmark(model: str, estimators: Sequence[str] = ("ols", "reactive"),
     low = np.concatenate(lows)
 
     def _row(name: str, reference_variance: Optional[float]) -> StatRow:
-        est = np.concatenate(estimates[name])
-        samples = ErrorSamples(estimated_beta=est, true_beta=true_final,
-                               winner=winner, low=low)
-        return table2_stats(samples, reference_variance, label=name)
+        return table2_stats(np.concatenate(estimates[name]), true_final, winner, low,
+                            reference_variance, label=name)
 
     ols_row = _row("ols", None)
     reference = ols_row.error_variance

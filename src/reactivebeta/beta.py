@@ -1,44 +1,145 @@
-"""Leverage-aware beta estimation on top of the level/volatility machinery.
+"""The reactive beta estimator: price levels, reactive volatilities and
+the leverage-aware beta of each stock, as one daily recursion.
 
-The estimator regresses renormalized returns on each other with an
-exponential look-back, removes two sources of bias from the regression
-increments (the correlation shift driven by index-level leverage, and
-the sensitivity of beta to relative-volatility swings), and finally
-denormalizes the slope with the current level ratio and both correction
-factors.
+The model maintains three EMAs of prices (a slow and a fast one for the
+index, a slow one per stock) and combines them into "levels" that absorb
+the leverage-driven part of volatility moves: returns divided by the
+previous level are close to homoscedastic, and multiplying the smoothed
+normalized volatility back by the level ratio yields a volatility that
+reacts instantly to price moves. The estimator regresses these
+renormalized returns on each other with an exponential look-back,
+removes two sources of bias from the regression increments (the
+correlation shift driven by index-level leverage, and the sensitivity of
+beta to relative-volatility swings), and finally denormalizes the slope
+with the current level ratio and both correction factors.
 
 :class:`ReactiveBetaEngine` is the one implementation of the daily
 recursion. It is elementwise over stocks, so it serves both a price
 panel (one index, many stocks) and a batch of simulated paths (one index
-per path). mc5's generator shares its elasticity map.
+per path): index-side quantities are scalars or arrays, and stock-side
+quantities broadcast against them. The mc3-mc5 generators share the
+level and volatility maps, mc5's the elasticity map too.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .params import DEFAULT_PARAMS, ReactiveParams
 from .timeseries import block_rows, ema_rows
-from .volatility import (
-    LevelState,
-    VolState,
-    _level_map,
-    _vol_map,
-    init_levels,
-    init_vols,
-)
 
 __all__ = [
     "BetaState",
+    "LevelState",
     "ReactiveBetaEngine",
+    "VolState",
     "beta_elasticity",
+    "filter_phi",
     "init_beta_state",
+    "init_levels",
+    "init_vols",
     "reactive_beta_from_returns",
 ]
+
+
+def filter_phi(z, phi: float):
+    """Outlier filter ``tanh(phi * z) / phi`` applied to level gaps.
+
+    Odd, monotone increasing, slope one at the origin and bounded by
+    ``1/phi``; ``phi == 0`` is the identity.
+    """
+    if phi < 0.0:
+        raise ValueError(f"phi must be >= 0, got {phi}")
+    if phi == 0.0:
+        return z
+    return np.tanh(phi * np.asarray(z, dtype=float)) / phi
+
+
+def _level_map(price, slow, ell, gap, phi: float, out=None):
+    """The level ``price * (1 + filter_phi((slow - price) / price, phi)) *
+    (1 + ell * gap)``: the filtered slow gap (retarded effect) times the
+    fast index gap (panic effect), computed in place in ``out`` if given."""
+    if out is None:
+        out = np.empty(np.broadcast_shapes(np.shape(slow), np.shape(price), np.shape(gap)))
+    np.subtract(slow, price, out=out)
+    out /= price
+    out[...] = filter_phi(out, phi)
+    out += 1.0
+    out *= price
+    out *= 1.0 + ell * gap
+    return out[()]
+
+
+def _priced(index_prices, stock_prices):
+    """Where ``stock_prices`` are finite (a stock is unpriced where not);
+    ``ValueError`` unless every index price is finite and strictly positive
+    and every finite stock price strictly positive."""
+    if not np.all((index_prices > 0.0) & (index_prices < np.inf)):
+        raise ValueError("index price must be finite and strictly positive")
+    ok = np.isfinite(stock_prices)
+    if np.any((stock_prices <= 0.0) & ok):
+        raise ValueError("stock prices must be strictly positive")
+    return ok
+
+
+@dataclass(frozen=True)
+class LevelState:
+    """Levels after one daily update.
+
+    ``slow_index``/``fast_index``/``slow_stock`` are the price EMAs,
+    ``index_level``/``stock_level`` the leverage-adjusted levels, and
+    ``last_index``/``last_stock`` the prices the state was updated with.
+    """
+
+    slow_index: np.ndarray | float
+    fast_index: np.ndarray | float
+    slow_stock: np.ndarray | float
+    index_level: np.ndarray | float
+    stock_level: np.ndarray | float
+    last_index: np.ndarray | float
+    last_stock: np.ndarray | float
+
+
+def init_levels(index_price, stock_prices) -> LevelState:
+    """Seed every level with the first day's prices (all gaps zero). A
+    stock unpriced that day has NaN levels and a zero slow EMA until its
+    first price seeds it."""
+    i = np.asarray(index_price, dtype=float) + 0.0
+    s = np.asarray(stock_prices, dtype=float)
+    ok = _priced(i, s)
+    s = np.where(ok, s, np.nan)
+    return LevelState(slow_index=i, fast_index=i, slow_stock=np.where(ok, s, 0.0),
+                      index_level=i, stock_level=s, last_index=i, last_stock=s)
+
+
+def _vol_map(tilde_var, seeded, level, price):
+    """The reactive volatility ``sqrt(tilde_var) * level / price``, NaN unless seeded."""
+    return np.where(seeded, np.sqrt(tilde_var) * level / price, np.nan)[()]
+
+
+@dataclass(frozen=True)
+class VolState:
+    """Normalized variances and their reactive volatilities, NaN until seeded."""
+
+    tilde_var_index: np.ndarray | float
+    tilde_var_stock: np.ndarray | float
+    sigma_index: np.ndarray | float
+    sigma_stock: np.ndarray | float
+    index_seeded: bool = False
+    stock_seeded: np.ndarray | bool = False
+
+
+def init_vols(index_shape=(), stock_shape=()) -> VolState:
+    z_i = np.zeros(index_shape) if index_shape else 0.0
+    z_s = np.zeros(stock_shape) if stock_shape else 0.0
+    seeded = np.zeros(stock_shape, dtype=bool) if stock_shape else False
+    return VolState(tilde_var_index=z_i, tilde_var_stock=z_s,
+                    sigma_index=z_i + np.nan, sigma_stock=z_s + np.nan,
+                    index_seeded=False, stock_seeded=seeded)
+
 
 # Both correction factors divide the regression increments, so they are
 # kept away from zero; values this small never occur on sane price data.
@@ -103,9 +204,8 @@ class BetaState:
     beta: np.ndarray | float
 
 
-def init_beta_state(index_shape=(), stock_shape=()) -> BetaState:
-    """The state before any return; every field is stock-shaped (the
-    shapes are given as to ``init_vols``)."""
+def init_beta_state(stock_shape=()) -> BetaState:
+    """The state before any return, every field shaped as the stocks."""
     zs = np.zeros(stock_shape) if stock_shape else 0.0
     nan_s = np.full(stock_shape, np.nan) if stock_shape else np.nan
     seeded = np.zeros(stock_shape, dtype=bool) if stock_shape else False
@@ -137,26 +237,23 @@ class ReactiveBetaEngine:
     operations per day. :meth:`step` is the same pass over one day. The
     states are plain values between calls; a stock without a finite
     price keeps its state for the day (``frozen_stock_days`` counts it).
-    A stock first priced after :meth:`start` is seeded on that day, which
-    has no return and so no beta. ``leverage_floor_stock_days`` and
-    ``elasticity_floor_stock_days`` count the stock-days that add a cross
-    moment increment through a correction factor at ``_CORRECTION_FLOOR``.
+    The engine is built from the first day's prices; a stock first priced
+    later is seeded on that day, which has no return and so no beta.
+    ``leverage_floor_stock_days`` and ``elasticity_floor_stock_days``
+    count the stock-days that add a cross moment increment through a
+    correction factor at ``_CORRECTION_FLOOR``.
     """
 
-    def __init__(self, params: ReactiveParams = DEFAULT_PARAMS):
+    def __init__(self, index_price, stock_prices, params: ReactiveParams = DEFAULT_PARAMS):
+        """Seed all states with the first day of prices, which pass the
+        check that :meth:`advance` makes of every later day."""
         self.params = params
-        self.levels: Optional[LevelState] = None
-        self.vols: Optional[VolState] = None
-        self.beta_state: Optional[BetaState] = None
+        self.levels = init_levels(index_price, stock_prices)
+        self.vols = init_vols(np.shape(index_price), np.shape(stock_prices))
+        self.beta_state = init_beta_state(np.shape(stock_prices))
         self.frozen_stock_days: int = 0
         self.leverage_floor_stock_days: int = 0
         self.elasticity_floor_stock_days: int = 0
-
-    def start(self, index_price, stock_prices) -> None:
-        """Seed all states with the first day of prices."""
-        self.levels = init_levels(index_price, stock_prices)
-        shapes = np.shape(index_price), np.shape(stock_prices)
-        self.vols, self.beta_state = init_vols(*shapes), init_beta_state(*shapes)
 
     def step(self, index_price, stock_prices) -> BetaState:
         """Consume one day of prices and return the updated beta state."""
@@ -166,13 +263,11 @@ class ReactiveBetaEngine:
 
     def advance(self, index_prices, stock_prices, beta_out=None, sigma_out=None) -> None:
         """Consume the days of ``index_prices`` and ``stock_prices`` (days on
-        the first axis, each day shaped like the prices given to
-        :meth:`start`). Each day's reactive beta and reactive stock
-        volatility, NaN for a stock without a return yet, go to the
-        matching rows of ``beta_out`` and ``sigma_out`` when they are given.
+        the first axis, each day shaped like the first day's prices). Each
+        day's reactive beta and reactive stock volatility, NaN for a stock
+        without a return yet, go to the matching rows of ``beta_out`` and
+        ``sigma_out`` when they are given.
         """
-        if self.levels is None:
-            raise RuntimeError("engine not started; call start() first")
         p = self.params
         lam_s, lam_v, lam_b = p.lambda_s, p.lambda_sigma, p.lambda_beta
         lv, vol, st = self.levels, self.vols, self.beta_state
@@ -217,12 +312,8 @@ class ReactiveBetaEngine:
             i[:] = index_prices[t0:t0 + m]
             s = stock[:m]
             s[:] = stock_prices[t0:t0 + m]
-            ok = np.isfinite(s)
+            ok = _priced(i, s)
             blank = ~ok
-            if not np.all((i > 0.0) & (i < np.inf)):
-                raise ValueError("index price must be finite and strictly positive")
-            if np.any((s <= 0.0) & ok):
-                raise ValueError("stock prices must be strictly positive")
             self.frozen_stock_days += int(np.count_nonzero(blank))
             # flat source of each held value: its last priced row, else row 0
             held = np.where(ok, np.arange(1, m + 1)[:, None], 0)
@@ -327,7 +418,7 @@ class ReactiveBetaEngine:
             for x in (ema, tv, reg, price_i, level_i, price_s, level_s, cc, tb, beta):
                 x[0] = x[m]
 
-        def idx(x):     # row 0 of a workspace array, shaped as at start()
+        def idx(x):     # row 0 of a workspace array, shaped as on the first day
             return x[:k].reshape(index_shape).copy()
 
         def stk(x):
@@ -366,8 +457,7 @@ def reactive_beta_from_returns(
     if r_i.shape != r_s.shape:
         raise ValueError("return arrays must have identical shapes")
     growth = np.ones((2,) + r_i.shape[:-1] + (1,))      # index and stock
-    engine = ReactiveBetaEngine(params)
-    engine.start(*_START_PRICE * growth[..., 0])
+    engine = ReactiveBetaEngine(*_START_PRICE * growth[..., 0], params)
     T = r_i.shape[-1]
     days = block_rows(growth[0].size, T)
     for t0 in range(0, T, days):

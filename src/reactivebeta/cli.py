@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import dataclasses
 import io
 import sys
 import time
@@ -109,7 +110,7 @@ def _reactive_diagnostics(panels, burn_in: int) -> dict:
 def _cmd_estimate(args) -> int:
     params = _load_params(args.config)
     if args.burn_in is not None:
-        params = params.replace(burn_in=args.burn_in)
+        params = dataclasses.replace(params, burn_in=args.burn_in)
     lap = _Laps()
     universe = rio.ingest_prices(args.prices, index_ticker=args.index,
                                  caps_path=args.caps, sectors_path=args.sectors)

@@ -19,7 +19,6 @@ from .timeseries import _equal_weighted_moments, as_array, rolling_correlation
 
 __all__ = [
     "NumericalFailure",
-    "ErrorSamples",
     "StatRow",
     "table2_stats",
     "HedgeReport",
@@ -42,18 +41,6 @@ __all__ = [
 class NumericalFailure(RuntimeError):
     """A computation produced no usable number from valid input, such as
     an estimator that is undefined on every path."""
-
-
-@dataclass(frozen=True)
-class ErrorSamples:
-    """Per-path measurements: estimate and truth at the final time, plus
-    the winner (outperformed the index over the last month) and low
-    (true beta below one) flags, one array each."""
-
-    estimated_beta: np.ndarray
-    true_beta: np.ndarray
-    winner: np.ndarray
-    low: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -98,10 +85,13 @@ def _subset_stats(errors: np.ndarray, mask: np.ndarray):
     return mean, bool(abs(mean) > 0.0)
 
 
-def table2_stats(samples: ErrorSamples, reference_variance: Optional[float] = None,
+def table2_stats(estimated_beta: np.ndarray, true_beta: np.ndarray, winner: np.ndarray,
+                 low: np.ndarray, reference_variance: Optional[float] = None,
                  label: str = "") -> StatRow:
     """Bias family, absolute deviation and relative variance of a sample
-    of per-path estimation errors.
+    of per-path estimation errors: estimate and truth at the final time,
+    with the winner (outperformed the index over the last month) and low
+    (true beta below one) flags, one array each.
 
     ``bias`` is the mean error, the winner/loser and low/high biases are
     means over the flagged subsets, ``absd`` the mean absolute error, and
@@ -112,15 +102,15 @@ def table2_stats(samples: ErrorSamples, reference_variance: Optional[float] = No
     are skipped and counted; a sample without any valid path raises
     :class:`NumericalFailure`.
     """
-    if samples.estimated_beta.size == 0:
+    if estimated_beta.size == 0:
         raise ValueError("empty sample")
 
-    valid = np.isfinite(samples.estimated_beta) & np.isfinite(samples.true_beta)
+    valid = np.isfinite(estimated_beta) & np.isfinite(true_beta)
     n_skipped = int(np.count_nonzero(~valid))
-    errors = samples.estimated_beta[valid] - samples.true_beta[valid]
-    winner = samples.winner[valid]
-    low = samples.low[valid]
-    high = samples.true_beta[valid] > 1.0
+    errors = estimated_beta[valid] - true_beta[valid]
+    winner = winner[valid]
+    low = low[valid]
+    high = true_beta[valid] > 1.0
 
     if errors.size == 0:
         raise NumericalFailure("no valid paths in sample")

@@ -28,8 +28,7 @@ import numpy as np
 
 from .params import DEFAULT_PARAMS, TRADING_DAYS, ReactiveParams
 from .timeseries import block_rows, ema_rows
-from .volatility import _level_map, _vol_map
-from .beta import _elasticity_map
+from .beta import _elasticity_map, _level_map, _vol_map
 from .evaluation import NumericalFailure
 from .estimators import (
     ASYMMETRIC_DCC_COEFFS,

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 
@@ -86,9 +85,6 @@ class ReactiveParams:
     def ell_diff(self) -> float:
         """Excess of index leverage over single-stock leverage."""
         return self.ell - self.ell_prime
-
-    def replace(self, **changes) -> "ReactiveParams":
-        return dataclasses.replace(self, **changes)
 
 
 DEFAULT_PARAMS = ReactiveParams()

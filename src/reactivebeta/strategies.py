@@ -154,8 +154,7 @@ def compute_panels(universe: Universe,
     re_beta = np.full((T, n), np.nan)
     re_sigma = np.full((T, n), np.nan)
 
-    engine = ReactiveBetaEngine(params)
-    engine.start(index[0], prices[0])
+    engine = ReactiveBetaEngine(index[0], prices[0], params)
     engine.advance(index[1:], prices[1:], beta_out=re_beta[1:], sigma_out=re_sigma[1:])
 
     lam_b, lam_s = params.lambda_beta, params.lambda_sigma

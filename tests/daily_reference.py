@@ -25,17 +25,26 @@ the engine and the generators run too.
 
 import numpy as np
 
-from reactivebeta.beta import BetaState, _elasticity_map, _leverage_map, init_beta_state
-from reactivebeta.params import ReactiveParams
-from reactivebeta.volatility import (
+from reactivebeta.beta import (
+    BetaState,
     LevelState,
     VolState,
-    _check_positive,
+    _elasticity_map,
     _level_map,
+    _leverage_map,
     _vol_map,
+    init_beta_state,
     init_levels,
     init_vols,
 )
+from reactivebeta.params import ReactiveParams
+
+
+def _check_positive(p, what: str) -> None:
+    arr = np.asarray(p, dtype=float)
+    finite = np.isfinite(arr)
+    if np.any(arr[finite] <= 0.0):
+        raise ValueError(f"{what} must be strictly positive")
 
 
 def degenerate_params(**overrides) -> ReactiveParams:
@@ -211,7 +220,7 @@ def reference_run(index, stocks, params):
     1..T-1), and the final states, from the per-day forms."""
     levels = init_levels(index[0], stocks[0])
     vols = init_vols(np.shape(index[0]), np.shape(stocks[0]))
-    state = init_beta_state(np.shape(index[0]), np.shape(stocks[0]))
+    state = init_beta_state(np.shape(stocks[0]))
     tracks = {name: np.full(stocks.shape, np.nan)
               for name in ("beta", "tilde_beta", "sigma_stock", "leverage", "elasticity")}
     tracks["increment"] = np.zeros(stocks.shape, dtype=bool)

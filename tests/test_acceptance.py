@@ -20,6 +20,7 @@ from reactivebeta.beta import (
     ReactiveBetaEngine,
     _elasticity_map,
     _leverage_map,
+    filter_phi,
     reactive_beta_from_returns,
 )
 from reactivebeta.benchmark import run_benchmark
@@ -45,7 +46,6 @@ from reactivebeta.evaluation import (
 from reactivebeta.montecarlo import McConfig, generate_batch
 from reactivebeta.strategies import backtest, compute_panels, synthetic_universe
 from reactivebeta.timeseries import exp_weights
-from reactivebeta.volatility import filter_phi
 
 PARAMS = ReactiveParams()
 
@@ -387,8 +387,7 @@ def _invariant_reactive_identity(rng):
     r_s = 0.02 * rng.standard_normal((n, T))
     pi = 100 * np.cumprod(1 + r_i, axis=1)
     ps = 100 * np.cumprod(1 + r_s, axis=1)
-    engine = ReactiveBetaEngine(PARAMS)
-    engine.start(np.full(n, 100.0), np.full(n, 100.0))
+    engine = ReactiveBetaEngine(np.full(n, 100.0), np.full(n, 100.0), PARAMS)
     for t in range(T):
         engine.advance(pi[None, :, t], ps[None, :, t])
         levels, vols = engine.levels, engine.vols
@@ -410,8 +409,7 @@ def _invariant_scale_invariance(rng):
     # per-path scale via per-path start price
     pi = (100.0 * k)[:, None] * np.cumprod(1 + r_i, axis=1)
     ps = (100.0 * k)[:, None] * np.cumprod(1 + r_s, axis=1)
-    engine = ReactiveBetaEngine(PARAMS)
-    engine.start(100.0 * k, 100.0 * k)
+    engine = ReactiveBetaEngine(100.0 * k, 100.0 * k, PARAMS)
     for t in range(T):
         out = engine.step(pi[:, t], ps[:, t])
     assert np.allclose(np.asarray(out.beta), np.asarray(base), rtol=1e-10,

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -11,11 +12,11 @@ from reactivebeta.beta import (
     _elasticity_map,
     _leverage_map,
     beta_elasticity,
+    init_vols,
     reactive_beta_from_returns,
 )
 from reactivebeta.strategies import Universe, compute_panels, synthetic_universe
 from reactivebeta.timeseries import WeightedMoments, exp_weights
-from reactivebeta.volatility import init_vols
 
 PARAMS = ReactiveParams()
 
@@ -106,8 +107,7 @@ class TestReactiveBetaEngine:
     def test_stock_identical_to_index(self):
         rng = np.random.default_rng(4)
         prices = 100.0 * np.cumprod(1 + 0.01 * rng.standard_normal(800))
-        engine = ReactiveBetaEngine(PARAMS)
-        engine.start(prices[0], prices[0])
+        engine = ReactiveBetaEngine(prices[0], prices[0], PARAMS)
         for p in prices[1:]:
             out = engine.step(p, p)
         # index and stock leverage intensities differ, so the level ratios
@@ -158,8 +158,7 @@ class TestReactiveBetaEngine:
 
     def test_leverage_response_sign(self):
         # index flat, stock drops: the denormalization factor rises
-        engine = ReactiveBetaEngine(PARAMS)
-        engine.start(100.0, 100.0)
+        engine = ReactiveBetaEngine(100.0, 100.0, PARAMS)
         rng = np.random.default_rng(3)
         stock = 100.0 * np.cumprod(1 + 0.015 * rng.standard_normal(300))
         engine.advance(np.full(299, 100.0), stock[1:])
@@ -185,8 +184,8 @@ class TestReactiveBetaEngine:
         stocks = 100.0 * np.cumprod(1.0 + batch.r_stock, axis=1).T
         final = []
         for slope in (PARAMS.elasticity_slope, 0.0):
-            engine = ReactiveBetaEngine(PARAMS.replace(elasticity_slope=slope))
-            engine.start(np.full(n, 100.0), np.full(n, 100.0))
+            engine = ReactiveBetaEngine(np.full(n, 100.0), np.full(n, 100.0),
+                                        dataclasses.replace(PARAMS, elasticity_slope=slope))
             engine.advance(index, stocks)
             final.append(engine.beta_state.tilde_beta)
         diff = final[0] - final[1]
@@ -201,9 +200,8 @@ class TestReactiveBetaEngine:
         stocks = np.column_stack([100 * np.cumprod(1 + r_a), 100 * np.cumprod(1 + r_b)])
 
         def run(scale_second):
-            engine = ReactiveBetaEngine(PARAMS)
             s = stocks * np.array([1.0, scale_second])
-            engine.start(100.0, s[0])
+            engine = ReactiveBetaEngine(100.0, s[0], PARAMS)
             for t in range(1, 300):
                 out = engine.step(prices_i[t], s[t])
             return np.asarray(out.beta)
@@ -212,8 +210,7 @@ class TestReactiveBetaEngine:
 
     def test_missing_price_freezes_beta(self):
         rng = np.random.default_rng(13)
-        engine = ReactiveBetaEngine(PARAMS)
-        engine.start(100.0, np.array([100.0, 100.0]))
+        engine = ReactiveBetaEngine(100.0, np.array([100.0, 100.0]), PARAMS)
         prev = None
         for t in range(1, 200):
             i = 100.0 * (1 + 0.01 * rng.standard_normal())
@@ -227,8 +224,7 @@ class TestReactiveBetaEngine:
                 prev = out.beta[1]
 
     def test_undefined_before_warmup(self):
-        engine = ReactiveBetaEngine(PARAMS)
-        engine.start(100.0, 100.0)
+        engine = ReactiveBetaEngine(100.0, 100.0, PARAMS)
         out = engine.step(101.0, 101.0)
         assert np.isnan(float(out.beta))
 
@@ -239,7 +235,7 @@ class TestReactiveBetaEngine:
         batch = generate_batch(McConfig(model="mc3", T=1000, n_paths=150, seed=21))
         with_filter = reactive_beta_from_returns(batch.r_index, batch.r_stock, PARAMS)
         without = reactive_beta_from_returns(batch.r_index, batch.r_stock,
-                                             PARAMS.replace(phi=0.0))
+                                             dataclasses.replace(PARAMS, phi=0.0))
         assert np.mean(np.abs(with_filter - without)) < 0.01
         assert not np.allclose(with_filter, without)
 
@@ -303,7 +299,7 @@ class TestBlockwiseEngine:
         import reactivebeta.strategies as strategies_module
         for module in (beta_module, strategies_module):
             monkeypatch.setattr(module, "block_rows", lambda width, total: min(block, total))
-        params = PARAMS.replace(hat_normalize=hat)
+        params = dataclasses.replace(PARAMS, hat_normalize=hat)
         uni = _frozen_panel(seed=block)
         expect, (levels, vols, state) = reference_run(uni.index_prices, uni.prices, params)
         panels = compute_panels(uni, params)
@@ -318,8 +314,7 @@ class TestBlockwiseEngine:
         assert np.array_equal(panels.ols_sigma, ols_sigma, equal_nan=True)
 
         # the same days a day at a time, and the states after the last
-        engine = ReactiveBetaEngine(params)
-        engine.start(uni.index_prices[0], uni.prices[0])
+        engine = ReactiveBetaEngine(uni.index_prices[0], uni.prices[0], params)
         for t in range(1, uni.n_days):
             out = engine.step(uni.index_prices[t], uni.prices[t])
             assert np.array_equal(out.tilde_beta, expect["tilde_beta"][t], equal_nan=True)
@@ -333,14 +328,13 @@ class TestBlockwiseEngine:
         # a 30-day index rally drives the fast gap far below zero, and a
         # steep elasticity turns small drops of the relative vol into
         # factors below the floor
-        params = PARAMS.replace(**changes)
+        params = dataclasses.replace(PARAMS, **changes)
         uni = _frozen_panel(seed=5)
         index = uni.index_prices.copy()
         index[100:] *= np.concatenate([1.023 ** np.arange(1, 31), np.full(73, 1.023 ** 30)])
         expect, states = reference_run(index, uni.prices, params)
         assert np.any(expect[floor] == _CORRECTION_FLOOR)
-        engine = ReactiveBetaEngine(params)
-        engine.start(index[0], uni.prices[0])
+        engine = ReactiveBetaEngine(index[0], uni.prices[0], params)
         beta, sigma = np.full((2,) + uni.prices.shape, np.nan)
         engine.advance(index[1:], uni.prices[1:], beta_out=beta[1:], sigma_out=sigma[1:])
         assert np.array_equal(beta, expect["beta"], equal_nan=True)

@@ -702,7 +702,7 @@ class TestDccDerivatives:
 class TestSharedLookBack:
     def test_every_estimator_reads_lambda_beta(self):
         # simulate --config sets lambda_beta, and every rival follows it
-        from reactivebeta.benchmark import estimate_batch
+        from reactivebeta.benchmark import _estimate
         from reactivebeta.montecarlo import McConfig, generate_batch
         from reactivebeta.params import ReactiveParams
         batch = generate_batch(McConfig(model="mc6", T=150, n_paths=3, seed=2))
@@ -715,9 +715,9 @@ class TestSharedLookBack:
             "adcc": dcc_beta_batch(r_s, r_i, asymmetric=True, lam=lam)[0],
         }
         for name, want in expect.items():
-            assert np.array_equal(estimate_batch(name, batch, ReactiveParams(lambda_beta=lam)),
-                                  want), name
-            assert not np.array_equal(estimate_batch(name, batch), want), name
+            got = _estimate(name, batch, ReactiveParams(lambda_beta=lam), {})[0]
+            assert np.array_equal(got, want), name
+            assert not np.array_equal(_estimate(name, batch, DEFAULT_PARAMS, {})[0], want), name
 
 
 class TestSharedMedianFit:
@@ -767,7 +767,8 @@ class TestSolveParts:
         from reactivebeta.montecarlo import McConfig, generate_batch
 
         batch = generate_batch(McConfig(model="mc4", T=150, n_paths=10, seed=3))
-        whole = {name: benchmark.estimate_batch(name, batch) for name in ("ols", "mad", "trm")}
+        whole = {name: benchmark._estimate(name, batch, DEFAULT_PARAMS, {})[0]
+                 for name in ("ols", "mad", "trm")}
         solve, sizes = benchmark.quantile_beta_batch, []
 
         def counting(x, y, theta, lam):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from reactivebeta.evaluation import (
-    ErrorSamples,
     NumericalFailure,
     SelectionBiasInputs,
     calibrate_ell_diff,
@@ -17,20 +16,18 @@ from reactivebeta.evaluation import (
 
 
 def _samples(errors, true=None, winner=None, low=None):
+    """``table2_stats``'s estimates, truths, winner flags and low flags."""
     errors = np.asarray(errors, dtype=float)
     true = np.ones_like(errors) if true is None else np.asarray(true, dtype=float)
     n = errors.size
-    return ErrorSamples(
-        estimated_beta=true + errors,
-        true_beta=true,
-        winner=np.zeros(n, dtype=bool) if winner is None else np.asarray(winner),
-        low=np.zeros(n, dtype=bool) if low is None else np.asarray(low),
-    )
+    return (true + errors, true,
+            np.zeros(n, dtype=bool) if winner is None else np.asarray(winner),
+            np.zeros(n, dtype=bool) if low is None else np.asarray(low))
 
 
 class TestTable2Stats:
     def test_zero_errors(self):
-        row = table2_stats(_samples(np.zeros(100)), reference_variance=None)
+        row = table2_stats(*_samples(np.zeros(100)), reference_variance=None)
         assert row.bias == 0.0
         assert row.absd == 0.0
         assert not row.bias_star and not row.winner_star and not row.loser_star
@@ -39,7 +36,7 @@ class TestTable2Stats:
         rng = np.random.default_rng(0)
         errors = rng.standard_normal(500)
         winner = rng.random(500) < 0.4
-        row = table2_stats(_samples(errors, winner=winner), None)
+        row = table2_stats(*_samples(errors, winner=winner), None)
         f = winner.mean()
         assert row.bias == pytest.approx(f * row.winner_bias + (1 - f) * row.loser_bias)
 
@@ -47,18 +44,18 @@ class TestTable2Stats:
         rng = np.random.default_rng(1)
         errors = rng.standard_normal(400)
         samples = _samples(errors)
-        base = table2_stats(samples, None)
-        row = table2_stats(samples, reference_variance=base.error_variance)
+        base = table2_stats(*samples, None)
+        row = table2_stats(*samples, reference_variance=base.error_variance)
         assert row.variance_ratio == pytest.approx(1.0)
 
     def test_constant_unit_truth_leaves_low_high_undefined(self):
-        row = table2_stats(_samples(np.zeros(50)), None)
+        row = table2_stats(*_samples(np.zeros(50)), None)
         assert math.isnan(row.low_bias) and math.isnan(row.high_bias)
         assert not row.low_star and not row.high_star
 
     def test_undefined_estimates_skipped_and_counted(self):
         errors = np.array([0.1, np.nan, -0.1, np.nan])
-        row = table2_stats(_samples(errors), None)
+        row = table2_stats(*_samples(errors), None)
         assert row.n == 2
         assert row.n_skipped == 2
         assert row.bias == pytest.approx(0.0)
@@ -66,18 +63,18 @@ class TestTable2Stats:
     def test_star_threshold(self):
         rng = np.random.default_rng(2)
         noise = rng.standard_normal(10_000) * 0.1
-        row = table2_stats(_samples(noise + 0.05), None)
+        row = table2_stats(*_samples(noise + 0.05), None)
         assert row.bias_star  # 0.05 is ~50 standard errors here
-        row2 = table2_stats(_samples(noise - noise.mean()), None)
+        row2 = table2_stats(*_samples(noise - noise.mean()), None)
         assert not row2.bias_star
 
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):
-            table2_stats(_samples([]), None)
+            table2_stats(*_samples([]), None)
 
     def test_no_valid_path_is_numerical_failure(self):
         with pytest.raises(NumericalFailure, match="no valid paths"):
-            table2_stats(_samples(np.full(5, np.nan)), None)
+            table2_stats(*_samples(np.full(5, np.nan)), None)
         assert not issubclass(NumericalFailure, ValueError)
 
 
@@ -285,8 +282,7 @@ class TestElasticityDiagnostic:
         n, T = batch.r_stock.shape
         pi = 100 * np.cumprod(1 + batch.r_index, axis=1)
         ps = 100 * np.cumprod(1 + batch.r_stock, axis=1)
-        engine = ReactiveBetaEngine(params)
-        engine.start(np.full(n, 100.0), np.full(n, 100.0))
+        engine = ReactiveBetaEngine(np.full(n, 100.0), np.full(n, 100.0), params)
         beta_panel = np.full((T, n), np.nan)
         relvol_panel = np.full((T, n), np.nan)
         for t in range(T):

@@ -57,7 +57,6 @@ def test_every_config_field_is_read(module, cls):
 #: public names that no module of the package loads, each with the reason
 #: it stays public; any other such name is API that only tests call
 UNLOADED_EXPORTS = {
-    "benchmark.estimate_batch": "entry point: the table of one block of paths",
     "evaluation.elasticity_diagnostic": "entry point: the elasticity regression",
     "estimators.quantile_objective": "criterion 5 and the perfbench spans import it",
     "estimators.trimean_beta_batch": "a perfbench span target",

@@ -324,7 +324,7 @@ class TestCli:
 
         uni = ingest_prices(prices)
         assert uni.tickers == ("A,%d%%B", 'Q"X', "CCC")
-        panels = compute_panels(uni, ReactiveParams().replace(burn_in=1))
+        panels = compute_panels(uni, ReactiveParams(burn_in=1))
         expected = io.StringIO(newline="")
         writer = csv.writer(expected)
         writer.writerow(["date", "ticker", "reactive_beta", "ols_beta",

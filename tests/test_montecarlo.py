@@ -3,19 +3,18 @@ import pytest
 
 from daily_reference import fast_gap, update_levels
 from reactivebeta import montecarlo as mc
-from reactivebeta.beta import beta_elasticity
+from reactivebeta.beta import LevelState, beta_elasticity, init_levels
 from reactivebeta.montecarlo import (
     MODELS,
     McConfig,
     dump_batch,
     generate_batch,
 )
-from reactivebeta.benchmark import ESTIMATORS, estimate_batch
+from reactivebeta.benchmark import ESTIMATORS, _estimate
 from reactivebeta.evaluation import NumericalFailure
 from reactivebeta.params import DEFAULT_PARAMS, TRADING_DAYS, ReactiveParams
 from reactivebeta.strategies import synthetic_universe
 from reactivebeta.timeseries import block_rows, ema_rows
-from reactivebeta.volatility import LevelState, init_levels
 
 BATCH_ARRAYS = ("r_index", "r_stock", "true_beta", "true_rho", "true_sigma_index",
                 "true_sigma_stock")
@@ -445,7 +444,7 @@ class TestReturnFloor:
         batch = generate_batch(McConfig(model="mc2", T=1000, n_paths=60, seed=0), 59, 1)
         assert (batch.clamped, batch.clamped_index) == (1, 0)
         for name in ESTIMATORS:
-            assert np.isfinite(estimate_batch(name, batch)).all(), name
+            assert np.isfinite(_estimate(name, batch, DEFAULT_PARAMS, {})[0]).all(), name
 
 
 class TestReducedReactiveModel:

@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from daily_reference import normalized_returns, update_levels
-from reactivebeta.beta import ReactiveBetaEngine
+from reactivebeta.beta import ReactiveBetaEngine, filter_phi, init_levels
 from reactivebeta.params import ReactiveParams
-from reactivebeta.volatility import filter_phi, init_levels
 
 PARAMS = ReactiveParams()
 
@@ -50,10 +49,9 @@ class TestFilter:
 
 
 def _engine(price=100.0, n_stocks=1, params=PARAMS):
-    """An engine started on one day of equal prices: every gap zero."""
-    engine = ReactiveBetaEngine(params)
-    engine.start(price, np.full(n_stocks, price) if n_stocks > 1 else price)
-    return engine
+    """An engine built from one day of equal prices: every gap zero."""
+    return ReactiveBetaEngine(price, np.full(n_stocks, price) if n_stocks > 1 else price,
+                              params)
 
 
 class TestLevels:
@@ -90,9 +88,44 @@ class TestLevels:
         assert ratio - 1 == pytest.approx(0.01, abs=2e-3)
 
     def test_rejects_bad_prices(self):
-        for index, stock in ((-1.0, 100.0), (100.0, 0.0), (float("nan"), 100.0)):
+        # the first day passes the check of every later day
+        nan, inf = float("nan"), float("inf")
+        for index, stock in ((-1.0, 100.0), (0.0, 100.0), (nan, 100.0), (inf, 100.0),
+                             (nan, np.array([100.0, nan])), (100.0, 0.0),
+                             (100.0, np.array([100.0, -1.0]))):
             with pytest.raises(ValueError):
-                _engine().step(index, stock)
+                _engine(n_stocks=np.size(stock)).step(index, stock)
+            with pytest.raises(ValueError):
+                ReactiveBetaEngine(index, stock)
+
+    def test_infinite_first_stock_price_is_unpriced(self):
+        # a stock whose first price is infinite is seeded by its first
+        # finite price, bit for bit as one whose first price is blank
+        rng = np.random.default_rng(3)
+        T = 400
+        index = 100.0 * np.cumprod(1.0 + 0.01 * rng.standard_normal(T))
+        stocks = 100.0 * np.cumprod(1.0 + 0.02 * rng.standard_normal((T, 3)), axis=0)
+        runs = []
+        for first in (np.nan, np.inf, -np.inf):
+            prices = stocks.copy()
+            prices[0, 0] = first
+            engine = ReactiveBetaEngine(index[0], prices[0], PARAMS)
+            beta, sigma = np.empty((2, T - 1, 3))
+            engine.advance(index[1:], prices[1:], beta_out=beta, sigma_out=sigma)
+            runs.append((engine, beta, sigma))
+        (blank, beta_blank, sigma_blank), *infinite = runs
+        assert np.isfinite(beta_blank[-1]).all()
+        for engine, beta, sigma in infinite:
+            assert np.array_equal(beta, beta_blank, equal_nan=True)
+            assert np.array_equal(sigma, sigma_blank, equal_nan=True)
+            for state in ("levels", "vols", "beta_state"):
+                got, want = getattr(engine, state), getattr(blank, state)
+                for field in dataclasses.fields(got):
+                    assert np.array_equal(getattr(got, field.name), getattr(want, field.name),
+                                          equal_nan=True), (state, field.name)
+            for count in ("frozen_stock_days", "leverage_floor_stock_days",
+                          "elasticity_floor_stock_days"):
+                assert getattr(engine, count) == getattr(blank, count), count
 
     def test_missing_stock_freezes_state(self):
         engine = _engine(n_stocks=3)
@@ -149,11 +182,6 @@ class TestNormalizedReturns:
             Li = S * (1 + math.tanh(p.phi * (lis - S) / S) / p.phi) * (1 + p.ell_prime * g)
         assert np.allclose(got, expected, rtol=1e-13, atol=1e-16)
 
-    def test_uninitialized_state_error(self):
-        engine = ReactiveBetaEngine()
-        with pytest.raises(RuntimeError):
-            engine.step(100.0, 100.0)
-
 
 class TestReactiveVols:
     def test_constant_return_fixed_point(self):
@@ -177,8 +205,7 @@ class TestReactiveVols:
         rng = np.random.default_rng(5)
         prices_i = 100 * np.cumprod(1 + 0.01 * rng.standard_normal(300))
         prices_s = 100 * np.cumprod(1 + 0.02 * rng.standard_normal(300))
-        engine = ReactiveBetaEngine(PARAMS)
-        engine.start(prices_i[0], prices_s[0])
+        engine = ReactiveBetaEngine(prices_i[0], prices_s[0], PARAMS)
         for t in range(1, 300):
             engine.step(prices_i[t], prices_s[t])
             levels, vols = engine.levels, engine.vols
@@ -193,8 +220,8 @@ class TestReactiveVols:
         # price, so the normalized returns are the iid raw returns
         rng = np.random.default_rng(2)
         prices = 100.0 * np.cumprod(1 + 0.01 * rng.standard_normal(5000))
-        engine = _engine(params=PARAMS.replace(lambda_s=1.0, lambda_f=1.0,
-                                               ell=0.0, ell_prime=0.0))
+        engine = _engine(params=dataclasses.replace(PARAMS, lambda_s=1.0, lambda_f=1.0,
+                                                    ell=0.0, ell_prime=0.0))
         sigma = np.empty(5000)
         engine.advance(prices, prices, sigma_out=sigma)
         track = sigma[201:] ** 2
@@ -214,8 +241,7 @@ class TestScaleInvariance:
             for scale in (1.0, k):
                 prices_i = scale * 100 * np.cumprod(1 + r_i)
                 prices_s = scale * 100 * np.cumprod(1 + r_s)
-                engine = ReactiveBetaEngine(PARAMS)
-                engine.start(prices_i[0], prices_s[0])
+                engine = ReactiveBetaEngine(prices_i[0], prices_s[0], PARAMS)
                 engine.advance(prices_i[1:], prices_s[1:])
                 vols, levels = engine.vols, engine.levels
                 out[scale] = (float(vols.tilde_var_index), float(vols.tilde_var_stock),
