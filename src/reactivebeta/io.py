@@ -13,11 +13,12 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import hashlib
+import itertools
 import json
 import platform
 import re
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -51,18 +52,28 @@ def _parse_date(token: str, line_no: int) -> dt.date:
 _BLANK = re.compile(r",\s*(?=,)")
 
 
-def _numbers(texts: list[str], width: int) -> np.ndarray:
-    """The ``(len(texts), width)`` numbers of comma-separated lines, NaN in
-    the blank cells; ValueError when a cell is neither blank nor a finite
-    number."""
+def _filled(text: str) -> str:
+    """A comma-separated line with ``nan`` in its blank cells; ValueError
+    when a cell holds an n."""
     # no finite number holds an n, while nan, inf and Infinity all do; so
     # once no cell does, the NaNs np.loadtxt returns are the blank cells
-    if any("n" in text or "N" in text for text in texts):
+    if "n" in text or "N" in text:
         raise ValueError("a cell spells no finite number")
-    # from a generator, each filled line lives only while it is parsed
-    values = np.loadtxt((_BLANK.sub(",nan", f",{text},")[1:-1] for text in texts),
+    return _BLANK.sub(",nan", f",{text},")[1:-1]
+
+
+def _numbers(texts: Iterable[str], width: int) -> np.ndarray:
+    """The numbers of comma-separated lines, one row of ``width`` a line and
+    NaN in the blank cells, each line parsed as ``texts`` yields it;
+    ValueError when a cell is neither blank nor a finite number."""
+    lines = map(_filled, texts)
+    first = next(lines, None)
+    if first is None:   # np.loadtxt warns on no data
+        return np.empty((0, width))
+    # a filled line is never blank, so np.loadtxt skips none
+    values = np.loadtxt(itertools.chain([first], lines),
                         delimiter=",", comments=None, ndmin=2)
-    if values.shape != (len(texts), width) or np.isinf(values).any():
+    if values.shape[1] != width or np.isinf(values).any():
         raise ValueError("a cell spells no finite number")
     return values
 
@@ -121,37 +132,42 @@ def _read_panel(path) -> tuple[list[dt.date], list[str], np.ndarray]:
         if len(set(tickers)) != len(tickers):
             raise IngestError(f"{path.name}: duplicate ticker columns")
 
-        # the lines' checks run here, their numbers in one np.loadtxt call
+        # the lines' checks run as np.loadtxt asks for each line, so no
+        # more than its array holds the file's numbers
         dates: list[dt.date] = []
-        texts: list[str] = []
-        seen: dict[dt.date, int] = {}
-        for line_no, line in enumerate(fh, start=2):
-            split = _split_line(line)
-            if split is None:
-                continue
-            token, text, fields = split
-            if fields != len(tickers) + 1:
-                raise IngestError(
-                    f"{path.name} line {line_no}: expected {len(tickers) + 1} "
-                    f"fields, got {fields}")
-            date = _parse_date(token, line_no)
-            if date in seen:
-                raise IngestError(
-                    f"{path.name} line {line_no}: duplicate date {date} "
-                    f"(first seen on line {seen[date]})")
-            if dates and date <= dates[-1]:
-                raise IngestError(
-                    f"{path.name} line {line_no}: dates must be strictly "
-                    f"increasing ({date} after {dates[-1]})")
-            seen[date] = line_no
-            dates.append(date)
-            texts.append(text)
-    if not texts:
+
+        def texts():
+            seen: dict[dt.date, int] = {}
+            for line_no, line in enumerate(fh, start=2):
+                split = _split_line(line)
+                if split is None:
+                    continue
+                token, text, fields = split
+                if fields != len(tickers) + 1:
+                    raise IngestError(
+                        f"{path.name} line {line_no}: expected {len(tickers) + 1} "
+                        f"fields, got {fields}")
+                date = _parse_date(token, line_no)
+                if date in seen:
+                    raise IngestError(
+                        f"{path.name} line {line_no}: duplicate date {date} "
+                        f"(first seen on line {seen[date]})")
+                if dates and date <= dates[-1]:
+                    raise IngestError(
+                        f"{path.name} line {line_no}: dates must be strictly "
+                        f"increasing ({date} after {dates[-1]})")
+                seen[date] = line_no
+                dates.append(date)
+                yield text
+
+        try:
+            values = _numbers(texts(), len(tickers))
+        except IngestError:
+            raise       # a line's own check, which names its line
+        except ValueError as exc:
+            raise _bad_cell(path, len(tickers), exc) from None
+    if not dates:
         raise IngestError(f"{path.name}: no data rows")
-    try:
-        values = _numbers(texts, len(tickers))
-    except ValueError as exc:
-        raise _bad_cell(path, len(tickers), exc) from None
     return dates, tickers, values
 
 
@@ -210,8 +226,7 @@ def ingest_prices(path, index_ticker: Optional[str] = None,
                           f"{index_ticker!r}")
     stock_tickers = tuple(tickers[j] for j in stock_cols)
     prices = values[:, stock_cols]
-    finite = prices[np.isfinite(prices)]
-    if np.any(finite <= 0.0):
+    if np.any(prices <= 0.0):     # a blank (NaN) cell compares false
         raise IngestError("prices must be strictly positive")
 
     caps = None
@@ -224,7 +239,7 @@ def ingest_prices(path, index_ticker: Optional[str] = None,
             if ticker not in col:
                 raise IngestError(f"caps file missing ticker {ticker!r}")
         caps = cvalues[:, [col[t] for t in stock_tickers]]
-        if np.any(caps[np.isfinite(caps)] <= 0.0):
+        if np.any(caps <= 0.0):
             raise IngestError("caps must be strictly positive")
 
     if sectors_path is not None:

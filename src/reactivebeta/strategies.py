@@ -111,13 +111,15 @@ class UniversePanels:
     ``ols_beta``/``ols_sigma`` come from plain exponentially weighted
     moments of raw returns; ``re_beta``/``re_sigma`` from the
     leverage-aware engine. All shapes are (time x stock).
+    ``index_returns`` holds the index's daily returns (NaN on day 0); no
+    panel holds the stocks' returns, which each reader computes from
+    ``Universe.prices`` a block of days at a time.
     ``frozen_stock_days`` counts the blank prices the engine held over;
     ``leverage_floor_stock_days`` and ``elasticity_floor_stock_days`` the
     stock-days whose correction factor sat at its floor (see
     :class:`ReactiveBetaEngine`).
     """
 
-    returns: np.ndarray
     index_returns: np.ndarray
     ols_beta: np.ndarray
     ols_sigma: np.ndarray
@@ -137,16 +139,13 @@ def compute_panels(universe: Universe,
     centered means and co-moments (West's weighted update), so a frozen
     (missing-price) stock keeps the exact exponentially weighted moments
     of its returns, and its first return gives a NaN slope. Both step in
-    place a block of days at a time.
+    place a block of days at a time, and each block computes its own
+    stock returns from the prices.
     """
     prices = universe.prices
     index = universe.index_prices
     T, n = prices.shape
 
-    returns = np.full((T, n), np.nan)   # in place: an estimate run peaks in memory here
-    with np.errstate(invalid="ignore"):
-        np.divide(prices[1:], prices[:-1], out=returns[1:])
-    returns[1:] -= 1.0
     index_returns = np.concatenate([[np.nan], index[1:] / index[:-1] - 1.0])
 
     ols_beta = np.full((T, n), np.nan)
@@ -170,7 +169,8 @@ def compute_panels(universe: Universe,
         m = min(L, T - t0)
         days = slice(t0, t0 + m)
         x = index_returns[days, None]
-        y = returns[days]
+        with np.errstate(invalid="ignore"):
+            y = prices[days] / prices[t0 - 1:t0 + m - 1] - 1.0
         ok = np.isfinite(y)
         y0 = np.where(ok, y, 0.0)
         gain, gain_s = np.where(ok, lam_b, 0.0), np.where(ok, lam_s, 0.0)
@@ -196,7 +196,7 @@ def compute_panels(universe: Universe,
         ols_sigma[days] = np.sqrt(np.maximum(mean_yy - mean_y * mean_y, 0.0))
         masses[0], means[0], comoments[0] = ms[m], mu[m], cm[m]
 
-    return UniversePanels(returns=returns, index_returns=index_returns,
+    return UniversePanels(index_returns=index_returns,
                           ols_beta=ols_beta, ols_sigma=ols_sigma,
                           re_beta=re_beta, re_sigma=re_sigma,
                           frozen_stock_days=engine.frozen_stock_days,
@@ -437,7 +437,8 @@ def backtest(universe: Universe, strategy: str, beta_source: str = "ols",
         weights, mu_p, mu_m, skip = build_factors(universe, days, strategy, panels,
                                                   beta_source)
         skipped += int(skip.sum())
-        day_ret = panels.returns[days + 1]
+        with np.errstate(invalid="ignore"):
+            day_ret = universe.prices[days + 1] / universe.prices[days] - 1.0
         day_ret = np.where(np.isfinite(day_ret), day_ret, 0.0)
         for i in np.flatnonzero(~skip):
             rets.append(float(weights[i] @ day_ret[i]))

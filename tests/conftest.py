@@ -1,6 +1,7 @@
 """Shared test plumbing: the acceptance suite records one line per
 criterion and the terminal summary prints them after the run; the
-``csv_panel`` fixture writes a price and caps panel with ``csv.writer``."""
+``csv_panel`` fixture writes a price and caps panel with ``csv.writer``
+(``write_csv_panel`` at other sizes)."""
 
 import csv
 from types import SimpleNamespace
@@ -36,14 +37,12 @@ def _write_csv(path, header, dates, values):
             writer.writerow([date] + ["" if np.isnan(v) else v for v in row])
 
 
-@pytest.fixture
-def csv_panel(tmp_path):
-    """A 50-stock × 300-day price file and caps file with runs of blank
-    stock cells: ``prices`` and ``caps`` are their paths, ``values`` and
-    ``cap_values`` what they hold (the index is ``values``' first column),
-    NaN at the blanks."""
+def write_csv_panel(directory, n, T):
+    """An ``n``-stock × ``T``-day price file and caps file in ``directory``
+    with 60 runs of blank stock cells: ``prices`` and ``caps`` are their
+    paths, ``values`` and ``cap_values`` what they hold (the index is
+    ``values``' first column), NaN at the blanks."""
     rng = np.random.default_rng(2015)
-    n, T = 50, 300
     market = 0.01 * rng.standard_normal(T)
     returns = np.column_stack([market, rng.uniform(0.5, 1.5, n) * market[:, None]
                                + 0.015 * rng.standard_normal((T, n))])
@@ -56,7 +55,13 @@ def csv_panel(tmp_path):
         cap_values[days, j] = np.nan
     dates = np.busday_offset("2001-01-02", np.arange(T), roll="forward").astype(str)
     tickers = [f"S{j:02d}" for j in range(n)]
-    prices, caps = tmp_path / "prices.csv", tmp_path / "caps.csv"
+    prices, caps = directory / "prices.csv", directory / "caps.csv"
     _write_csv(prices, ["date", "IDX"] + tickers, dates, values)
     _write_csv(caps, ["date"] + tickers, dates, cap_values)
     return SimpleNamespace(prices=prices, caps=caps, values=values, cap_values=cap_values)
+
+
+@pytest.fixture
+def csv_panel(tmp_path):
+    """A 50-stock × 300-day ``write_csv_panel``."""
+    return write_csv_panel(tmp_path, 50, 300)

@@ -309,7 +309,9 @@ class TestBlockwiseEngine:
         assert np.isfinite(panels.re_beta[-1, 5:]).all()
         assert np.isnan(panels.re_beta[:16, 9]).all()     # no return before day 16
         assert np.isfinite(panels.re_beta[16:, 9]).all()
-        ols_beta, ols_sigma = _ols_reference(panels.returns, panels.index_returns, params)
+        returns = np.full(uni.prices.shape, np.nan)
+        returns[1:] = uni.prices[1:] / uni.prices[:-1] - 1.0
+        ols_beta, ols_sigma = _ols_reference(returns, panels.index_returns, params)
         assert np.array_equal(panels.ols_beta, ols_beta, equal_nan=True)
         assert np.array_equal(panels.ols_sigma, ols_sigma, equal_nan=True)
 

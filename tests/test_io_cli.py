@@ -3,12 +3,15 @@ import datetime as dt
 import io
 import json
 import tempfile
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import write_csv_panel
 from reactivebeta.cli import build_parser, main
 from reactivebeta.evaluation import NumericalFailure
 from reactivebeta.io import IngestError, _read_panel, ingest_prices, sha256_file
@@ -114,6 +117,14 @@ READ_CONTRACT = {
     "short row": (HEAD + "\n2020-01-01,1,2,3\n2020-01-02,4,5\n",
                   "p.csv line 3: expected 4 fields, got 3"),
     "one row": (HEAD + "\n2020-01-01,1,2,3\n", [[1, 2, 3]]),
+    "header only": (HEAD + "\n", "p.csv: no data rows"),
+    "blank lines only": (HEAD + "\n\n,,,\n \t\n", "p.csv: no data rows"),
+    # a line's own check stops the parse as it is, whatever follows
+    "duplicate date": (HEAD + "\n2020-01-01,1,2,3\n2020-01-01,4,5,6\n",
+                       "p.csv line 3: duplicate date 2020-01-01 (first seen on line 2)"),
+    "line fault before a bad cell": (
+        HEAD + "\n2020-01-02,1,2,3\n2020-01-01,4,5,6\n2020-01-03,1,abc,3\n",
+        "p.csv line 3: dates must be strictly increasing (2020-01-01 after 2020-01-02)"),
     # float() read these as 10 and 1; numpy's text parser takes neither
     "underscore": (HEAD + "\n2020-01-01,1,1_0,3\n", "p.csv line 2: bad number '1_0' in column 3"),
     "non-ascii digit": (HEAD + "\n2020-01-01,1,\uff11,3\n",
@@ -143,15 +154,17 @@ class TestIngest:
     def test_read_contract(self, tmp_path, text, expected):
         path = tmp_path / "p.csv"
         path.write_bytes(text.encode())
-        if isinstance(expected, str):
-            with pytest.raises(IngestError) as info:
-                _read_panel(path)
-            assert str(info.value) == expected
-        else:
-            dates, tickers, values = _read_panel(path)
-            assert tickers == ["IDX", "AAA", "BBB"]
-            assert [str(d) for d in dates] == ["2020-01-01", "2020-01-02"][:len(expected)]
-            np.testing.assert_array_equal(values, expected)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")      # np.loadtxt's no-data warning too
+            if isinstance(expected, str):
+                with pytest.raises(IngestError) as info:
+                    _read_panel(path)
+                assert str(info.value) == expected
+            else:
+                dates, tickers, values = _read_panel(path)
+                assert tickers == ["IDX", "AAA", "BBB"]
+                assert [str(d) for d in dates] == ["2020-01-01", "2020-01-02"][:len(expected)]
+                np.testing.assert_array_equal(values, expected)
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -185,6 +198,26 @@ class TestIngest:
         _assert_same_bits(uni.index_prices, csv_panel.values[:, 0])
         _assert_same_bits(uni.prices, csv_panel.values[:, 1:])
         _assert_same_bits(uni.caps, csv_panel.cap_values)
+
+    def test_traced_peaks_keep_one_copy_of_each_panel(self, tmp_path):
+        # in units of one price panel, each bound sits between two measured
+        # peaks: ingest 5.2, and 6.6 for a reader that holds every line's
+        # text; compute_panels 4.9 above what it is given, and 5.9 with a
+        # returns panel
+        panel = write_csv_panel(tmp_path, 200, 500)
+        unit = panel.values[:, 1:].nbytes
+        tracemalloc.start()
+        try:
+            universe = ingest_prices(panel.prices, caps_path=panel.caps)
+            _, ingest_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            held, _ = tracemalloc.get_traced_memory()
+            compute_panels(universe, ReactiveParams())
+            _, panels_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ingest_peak < 5.9 * unit
+        assert panels_peak - held < 5.4 * unit
 
     def test_duplicate_date_names_line(self, tmp_path):
         bad = tmp_path / "dup.csv"

@@ -382,7 +382,8 @@ class TestPanels:
         panels = compute_panels(uni, PARAMS)
         for t in (5, 60, 250, 600, 899):
             x = np.broadcast_to(panels.index_returns[1:t + 1], (40, t))
-            expect = ols_beta_batch(x, panels.returns[1:t + 1].T, PARAMS.lambda_beta)
+            returns = uni.prices[1:t + 1] / uni.prices[:t] - 1.0
+            expect = ols_beta_batch(x, returns.T, PARAMS.lambda_beta)
             np.testing.assert_allclose(panels.ols_beta[t], expect, rtol=1e-12, atol=0.0)
 
     def test_ols_track_matches_centered_moments_every_day(self):
@@ -393,7 +394,8 @@ class TestPanels:
         assert np.isnan(panels.ols_beta[:2]).all()
         for t in range(2, uni.n_days):
             x = np.broadcast_to(panels.index_returns[1:t + 1], (12, t))
-            expect = exp_weighted_moments(x, panels.returns[1:t + 1].T, PARAMS.lambda_beta)
+            returns = uni.prices[1:t + 1] / uni.prices[:t] - 1.0
+            expect = exp_weighted_moments(x, returns.T, PARAMS.lambda_beta)
             np.testing.assert_allclose(panels.ols_beta[t], expect.slope, rtol=1e-12, atol=0.0)
 
     def test_late_listed_stock_has_no_slope_from_one_return(self):
